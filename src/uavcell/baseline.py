@@ -4,20 +4,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .channel import Beam, Environment, RadioConfig, avg_path_loss, dbm_to_mw
 from .clustering import Cluster, ClusterSet, find_intersections
-from .deployment import (
-    AltitudeBounds,
-    DeploymentPlan,
-    UavDeployment,
-    beam_from_footprint,
-    deploy,
-    required_power_dbm,
-)
-from .geometry import Ellipse, FitConfig, edge_distance, mvee
+from .deployment import DeploymentPlan, UavDeployment, deploy, required_power_dbm
+from .geometry import Ellipse, FitConfig, mvee
 from .scenario import Region, Scenario
 
 __all__ = [
@@ -25,6 +19,7 @@ __all__ = [
     "CirclePackingConfig",
     "PackingError",
     "brute_force_optimum",
+    "brute_force_plan",
     "circle_pack_deploy",
 ]
 
@@ -135,13 +130,27 @@ def brute_force_optimum(
     h_max: float = 1000.0,
     fit_cfg: FitConfig | None = None,
 ) -> tuple[list[set[int]], float]:
-    """Exhaustive minimum-power grouping into at most ``num_uavs`` cells.
+    """Cheapest grouping from ``brute_force_plan``: (groups, total power in mW)."""
+    plan = brute_force_plan(users, num_uavs, env, radio, cfg, h_max, fit_cfg)
+    return [set(u.members) for u in plan.uavs], plan.total_power_mw
+
+
+def brute_force_plan(
+    users,
+    num_uavs: int,
+    env: Environment,
+    radio: RadioConfig,
+    cfg: BruteForceConfig | None = None,
+    h_max: float = 1000.0,
+    fit_cfg: FitConfig | None = None,
+) -> DeploymentPlan:
+    """Exhaustive minimum-power deployment over at most ``num_uavs`` cells.
 
     Enumerates every partition of the users into 1..num_uavs groups
     (restricted growth strings), rejects groupings whose ellipses share a
     user, and deploys the rest exactly like the main pipeline.  Returns the
-    cheapest partition and its total power in mW.  Instance sizes are capped
-    because the partition count grows combinatorially.
+    cheapest plan.  Instance sizes are capped because the partition count
+    grows combinatorially.
     """
     cfg = cfg or BruteForceConfig()
     fit_cfg = fit_cfg or FitConfig()
@@ -154,19 +163,14 @@ def brute_force_optimum(
     if not 1 <= num_uavs <= cfg.max_uavs:
         raise ValueError(f"num_uavs must be in [1, {cfg.max_uavs}]")
 
-    best_labels: np.ndarray | None = None
-    best_power = math.inf
+    best: DeploymentPlan | None = None
     for labels in _partitions(n, num_uavs):
         plan = _plan_for_labels(pts, labels, env, radio, cfg, h_max, fit_cfg)
-        if plan is None:
-            continue
-        if plan.total_power_mw < best_power:
-            best_power = plan.total_power_mw
-            best_labels = labels.copy()
-    if best_labels is None:
+        if plan is not None and (best is None or plan.total_power_mw < best.total_power_mw):
+            best = plan
+    if best is None:
         raise ValueError("no feasible partition: every grouping shares users across ellipses")
-    groups = [set(np.flatnonzero(best_labels == g).tolist()) for g in range(best_labels.max() + 1)]
-    return groups, best_power
+    return best
 
 
 def _plan_for_labels(pts, labels, env, radio, cfg, h_max, fit_cfg) -> DeploymentPlan | None:
@@ -177,38 +181,17 @@ def _plan_for_labels(pts, labels, env, radio, cfg, h_max, fit_cfg) -> Deployment
     cs = ClusterSet(users=pts, clusters=clusters)
     if find_intersections(cs):
         return None  # some user falls inside two ellipses
+    altitude = None
     if cfg.altitude_grid_step_m > 0.0:
-        return _deploy_with_grid(cs, env, radio, h_max, cfg.altitude_grid_step_m)
-    return deploy(cs, env, radio, h_max=h_max)
+        altitude = partial(_grid_altitude, step=cfg.altitude_grid_step_m)
+    return deploy(cs, env, radio, h_max=h_max, altitude=altitude)
 
 
-def _deploy_with_grid(cs, env, radio, h_max, step) -> DeploymentPlan:
-    uavs = []
-    for m, cluster in enumerate(cs.clusters):
-        footprint = cluster.ellipse
-        major, _ = footprint.semi_axes
-        bounds = AltitudeBounds.for_footprint(major, h_max)
-        cell_edge = edge_distance(footprint, cs.member_points(m))
-        grid = np.append(np.arange(bounds.h_min, bounds.h_max, step), bounds.h_max)
-        losses = [avg_path_loss(h, cell_edge, env, radio) for h in grid]
-        altitude = float(grid[int(np.argmin(losses))])
-        beam = beam_from_footprint(altitude, footprint)
-        power = required_power_dbm(altitude, cell_edge, env, beam, radio)
-        center = footprint.center
-        uavs.append(
-            UavDeployment(
-                x=float(center[0]),
-                y=float(center[1]),
-                altitude_m=altitude,
-                orientation_rad=footprint.orientation,
-                beam=beam,
-                tx_power_dbm=power,
-                footprint=footprint,
-                members=cluster.members,
-            )
-        )
-    total = sum(dbm_to_mw(u.tx_power_dbm) for u in uavs)
-    return DeploymentPlan(uavs=uavs, environment=env, radio=radio, total_power_mw=total)
+def _grid_altitude(edge_distance_m, env, bounds, radio, step) -> float:
+    """Grid argmin of the path loss, a cross-check for the golden-section search."""
+    grid = np.append(np.arange(bounds.h_min, bounds.h_max, step), bounds.h_max)
+    losses = [avg_path_loss(h, edge_distance_m, env, radio) for h in grid]
+    return float(grid[int(np.argmin(losses))])
 
 
 def _partitions(n: int, max_blocks: int):

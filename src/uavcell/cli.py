@@ -10,35 +10,31 @@ import argparse
 import csv
 import json
 import logging
-import math
 import statistics
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
 
-from .baseline import BruteForceConfig, CirclePackingConfig, PackingError, brute_force_optimum, circle_pack_deploy
-from .channel import Beam, ENVIRONMENTS, RadioConfig, dbm_to_mw
-from .clustering import Cluster, ClusterSet, ClusteringConfig, NoConvergenceError, ellipse_clustering
+from .baseline import CirclePackingConfig, PackingError, brute_force_plan, circle_pack_deploy
+from .channel import Beam, ENVIRONMENTS, Environment, RadioConfig
+from .clustering import AlgorithmTrace, ClusteringConfig, NoConvergenceError, ellipse_clustering
 from .deployment import DeploymentPlan, UavDeployment, deploy, evaluate
-from .geometry import Ellipse, mvee
+from .geometry import Ellipse
 from .scenario import (
     PcpConfig,
     Region,
     Scenario,
     ScenarioFormatError,
+    config_from_dict,
     dump_canonical_json,
-    environment_from_dict,
-    environment_to_dict,
     generate_pcp,
     load_scenario,
-    radio_from_dict,
-    radio_to_dict,
     save_scenario,
 )
 
-__all__ = ["main", "plan_from_dict", "plan_to_dict"]
+__all__ = ["main", "plan_from_dict", "plan_scenario", "plan_to_dict"]
 
 EXIT_OK = 0
 EXIT_PARSE_ERROR = 2
@@ -48,6 +44,15 @@ EXIT_INFEASIBLE = 4
 log = logging.getLogger("uavcell")
 
 _METHODS = ("ellipse", "circle", "brute")
+_RADIO_OVERRIDES = ("carrier_frequency_hz", "bandwidth_hz", "snr_threshold_db", "noise_psd_dbm_hz")
+_CLUSTERING_OVERRIDES = ("k_max", "max_outer_iterations")
+_OVERRIDES = ("env",) + _RADIO_OVERRIDES + _CLUSTERING_OVERRIDES
+# sweep row status per exit code of a failed run
+_STATUS = {EXIT_PARSE_ERROR: "bad_input", EXIT_NO_CONVERGENCE: "no_convergence", EXIT_INFEASIBLE: "infeasible"}
+_RUN_COLUMNS = [
+    "method", "scenario", "num_users", "num_uavs", "total_power_mw",
+    "coverage_probability", "iterations", "converged", "status", "error",
+]
 
 
 def main(argv=None) -> int:
@@ -56,15 +61,18 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (ScenarioFormatError, FileNotFoundError, json.JSONDecodeError, ValueError) as exc:
-        if isinstance(exc, PackingError):
-            log.error("infeasible baseline: %s", exc)
-            return EXIT_INFEASIBLE
-        log.error("%s", exc)
-        return EXIT_PARSE_ERROR
-    except NoConvergenceError as exc:
-        log.error("%s", exc)
+    except (ScenarioFormatError, FileNotFoundError, json.JSONDecodeError, ValueError, NoConvergenceError) as exc:
+        code = _exit_code(exc)
+        log.error("infeasible baseline: %s" if code == EXIT_INFEASIBLE else "%s", exc)
+        return code
+
+
+def _exit_code(exc: Exception) -> int:
+    if isinstance(exc, NoConvergenceError):
         return EXIT_NO_CONVERGENCE
+    if isinstance(exc, PackingError):
+        return EXIT_INFEASIBLE
+    return EXIT_PARSE_ERROR
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -80,8 +88,7 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--parent-intensity-per-km2", type=float, default=9.0)
     gen.add_argument("--cluster-radius", type=float, default=80.0)
     gen.add_argument("--mean-daughters", type=float, default=36.0)
-    _radio_flags(gen)
-    _clustering_flags(gen)
+    _override_flags(gen)
     gen.set_defaults(handler=cmd_generate)
 
     dep = sub.add_parser("deploy", help="plan a deployment for one scenario")
@@ -93,9 +100,7 @@ def _build_parser() -> argparse.ArgumentParser:
     dep.add_argument("--fixed-altitude", type=float, default=150.0)
     dep.add_argument("--fixed-power-dbm", type=float)
     dep.add_argument("--beam-deg", type=float, help="circular beam half-width for circle method")
-    dep.add_argument("--seed", type=int, help="override the scenario clustering seed")
-    _radio_flags(dep, overrides=True)
-    _clustering_flags(dep, overrides=True)
+    _override_flags(dep)
     dep.set_defaults(handler=cmd_deploy)
 
     ev = sub.add_parser("evaluate", help="score a plan against a scenario")
@@ -110,44 +115,30 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _radio_flags(cmd, overrides: bool = False) -> None:
-    # override-style commands leave unset flags at None and keep the scenario values
-    cmd.add_argument("--env", choices=sorted(ENVIRONMENTS), default=None if overrides else "urban")
-    cmd.add_argument("--carrier-frequency-hz", type=float, default=None if overrides else 2.0e9)
-    cmd.add_argument("--bandwidth-hz", type=float, default=None if overrides else 20.0e6)
-    cmd.add_argument("--snr-threshold-db", type=float, default=None if overrides else 0.0)
-    cmd.add_argument("--noise-psd-dbm-hz", type=float, default=None if overrides else -170.0)
+def _override_flags(cmd) -> None:
+    # unset flags stay None and keep the scenario's values (the defaults, for generate)
+    cmd.add_argument("--env", choices=sorted(ENVIRONMENTS))
+    for key in _RADIO_OVERRIDES:
+        cmd.add_argument(f"--{key.replace('_', '-')}", type=float)
+    for key in _CLUSTERING_OVERRIDES:
+        cmd.add_argument(f"--{key.replace('_', '-')}", type=int)
 
 
-def _clustering_flags(cmd, overrides: bool = False) -> None:
-    cmd.add_argument("--k-max", type=int, default=None if overrides else 8)
-    cmd.add_argument("--max-outer-iterations", type=int, default=None if overrides else 50)
+def _flag_overrides(args) -> dict:
+    return {k: getattr(args, k) for k in _OVERRIDES if getattr(args, k) is not None}
 
 
 def cmd_generate(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     region = Region(width_m=args.width, height_m=args.height)
-    radio = RadioConfig(
-        carrier_frequency_hz=args.carrier_frequency_hz,
-        noise_psd_dbm_hz=args.noise_psd_dbm_hz,
-        bandwidth_hz=args.bandwidth_hz,
-        snr_threshold_db=args.snr_threshold_db,
-    )
-    env = ENVIRONMENTS[args.env]
-    clustering = ClusteringConfig(k_max=args.k_max, max_outer_iterations=args.max_outer_iterations)
+    defaults = Scenario(region, np.empty((0, 2)), ENVIRONMENTS["urban"], RadioConfig(), ClusteringConfig())
+    template = _override_scenario(defaults, _flag_overrides(args))
     rng = np.random.default_rng(args.master_seed)
     seeds = rng.integers(0, 2**62, size=max(args.count, 0))
     for i in range(args.count):
         pcp, users = _nonempty_realization(region, int(seeds[i]), args)
-        scenario = Scenario(
-            region=region,
-            users=users,
-            environment=env,
-            radio=radio,
-            clustering=replace(clustering, rng_seed=pcp.seed),
-            pcp=pcp,
-        )
+        scenario = replace(template, users=users, pcp=pcp)
         path = out_dir / f"scenario_{i:03d}.json"
         save_scenario(scenario, path)
         log.info("wrote %s (%d users)", path, len(users))
@@ -171,65 +162,80 @@ def _nonempty_realization(region: Region, seed: int, args) -> tuple[PcpConfig, n
     raise ValueError("could not draw a non-empty scenario; intensity too low")
 
 
-def _apply_overrides(scenario: Scenario, args) -> Scenario:
-    env = scenario.environment if args.env is None else ENVIRONMENTS[args.env]
-    radio = scenario.radio
-    for flag, field_name in (
-        ("carrier_frequency_hz", "carrier_frequency_hz"),
-        ("bandwidth_hz", "bandwidth_hz"),
-        ("snr_threshold_db", "snr_threshold_db"),
-        ("noise_psd_dbm_hz", "noise_psd_dbm_hz"),
-    ):
-        value = getattr(args, flag)
-        if value is not None:
-            radio = replace(radio, **{field_name: value})
-    clustering = scenario.clustering
-    if args.k_max is not None:
-        clustering = replace(clustering, k_max=args.k_max)
-    if args.max_outer_iterations is not None:
-        clustering = replace(clustering, max_outer_iterations=args.max_outer_iterations)
-    if getattr(args, "seed", None) is not None:
-        clustering = replace(clustering, rng_seed=args.seed)
-    return replace(scenario, environment=env, radio=radio, clustering=clustering)
+def plan_scenario(
+    scenario: Scenario,
+    method: str,
+    *,
+    h_max: float = 1000.0,
+    num_uavs: int | None = None,
+    beam_deg: float | None = None,
+    fixed_altitude_m: float = 150.0,
+    fixed_power_dbm: float | None = None,
+) -> tuple[DeploymentPlan, AlgorithmTrace | None]:
+    """Plan one scenario with ``method``; returns (plan, trace).
+
+    The trace is the clustering record of the ``ellipse`` method and None
+    for the baselines.  ``circle`` needs ``num_uavs``; ``brute`` defaults it
+    to three cells, or one per user below that.  Raises NoConvergenceError
+    (carrying the trace), PackingError or ValueError.
+    """
+    if method == "ellipse":
+        _, cs, trace = ellipse_clustering(scenario.users, scenario.clustering)
+        return deploy(cs, scenario.environment, scenario.radio, h_max=h_max), trace
+    if method == "circle":
+        if num_uavs is None:
+            raise ValueError("circle method needs num_uavs")
+        cfg = CirclePackingConfig(
+            num_uavs=num_uavs,
+            fixed_altitude_m=fixed_altitude_m,
+            fixed_power_dbm=fixed_power_dbm,
+            beam=None if beam_deg is None else Beam(theta1_deg=beam_deg, theta2_deg=beam_deg),
+        )
+        return circle_pack_deploy(scenario, cfg), None
+    if method == "brute":
+        num = min(3, len(scenario.users)) if num_uavs is None else num_uavs
+        return brute_force_plan(scenario.users, num, scenario.environment, scenario.radio, h_max=h_max), None
+    raise ValueError(f"unknown method {method!r}, expected one of {list(_METHODS)}")
+
+
+def _override_scenario(scenario: Scenario, overrides: dict) -> Scenario:
+    """``scenario`` with an environment name and radio/clustering fields replaced."""
+    unknown = set(overrides) - set(_OVERRIDES)
+    if unknown:
+        raise ValueError(f"unknown override keys {sorted(unknown)}")
+    env = overrides.get("env")
+    if env is not None and env not in ENVIRONMENTS:
+        raise ValueError(f"unknown environment {env!r}, expected one of {sorted(ENVIRONMENTS)}")
+    radio = {k: float(overrides[k]) for k in _RADIO_OVERRIDES if k in overrides}
+    clustering = {k: int(overrides[k]) for k in _CLUSTERING_OVERRIDES if k in overrides}
+    return replace(
+        scenario,
+        environment=scenario.environment if env is None else ENVIRONMENTS[env],
+        radio=replace(scenario.radio, **radio),
+        clustering=replace(scenario.clustering, **clustering),
+    )
 
 
 def cmd_deploy(args) -> int:
-    scenario = _apply_overrides(load_scenario(args.scenario), args)
+    scenario = _override_scenario(load_scenario(args.scenario), _flag_overrides(args))
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-
-    if args.method == "ellipse":
-        try:
-            m, cs, trace = ellipse_clustering(scenario.users, scenario.clustering)
-        except NoConvergenceError as exc:
-            _write_json(out_dir / "trace.json", exc.trace.to_dict())
-            log.error("%s", exc)
-            return EXIT_NO_CONVERGENCE
-        plan = deploy(cs, scenario.environment, scenario.radio, h_max=args.h_max)
-        _write_json(out_dir / "trace.json", trace.to_dict())
-        log.info("%d cells after %d iterations", m, len(trace.iterations))
-    elif args.method == "circle":
-        if args.num_uavs is None:
-            raise ValueError("circle method needs --num-uavs")
-        beam = None
-        if args.beam_deg is not None:
-            beam = Beam(theta1_deg=args.beam_deg, theta2_deg=args.beam_deg)
-        cfg = CirclePackingConfig(
+    try:
+        plan, trace = plan_scenario(
+            scenario,
+            args.method,
+            h_max=args.h_max,
             num_uavs=args.num_uavs,
+            beam_deg=args.beam_deg,
             fixed_altitude_m=args.fixed_altitude,
             fixed_power_dbm=args.fixed_power_dbm,
-            beam=beam,
         )
-        plan = circle_pack_deploy(scenario, cfg)
-    else:
-        num = args.num_uavs if args.num_uavs is not None else min(3, len(scenario.users))
-        groups, _ = brute_force_optimum(
-            scenario.users, num, scenario.environment, scenario.radio, h_max=args.h_max
-        )
-        clusters = [Cluster(frozenset(g), mvee(scenario.users[sorted(g)])) for g in groups]
-        cs = ClusterSet(users=scenario.users, clusters=clusters)
-        plan = deploy(cs, scenario.environment, scenario.radio, h_max=args.h_max)
-
+    except NoConvergenceError as exc:
+        _write_json(out_dir / "trace.json", exc.trace.to_dict())
+        raise
+    if trace is not None:
+        _write_json(out_dir / "trace.json", trace.to_dict())
+        log.info("%d cells after %d iterations", len(plan.uavs), len(trace.iterations))
     _write_json(out_dir / "plan.json", plan_to_dict(plan, args.method))
     log.info("plan: %d UAVs, %.6g mW total", len(plan.uavs), plan.total_power_mw)
     return EXIT_OK
@@ -269,10 +275,15 @@ def cmd_evaluate(args) -> int:
 def cmd_sweep(args) -> int:
     manifest_path = Path(args.manifest)
     manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    if not isinstance(manifest, dict):
+        raise ValueError(f"{manifest_path}: manifest must be a JSON object")
     known = {"scenarios", "generate", "methods", "out_dir", "overrides", "circle", "brute"}
     unknown = set(manifest) - known
     if unknown:
         raise ValueError(f"{manifest_path}: unknown manifest keys {sorted(unknown)}")
+    for key in ("generate", "overrides", "circle", "brute"):
+        if not isinstance(manifest.get(key, {}), dict):
+            raise ValueError(f"{manifest_path}: '{key}' must be a JSON object")
     if "out_dir" not in manifest:
         raise ValueError(f"{manifest_path}: manifest needs 'out_dir'")
     out_dir = Path(manifest["out_dir"])
@@ -294,19 +305,16 @@ def cmd_sweep(args) -> int:
     if bad:
         raise ValueError(f"{manifest_path}: unknown methods {bad}")
 
-    rows, aggregates, failures = _run_sweep(manifest, methods, scenario_paths)
-    _write_csv(
-        out_dir / "runs.csv",
-        ["method", "scenario", "num_users", "num_uavs", "total_power_mw", "coverage_probability", "iterations", "converged"],
-        rows,
-    )
+    rows, aggregates, code = _run_sweep(manifest, methods, scenario_paths)
+    _write_csv(out_dir / "runs.csv", _RUN_COLUMNS, [[row[c] for c in _RUN_COLUMNS] for row in rows])
     _write_csv(
         out_dir / "aggregate.csv",
         ["method", "num_scenarios", "mean_power_mw", "median_power_mw", "mean_coverage", "mean_num_uavs", "mean_iterations", "max_iterations", "non_converged"],
         aggregates,
     )
-    log.info("sweep: %d runs, %d non-convergences", len(rows), failures)
-    return EXIT_NO_CONVERGENCE if failures else EXIT_OK
+    failed = sum(row["status"] != "ok" for row in rows)
+    log.info("sweep: %d runs, %d failed", len(rows), failed)
+    return code
 
 
 def _sweep_generate(spec: dict, out_dir: Path) -> list[Path]:
@@ -326,134 +334,83 @@ def _sweep_generate(spec: dict, out_dir: Path) -> list[Path]:
 
 
 def _run_sweep(manifest, methods, scenario_paths):
-    overrides = manifest.get("overrides", {})
+    """Run every method on every scenario; returns (rows, aggregates, exit code).
+
+    A failed run becomes a row with its status and error, and the exit code
+    is the one ``main`` gives for the first failure.
+    """
+    overrides = dict(manifest.get("overrides", {}))
+    h_max = float(overrides.pop("h_max", 1000.0))
     rows = []
-    per_method: dict[str, list[dict]] = {m: [] for m in methods}
-    failures = 0
+    code = EXIT_OK
     for path in scenario_paths:
-        scenario = load_scenario(path)
-        scenario = _override_scenario(scenario, overrides)
+        scenario = _override_scenario(load_scenario(path), overrides)
         ellipse_m: int | None = None
         for method in methods:
-            record = _run_one(manifest, method, scenario, ellipse_m)
-            if method == "ellipse" and record.get("converged", True):
-                ellipse_m = record["num_uavs"]
-            if not record.get("converged", True):
-                failures += 1
-            per_method[method].append(record)
-            rows.append([
-                method,
-                Path(path).name,
-                len(scenario.users),
-                record.get("num_uavs", ""),
-                record.get("total_power_mw", ""),
-                record.get("coverage_probability", ""),
-                record.get("iterations", ""),
-                record.get("converged", True),
-            ])
+            row = dict.fromkeys(_RUN_COLUMNS, "")
+            row.update(method=method, scenario=Path(path).name, num_users=len(scenario.users), converged=True, status="ok")
+            try:
+                options = _sweep_options(method, manifest.get(method, {}), ellipse_m)
+                plan, trace = plan_scenario(scenario, method, h_max=h_max, **options)
+            except (ValueError, NoConvergenceError) as exc:
+                failure = _exit_code(exc)
+                code = code or failure
+                row.update(status=_STATUS[failure], error=str(exc))
+                if isinstance(exc, NoConvergenceError):
+                    row.update(converged=False, iterations=len(exc.trace.iterations))
+            else:
+                row.update(
+                    num_uavs=len(plan.uavs),
+                    total_power_mw=plan.total_power_mw,
+                    coverage_probability=evaluate(plan, scenario.users).coverage_probability,
+                )
+                if trace is not None:
+                    row["iterations"] = len(trace.iterations)
+                if method == "ellipse":
+                    ellipse_m = len(plan.uavs)
+            rows.append(row)
     aggregates = []
     for method in methods:
-        done = [r for r in per_method[method] if r.get("converged", True)]
+        runs = [r for r in rows if r["method"] == method]
+        done = [r for r in runs if r["status"] == "ok"]
         powers = [r["total_power_mw"] for r in done]
-        iters = [r["iterations"] for r in per_method[method] if "iterations" in r]
+        iters = [r["iterations"] for r in runs if r["iterations"] != ""]
         aggregates.append([
             method,
-            len(per_method[method]),
+            len(runs),
             statistics.fmean(powers) if powers else "",
             statistics.median(powers) if powers else "",
             statistics.fmean([r["coverage_probability"] for r in done]) if done else "",
             statistics.fmean([r["num_uavs"] for r in done]) if done else "",
             statistics.fmean(iters) if iters else "",
             max(iters) if iters else "",
-            len(per_method[method]) - len(done),
+            len(runs) - len(done),
         ])
-    return rows, aggregates, failures
+    return rows, aggregates, code
 
 
-def _override_scenario(scenario: Scenario, overrides: dict) -> Scenario:
-    known = {"env", "k_max", "max_outer_iterations", "h_max", "bandwidth_hz", "snr_threshold_db", "carrier_frequency_hz", "noise_psd_dbm_hz"}
-    unknown = set(overrides) - known
-    if unknown:
-        raise ValueError(f"unknown override keys {sorted(unknown)}")
-    env = ENVIRONMENTS[overrides["env"]] if "env" in overrides else scenario.environment
-    radio = scenario.radio
-    for key in ("bandwidth_hz", "snr_threshold_db", "carrier_frequency_hz", "noise_psd_dbm_hz"):
-        if key in overrides:
-            radio = replace(radio, **{key: float(overrides[key])})
-    clustering = scenario.clustering
-    if "k_max" in overrides:
-        clustering = replace(clustering, k_max=int(overrides["k_max"]))
-    if "max_outer_iterations" in overrides:
-        clustering = replace(clustering, max_outer_iterations=int(overrides["max_outer_iterations"]))
-    return replace(scenario, environment=env, radio=radio, clustering=clustering)
+def _sweep_options(method: str, spec: dict, ellipse_m: int | None) -> dict:
+    """``plan_scenario`` keywords from the manifest block of ``method``.
 
-
-def _run_one(manifest, method, scenario, ellipse_m) -> dict:
-    h_max = float(manifest.get("overrides", {}).get("h_max", 1000.0))
-    if method == "ellipse":
-        try:
-            m, cs, trace = ellipse_clustering(scenario.users, scenario.clustering)
-        except NoConvergenceError as exc:
-            return {"converged": False, "iterations": len(exc.trace.iterations)}
-        plan = deploy(cs, scenario.environment, scenario.radio, h_max=h_max)
-        metrics = evaluate(plan, scenario.users)
-        return {
-            "converged": True,
-            "num_uavs": m,
-            "total_power_mw": plan.total_power_mw,
-            "coverage_probability": metrics.coverage_probability,
-            "iterations": len(trace.iterations),
-        }
-    if method == "circle":
-        spec = dict(manifest.get("circle", {}))
-        num = spec.get("num_uavs", "match")
-        if num == "match":
-            if ellipse_m is None:
-                raise ValueError("circle num_uavs 'match' needs a converged ellipse run first")
-            num = ellipse_m
-        beam = None
-        if spec.get("beam_deg") is not None:
-            beam = Beam(theta1_deg=float(spec["beam_deg"]), theta2_deg=float(spec["beam_deg"]))
-        cfg = CirclePackingConfig(
-            num_uavs=int(num),
-            fixed_altitude_m=float(spec.get("fixed_altitude_m", 150.0)),
-            fixed_power_dbm=spec.get("fixed_power_dbm"),
-            beam=beam,
-        )
-        plan = circle_pack_deploy(scenario, cfg)
-        metrics = evaluate(plan, scenario.users)
-        return {
-            "converged": True,
-            "num_uavs": len(plan.uavs),
-            "total_power_mw": plan.total_power_mw,
-            "coverage_probability": metrics.coverage_probability,
-        }
-    spec = dict(manifest.get("brute", {}))
-    num = int(spec.get("num_uavs", min(3, len(scenario.users))))
-    groups, _ = brute_force_optimum(
-        scenario.users, num, scenario.environment, scenario.radio, h_max=h_max
-    )
-    clusters = [Cluster(frozenset(g), mvee(scenario.users[sorted(g)])) for g in groups]
-    plan = deploy(
-        ClusterSet(users=scenario.users, clusters=clusters),
-        scenario.environment,
-        scenario.radio,
-        h_max=h_max,
-    )
-    metrics = evaluate(plan, scenario.users)
-    return {
-        "converged": True,
-        "num_uavs": len(plan.uavs),
-        "total_power_mw": plan.total_power_mw,
-        "coverage_probability": metrics.coverage_probability,
-    }
+    ``"num_uavs": "match"``, the circle default, takes the cell count of the
+    scenario's converged ellipse run.
+    """
+    options = {k: float(spec[k]) for k in ("beam_deg", "fixed_altitude_m", "fixed_power_dbm") if spec.get(k) is not None}
+    num = spec.get("num_uavs", "match" if method == "circle" else None)
+    if num == "match":
+        if ellipse_m is None:
+            raise ValueError("num_uavs 'match' needs a converged ellipse run first")
+        num = ellipse_m
+    if num is not None:
+        options["num_uavs"] = int(num)
+    return options
 
 
 def plan_to_dict(plan: DeploymentPlan, method: str) -> dict:
     return {
         "method": method,
-        "environment": environment_to_dict(plan.environment),
-        "radio": radio_to_dict(plan.radio),
+        "environment": asdict(plan.environment),
+        "radio": asdict(plan.radio),
         "total_power_mw": float(plan.total_power_mw),
         "uavs": [
             {
@@ -494,8 +451,8 @@ def plan_from_dict(payload: dict) -> DeploymentPlan:
         )
     return DeploymentPlan(
         uavs=uavs,
-        environment=environment_from_dict(payload["environment"]),
-        radio=radio_from_dict(payload["radio"]),
+        environment=config_from_dict(Environment, payload["environment"], "environment"),
+        radio=config_from_dict(RadioConfig, payload["radio"], "radio"),
         total_power_mw=float(payload["total_power_mw"]),
     )
 

@@ -14,7 +14,7 @@ import numpy as np
 from scipy.cluster.hierarchy import cut_tree, linkage
 from scipy.spatial.distance import pdist, squareform
 
-from .geometry import Ellipse, FitConfig, mvee
+from .geometry import Ellipse, FitConfig, contains, mvee
 
 __all__ = [
     "AlgorithmTrace",
@@ -30,7 +30,6 @@ __all__ = [
     "select_k",
     "silhouette_index",
     "split_cluster",
-    "ward_linkage",
 ]
 
 _UNSPLITTABLE = float("-inf")
@@ -45,7 +44,6 @@ class ClusteringConfig:
     k_max: int = 8
     silhouette_buffer: int = 2
     max_outer_iterations: int = 50
-    rng_seed: int = 0
 
     def __post_init__(self) -> None:
         if self.k_max < 1:
@@ -114,20 +112,6 @@ class NoConvergenceError(RuntimeError):
     def __init__(self, message: str, trace: AlgorithmTrace):
         super().__init__(message)
         self.trace = trace
-
-
-def ward_linkage(points, k: int) -> np.ndarray:
-    """Agglomerative Ward labels for exactly ``k`` clusters, 0-based."""
-    pts = np.asarray(points, dtype=float)
-    n = len(pts)
-    if not 1 <= k <= n:
-        raise ValueError(f"k must be in [1, {n}], got {k}")
-    if k == n:
-        return np.arange(n)
-    if k == 1:
-        return np.zeros(n, dtype=int)
-    merges = linkage(pts, method="ward")
-    return cut_tree(merges, n_clusters=k).ravel()
 
 
 def silhouette_index(points, labels) -> float:
@@ -285,8 +269,7 @@ def _inside(cs, m, u, inside) -> bool:
     cache = inside[m]
     hit = cache.get(u)
     if hit is None:
-        e = cs.clusters[m].ellipse
-        hit = float(np.linalg.norm(e.A @ cs.users[u] - e.b)) <= 1.0
+        hit = contains(cs.clusters[m].ellipse, cs.users[u])
         cache[u] = hit
     return hit
 

@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import Beam, Environment, RadioConfig, antenna_gain_db, avg_path_loss, dbm_to_mw
+from .channel import Beam, Environment, RadioConfig, avg_path_loss, dbm_to_mw
 from .clustering import ClusterSet, find_intersections
 from .geometry import Ellipse, contains, edge_distance
 
@@ -143,14 +144,18 @@ def deploy(
     env: Environment,
     radio: RadioConfig,
     h_max: float = 1000.0,
+    altitude: Callable[..., float] | None = None,
 ) -> DeploymentPlan:
     """One UAV per cluster, centered on its ellipse.
 
-    Rejects cluster sets whose ellipses still share users: powering such cells
-    independently cannot meet the per-user SNR target.
+    ``altitude(edge_distance_m, env, bounds, radio)`` picks each cell's
+    altitude and defaults to ``optimal_altitude``.  Rejects cluster sets whose
+    ellipses still share users: powering such cells independently cannot meet
+    the per-user SNR target.
     """
     if find_intersections(cs):
         raise ValueError("interference risk: cluster ellipses share users")
+    altitude = altitude or optimal_altitude
     uavs = []
     for m, cluster in enumerate(cs.clusters):
         footprint = cluster.ellipse
@@ -158,14 +163,14 @@ def deploy(
         major, _ = footprint.semi_axes
         cell_edge = edge_distance(footprint, cs.member_points(m))
         bounds = AltitudeBounds.for_footprint(major, h_max)
-        altitude = optimal_altitude(cell_edge, env, bounds, radio)
-        beam = beam_from_footprint(altitude, footprint)
-        power = required_power_dbm(altitude, cell_edge, env, beam, radio)
+        height = altitude(cell_edge, env, bounds, radio)
+        beam = beam_from_footprint(height, footprint)
+        power = required_power_dbm(height, cell_edge, env, beam, radio)
         uavs.append(
             UavDeployment(
                 x=float(center[0]),
                 y=float(center[1]),
-                altitude_m=altitude,
+                altitude_m=height,
                 orientation_rad=footprint.orientation,
                 beam=beam,
                 tx_power_dbm=power,

@@ -12,8 +12,9 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -25,6 +26,7 @@ __all__ = [
     "Region",
     "Scenario",
     "ScenarioFormatError",
+    "config_from_dict",
     "generate_pcp",
     "load_scenario",
     "save_scenario",
@@ -119,64 +121,46 @@ def dump_canonical_json(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
+# scenario blocks that hold one flat config dataclass each
+_BLOCKS = {
+    "region": Region,
+    "environment": Environment,
+    "radio": RadioConfig,
+    "clustering": ClusteringConfig,
+    "pcp": PcpConfig,
+}
+
+
 def scenario_to_dict(scenario: Scenario) -> dict:
     payload = {
-        "region": {
-            "width_m": scenario.region.width_m,
-            "height_m": scenario.region.height_m,
-        },
-        "users": [[float(x), float(y)] for x, y in np.atleast_2d(scenario.users)],
-        "environment": environment_to_dict(scenario.environment),
-        "radio": radio_to_dict(scenario.radio),
-        "clustering": clustering_to_dict(scenario.clustering),
+        name: asdict(getattr(scenario, name))
+        for name in _BLOCKS
+        if getattr(scenario, name) is not None
     }
-    if scenario.pcp is not None:
-        payload["pcp"] = {
-            "parent_intensity_per_m2": scenario.pcp.parent_intensity_per_m2,
-            "cluster_radius_m": scenario.pcp.cluster_radius_m,
-            "mean_daughters": scenario.pcp.mean_daughters,
-            "seed": scenario.pcp.seed,
-        }
+    payload["users"] = [[float(x), float(y)] for x, y in np.atleast_2d(scenario.users)]
     return payload
 
 
 def scenario_from_dict(payload: dict, source: str = "scenario") -> Scenario:
-    known = {"region", "users", "environment", "radio", "clustering", "pcp"}
-    for key in sorted(set(payload) - known):
-        warnings.warn(f"{source}: ignoring unknown field '{key}'", stacklevel=2)
-
-    region_raw = _require(payload, "region", source)
-    users_raw = _require(payload, "users", source)
-    env_raw = _require(payload, "environment", source)
-    radio_raw = _require(payload, "radio", source)
-    clustering_raw = _require(payload, "clustering", source)
-
+    if not isinstance(payload, dict):
+        raise ScenarioFormatError(f"{source}: expected a JSON object, got {type(payload).__name__}")
+    _warn_unknown(payload, [f.name for f in fields(Scenario)], source)
+    for f in fields(Scenario):
+        if f.name != "pcp":
+            _require(payload, f.name, source)
     try:
-        region = Region(
-            width_m=float(region_raw["width_m"]), height_m=float(region_raw["height_m"])
-        )
-        users = np.asarray(users_raw, dtype=float)
-        if users.size == 0 or users.ndim != 2 or users.shape[1] != 2:
-            raise ScenarioFormatError(
-                f"{source}: 'users' must be a non-empty list of [x, y] pairs", "users"
-            )
-        env = environment_from_dict(env_raw)
-        radio = radio_from_dict(radio_raw)
-        clustering = clustering_from_dict(clustering_raw)
-        pcp = None
-        if "pcp" in payload:
-            raw = payload["pcp"]
-            pcp = PcpConfig(
-                parent_intensity_per_m2=float(raw["parent_intensity_per_m2"]),
-                cluster_radius_m=float(raw["cluster_radius_m"]),
-                mean_daughters=float(raw["mean_daughters"]),
-                seed=int(raw["seed"]),
-            )
-    except ScenarioFormatError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ScenarioFormatError(f"{source}: malformed scenario: {exc}") from exc
+        users = np.asarray(payload["users"], dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ScenarioFormatError(f"{source}: malformed scenario: {exc}", "users") from exc
+    if users.size == 0 or users.ndim != 2 or users.shape[1] != 2:
+        raise ScenarioFormatError(f"{source}: 'users' must be a non-empty list of [x, y] pairs", "users")
+    blocks = {
+        name: config_from_dict(cls, payload[name], f"{source}: {name}")
+        for name, cls in _BLOCKS.items()
+        if name in payload
+    }
 
+    region = blocks["region"]
     bad = ~(
         (users[:, 0] >= 0.0)
         & (users[:, 0] <= region.width_m)
@@ -187,65 +171,31 @@ def scenario_from_dict(payload: dict, source: str = "scenario") -> Scenario:
         raise ScenarioFormatError(
             f"{source}: user {int(np.flatnonzero(bad)[0])} lies outside the region", "users"
         )
-    return Scenario(
-        region=region, users=users, environment=env, radio=radio, clustering=clustering, pcp=pcp
-    )
+    return Scenario(users=users, **blocks)
 
 
-def environment_to_dict(env: Environment) -> dict:
-    return {
-        "name": env.name,
-        "sigmoid_a": env.sigmoid_a,
-        "sigmoid_b": env.sigmoid_b,
-        "excess_los_db": env.excess_los_db,
-        "excess_nlos_db": env.excess_nlos_db,
-    }
+def config_from_dict(cls, raw, where: str):
+    """Build the flat config dataclass ``cls`` from a JSON object.
+
+    The inverse of ``dataclasses.asdict``.  Every field is required and is
+    coerced to its annotated type; unknown keys warn.  A missing or bad value
+    raises ScenarioFormatError prefixed with ``where``.
+    """
+    if not isinstance(raw, dict):
+        raise ScenarioFormatError(f"{where}: expected a JSON object, got {type(raw).__name__}", where)
+    names = [f.name for f in fields(cls)]
+    _warn_unknown(raw, names, where)
+    values = {name: _require(raw, name, where) for name in names}
+    types = get_type_hints(cls)
+    try:
+        return cls(**{name: types[name](value) for name, value in values.items()})
+    except (TypeError, ValueError) as exc:
+        raise ScenarioFormatError(f"{where}: malformed value: {exc}") from exc
 
 
-def environment_from_dict(raw: dict) -> Environment:
-    return Environment(
-        name=str(raw["name"]),
-        sigmoid_a=float(raw["sigmoid_a"]),
-        sigmoid_b=float(raw["sigmoid_b"]),
-        excess_los_db=float(raw["excess_los_db"]),
-        excess_nlos_db=float(raw["excess_nlos_db"]),
-    )
-
-
-def radio_to_dict(radio: RadioConfig) -> dict:
-    return {
-        "carrier_frequency_hz": radio.carrier_frequency_hz,
-        "noise_psd_dbm_hz": radio.noise_psd_dbm_hz,
-        "bandwidth_hz": radio.bandwidth_hz,
-        "snr_threshold_db": radio.snr_threshold_db,
-    }
-
-
-def radio_from_dict(raw: dict) -> RadioConfig:
-    return RadioConfig(
-        carrier_frequency_hz=float(raw["carrier_frequency_hz"]),
-        noise_psd_dbm_hz=float(raw["noise_psd_dbm_hz"]),
-        bandwidth_hz=float(raw["bandwidth_hz"]),
-        snr_threshold_db=float(raw["snr_threshold_db"]),
-    )
-
-
-def clustering_to_dict(cfg: ClusteringConfig) -> dict:
-    return {
-        "k_max": cfg.k_max,
-        "silhouette_buffer": cfg.silhouette_buffer,
-        "max_outer_iterations": cfg.max_outer_iterations,
-        "rng_seed": cfg.rng_seed,
-    }
-
-
-def clustering_from_dict(raw: dict) -> ClusteringConfig:
-    return ClusteringConfig(
-        k_max=int(raw["k_max"]),
-        silhouette_buffer=int(raw["silhouette_buffer"]),
-        max_outer_iterations=int(raw["max_outer_iterations"]),
-        rng_seed=int(raw["rng_seed"]),
-    )
+def _warn_unknown(raw: dict, known, where: str) -> None:
+    for key in sorted(set(raw) - set(known)):
+        warnings.warn(f"{where}: ignoring unknown field '{key}'", stacklevel=3)
 
 
 def _require(payload: dict, key: str, source: str):

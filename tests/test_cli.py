@@ -5,10 +5,11 @@ import sys
 import numpy as np
 import pytest
 
+from uavcell.baseline import brute_force_optimum
 from uavcell.channel import ENVIRONMENTS, RadioConfig
-from uavcell.cli import main, plan_from_dict
+from uavcell.cli import main, plan_from_dict, plan_scenario, plan_to_dict
 from uavcell.clustering import ClusteringConfig
-from uavcell.scenario import Region, Scenario, save_scenario
+from uavcell.scenario import Region, Scenario, dump_canonical_json, load_scenario, save_scenario
 
 URBAN = ENVIRONMENTS["urban"]
 
@@ -126,6 +127,25 @@ def test_deploy_brute_small_instance(tmp_path):
     assert payload["method"] == "brute"
     assert len(payload["uavs"]) == 2
     assert sorted(u["members"] for u in payload["uavs"]) == [[0, 1], [2, 3]]
+    # the plan is the one the exhaustive search built, not a refit of it
+    _, power = brute_force_optimum(users, 3, URBAN, RadioConfig())
+    assert payload["total_power_mw"] == power
+
+
+@pytest.mark.parametrize("method, flags", [
+    ("ellipse", []),
+    ("circle", ["--num-uavs", "4"]),
+    ("brute", []),
+])
+def test_plan_scenario_matches_deploy(tmp_path, method, flags):
+    users = [[100.0, 100.0], [101.0, 100.0], [800.0, 800.0], [801.0, 800.0], [450.0, 520.0]]
+    scen = write_scenario(tmp_path / "s.json", users)
+    out = tmp_path / "out"
+    assert main(["deploy", str(scen), "--out-dir", str(out), "--method", method] + flags) == 0
+    num_uavs = 4 if method == "circle" else None
+    plan, trace = plan_scenario(load_scenario(scen), method, h_max=1000.0, num_uavs=num_uavs)
+    assert dump_canonical_json(plan_to_dict(plan, method)) == (out / "plan.json").read_text()
+    assert (trace is not None) == (method == "ellipse")
 
 
 def test_deploy_non_convergence_still_writes_trace(tmp_path):
@@ -145,8 +165,38 @@ def test_deploy_missing_scenario_file(tmp_path):
 
 def test_deploy_malformed_scenario(tmp_path):
     bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    assert main(["deploy", str(bad), "--out-dir", str(tmp_path / "o")]) == 2
+    for text in ("{not json", "7", "[1, 2]"):
+        bad.write_text(text)
+        assert main(["deploy", str(bad), "--out-dir", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize("block, key, value", [
+    ("radio", "bandwidth_hz", None),  # None: delete the key
+    ("environment", "sigmoid_a", "x"),
+    ("clustering", "k_max", [3]),
+    ("region", "width_m", -1.0),
+])
+def test_deploy_malformed_nested_block_exit_code(tmp_path, block, key, value):
+    scen = write_scenario(tmp_path / "s.json", two_blob_users())
+    payload = json.loads(scen.read_text())
+    if value is None:
+        del payload[block][key]
+    else:
+        payload[block][key] = value
+    scen.write_text(json.dumps(payload))
+    assert main(["deploy", str(scen), "--out-dir", str(tmp_path / "o")]) == 2
+
+
+def test_deploy_old_scenario_with_rng_seed_warns_and_plans_the_same(tmp_path):
+    scen = write_scenario(tmp_path / "s.json", two_blob_users(seed=5))
+    old = tmp_path / "old.json"
+    payload = json.loads(scen.read_text())
+    payload["clustering"]["rng_seed"] = 1234
+    old.write_text(json.dumps(payload))
+    assert main(["deploy", str(scen), "--out-dir", str(tmp_path / "new_out")]) == 0
+    with pytest.warns(UserWarning, match="clustering: ignoring unknown field 'rng_seed'"):
+        assert main(["deploy", str(old), "--out-dir", str(tmp_path / "old_out")]) == 0
+    assert (tmp_path / "old_out" / "plan.json").read_bytes() == (tmp_path / "new_out" / "plan.json").read_bytes()
 
 
 def test_deploy_env_override_changes_power(tmp_path):
@@ -239,9 +289,48 @@ def test_sweep_accepts_existing_scenarios(tmp_path):
     assert runs[1].split(",")[7] == "true"  # converged
 
 
-def test_sweep_rejects_unknown_keys(tmp_path):
+def test_sweep_records_failed_runs_and_keeps_going(tmp_path):
+    write_scenario(tmp_path / "one.json", two_blob_users(seed=1))
+    write_scenario(tmp_path / "two.json", two_blob_users(seed=2))
     manifest = tmp_path / "manifest.json"
-    manifest.write_text(json.dumps({"out_dir": "x", "scenarios": [], "mystery": 1}))
+    manifest.write_text(json.dumps({
+        "out_dir": "res",
+        "scenarios": ["one.json", "two.json"],
+        "methods": ["ellipse", "circle"],
+        "circle": {"num_uavs": "match", "beam_deg": 80},
+    }))
+    assert main(["sweep", str(manifest)]) == 4  # the first failure is an infeasible packing
+    lines = (tmp_path / "res" / "runs.csv").read_text().splitlines()
+    assert lines[0].endswith(",converged,status,error")
+    rows = [line.split(",", 9) for line in lines[1:]]
+    assert [(r[0], r[8]) for r in rows] == [
+        ("ellipse", "ok"), ("circle", "infeasible"), ("ellipse", "ok"), ("circle", "infeasible"),
+    ]
+    assert all(r[9] == "" for r in rows if r[8] == "ok")
+    assert all("exceeds the lattice radius" in r[9] for r in rows if r[8] != "ok")
+    agg = {line.split(",")[0]: line.split(",") for line in (tmp_path / "res" / "aggregate.csv").read_text().splitlines()[1:]}
+    assert agg["ellipse"][1] == "2" and agg["ellipse"][8] == "0"
+    assert agg["circle"][1] == "2" and agg["circle"][8] == "2"
+    assert agg["circle"][2] == ""  # no successful circle run to average
+
+
+def test_sweep_brute_over_its_user_cap_exits_2_with_rows(tmp_path):
+    write_scenario(tmp_path / "one.json", two_blob_users(seed=1))
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"out_dir": "res", "scenarios": ["one.json"], "methods": ["brute", "ellipse"]}))
+    assert main(["sweep", str(manifest)]) == 2
+    rows = [line.split(",", 9) for line in (tmp_path / "res" / "runs.csv").read_text().splitlines()[1:]]
+    assert [(r[0], r[8]) for r in rows] == [("brute", "bad_input"), ("ellipse", "ok")]
+    assert "cap is 10" in rows[0][9]
+
+
+def test_sweep_rejects_unknown_keys(tmp_path):
+    write_scenario(tmp_path / "one.json", two_blob_users(seed=1))
+    manifest = tmp_path / "manifest.json"
+    for extra in ({"mystery": 1}, {"overrides": {"seed": 3}}, {"overrides": {"env": "lunar"}}, {"overrides": [1]}, {"circle": 5}):
+        manifest.write_text(json.dumps({"out_dir": "x", "scenarios": ["one.json"], **extra}))
+        assert main(["sweep", str(manifest)]) == 2
+    manifest.write_text("[1]")
     assert main(["sweep", str(manifest)]) == 2
 
 

@@ -15,7 +15,6 @@ from uavcell.clustering import (
     select_k,
     silhouette_index,
     split_cluster,
-    ward_linkage,
 )
 from uavcell.geometry import Ellipse, FitConfig, contains, mvee
 
@@ -33,26 +32,6 @@ def wcss(points, idx_a, idx_b):
         part = points[idx]
         total += float(((part - part.mean(axis=0)) ** 2).sum())
     return total
-
-
-# --- ward linkage -----------------------------------------------------------
-
-def test_ward_separates_blobs():
-    pts = two_blobs()
-    labels = ward_linkage(pts, 2)
-    assert len(set(labels[:6])) == 1
-    assert len(set(labels[6:])) == 1
-    assert labels[0] != labels[6]
-
-
-def test_ward_boundary_cluster_counts():
-    pts = two_blobs(n=7)
-    np.testing.assert_array_equal(ward_linkage(pts, 7), np.arange(7))
-    np.testing.assert_array_equal(ward_linkage(pts, 1), np.zeros(7))
-    with pytest.raises(ValueError):
-        ward_linkage(pts, 0)
-    with pytest.raises(ValueError):
-        ward_linkage(pts, 8)
 
 
 # --- silhouette -------------------------------------------------------------

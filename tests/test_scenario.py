@@ -103,19 +103,48 @@ def test_pcp_block_is_optional(tmp_path):
 
 
 def test_missing_field_is_named():
+    for block, key in ((None, "environment"), ("radio", "bandwidth_hz"), ("environment", "excess_los_db"), ("pcp", "seed")):
+        payload = scenario_to_dict(make_scenario())
+        del (payload if block is None else payload[block])[key]
+        with pytest.raises(ScenarioFormatError, match=f"missing required field '{key}'") as info:
+            scenario_from_dict(payload)
+        assert info.value.field_name == key
+
+
+@pytest.mark.parametrize("block, value", [
+    ("radio", {"bandwidth_hz": "wide"}),
+    ("environment", {"sigmoid_a": None}),
+    ("clustering", {"k_max": 0}),
+    ("region", [1000.0, 1000.0]),
+])
+def test_malformed_block_is_rejected(block, value):
     payload = scenario_to_dict(make_scenario())
-    del payload["environment"]
-    with pytest.raises(ScenarioFormatError, match="missing required field 'environment'") as info:
+    if isinstance(value, dict):
+        payload[block].update(value)
+    else:
+        payload[block] = value
+    with pytest.raises(ScenarioFormatError, match=f"scenario: {block}: "):
         scenario_from_dict(payload)
-    assert info.value.field_name == "environment"
+
+
+def test_values_are_coerced_to_field_types():
+    payload = scenario_to_dict(make_scenario())
+    payload["clustering"]["k_max"] = 6.0
+    payload["radio"]["bandwidth_hz"] = 10
+    scenario = scenario_from_dict(payload)
+    assert type(scenario.clustering.k_max) is int and scenario.clustering.k_max == 6
+    assert type(scenario.radio.bandwidth_hz) is float
 
 
 def test_unknown_field_warns_but_loads():
-    payload = scenario_to_dict(make_scenario())
-    payload["operator_notes"] = "overnight survey"
-    with pytest.warns(UserWarning, match="ignoring unknown field 'operator_notes'"):
-        scenario = scenario_from_dict(payload)
-    assert len(scenario.users) > 0
+    # old files carry clustering.rng_seed, which no algorithm reads
+    for block, key in ((None, "operator_notes"), ("clustering", "rng_seed"), ("radio", "gain_db")):
+        payload = scenario_to_dict(make_scenario())
+        (payload if block is None else payload[block])[key] = 3
+        with pytest.warns(UserWarning, match=f"ignoring unknown field '{key}'"):
+            scenario = scenario_from_dict(payload)
+        assert len(scenario.users) > 0
+        assert scenario.clustering == ClusteringConfig()
 
 
 def test_out_of_region_user_is_rejected():
