@@ -15,7 +15,6 @@ __all__ = [
     "dbm_to_mw",
     "fspl_db",
     "los_probability",
-    "mw_to_dbm",
 ]
 
 SPEED_OF_LIGHT = 299_792_458.0
@@ -129,9 +128,3 @@ def avg_path_loss(
 
 def dbm_to_mw(power_dbm: float) -> float:
     return 10.0 ** (power_dbm / 10.0)
-
-
-def mw_to_dbm(power_mw: float) -> float:
-    if power_mw <= 0.0:
-        raise ValueError("power must be positive")
-    return 10.0 * math.log10(power_mw)

@@ -206,13 +206,13 @@ def _override_scenario(scenario: Scenario, overrides: dict) -> Scenario:
     env = overrides.get("env")
     if env is not None and env not in ENVIRONMENTS:
         raise ValueError(f"unknown environment {env!r}, expected one of {sorted(ENVIRONMENTS)}")
-    radio = {k: float(overrides[k]) for k in _RADIO_OVERRIDES if k in overrides}
-    clustering = {k: int(overrides[k]) for k in _CLUSTERING_OVERRIDES if k in overrides}
+    radio = {k: overrides[k] for k in _RADIO_OVERRIDES if k in overrides}
+    clustering = {k: overrides[k] for k in _CLUSTERING_OVERRIDES if k in overrides}
     return replace(
         scenario,
         environment=scenario.environment if env is None else ENVIRONMENTS[env],
-        radio=replace(scenario.radio, **radio),
-        clustering=replace(scenario.clustering, **clustering),
+        radio=config_from_dict(RadioConfig, {**asdict(scenario.radio), **radio}, "radio override"),
+        clustering=config_from_dict(ClusteringConfig, {**asdict(scenario.clustering), **clustering}, "clustering override"),
     )
 
 
@@ -301,6 +301,8 @@ def cmd_sweep(args) -> int:
         raise ValueError(f"{manifest_path}: no scenarios given or generated")
 
     methods = manifest.get("methods", ["ellipse"])
+    if not isinstance(methods, list) or not methods or not all(isinstance(m, str) for m in methods):
+        raise ValueError(f"{manifest_path}: 'methods' must be a non-empty list of method names")
     bad = [m for m in methods if m not in _METHODS]
     if bad:
         raise ValueError(f"{manifest_path}: unknown methods {bad}")

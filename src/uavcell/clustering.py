@@ -85,12 +85,6 @@ class AlgorithmTrace:
     iterations: list[IterationRecord] = field(default_factory=list)
     converged: bool = False
 
-    def u_cond_sizes(self) -> list[int]:
-        sizes = [rec.u_cond_size for rec in self.iterations]
-        if self.converged:
-            sizes.append(0)
-        return sizes
-
     def to_dict(self) -> dict:
         return {
             "converged": self.converged,
@@ -120,28 +114,27 @@ def silhouette_index(points, labels) -> float:
     Points in singleton clusters contribute 0, as do points whose intra and
     inter distances are both zero (co-located duplicates).
     """
-    pts = np.asarray(points, dtype=float)
     labels = np.asarray(labels)
-    uniq = np.unique(labels)
-    if len(uniq) < 2:
+    if len(np.unique(labels)) < 2:
         raise ValueError("silhouette needs at least two clusters")
-    dist = squareform(pdist(pts))
+    return _silhouette(squareform(pdist(np.asarray(points, dtype=float))), labels)
+
+
+def _silhouette(dist: np.ndarray, labels: np.ndarray) -> float:
+    """Mean silhouette from the square distance matrix ``dist``."""
+    uniq = np.unique(labels)
     sums = np.stack([dist[:, labels == c].sum(axis=1) for c in uniq], axis=1)
     counts = np.array([(labels == c).sum() for c in uniq])
+    rows = np.arange(len(labels))
     own = np.searchsorted(uniq, labels)
-
-    n = len(pts)
-    scores = np.zeros(n)
-    for i in range(n):
-        c = own[i]
-        if counts[c] == 1:
-            continue
-        a = sums[i, c] / (counts[c] - 1)
-        other = np.arange(len(uniq)) != c
-        b = float(np.min(sums[i, other] / counts[other]))
-        denom = max(a, b)
-        if denom > 0.0:
-            scores[i] = (b - a) / denom
+    a = sums[rows, own] / np.maximum(counts[own] - 1, 1)
+    means = sums / counts
+    means[rows, own] = np.inf
+    b = means.min(axis=1)
+    denom = np.maximum(a, b)
+    ok = (counts[own] > 1) & (denom > 0.0)
+    scores = np.zeros(len(labels))
+    scores[ok] = (b[ok] - a[ok]) / denom[ok]
     return float(scores.mean())
 
 
@@ -154,11 +147,15 @@ def select_k(points, k_limit: int) -> int:
     n = len(pts)
     if n < 2:
         return 1
-    merges = linkage(pts, method="ward")
+    condensed = pdist(pts)
+    dist = squareform(condensed)
+    ks = list(range(2, min(k_limit, n) + 1))
+    cuts = cut_tree(linkage(condensed, method="ward"), n_clusters=ks)
     best_k, best_score = 2, -np.inf
-    for k in range(2, min(k_limit, n) + 1):
-        labels = cut_tree(merges, n_clusters=k).ravel()
-        score = silhouette_index(pts, labels)
+    for col, k in enumerate(ks):
+        # the multi-k cut_tree gives all zeros for k == n; that cut is all singletons
+        labels = np.arange(n) if k == n else cuts[:, col]
+        score = _silhouette(dist, labels)
         if score > best_score:
             best_k, best_score = k, score
     return best_k
@@ -201,13 +198,18 @@ def normalized_distance(points, ellipse: Ellipse) -> float:
 
     The split priority of the grow loop; -inf flags an unsplittable cluster.
     """
+    return _split_priority(points, ellipse)[0]
+
+
+def _split_priority(points, ellipse: Ellipse):
+    """(normalized_distance, split_cluster parts) of one cluster."""
     parts = split_cluster(points)
     if parts is None:
-        return _UNSPLITTABLE
+        return _UNSPLITTABLE, None
     pts = np.asarray(points, dtype=float)
     gap = float(np.linalg.norm(pts[parts[0]].mean(axis=0) - pts[parts[1]].mean(axis=0)))
     major, _ = ellipse.semi_axes
-    return gap / (2.0 * major)
+    return gap / (2.0 * major), parts
 
 
 def grow_to_k(points, k_origin: int, fit_cfg: FitConfig | None = None) -> ClusterSet:
@@ -225,17 +227,18 @@ def grow_to_k(points, k_origin: int, fit_cfg: FitConfig | None = None) -> Cluste
 
     groups: list[np.ndarray] = [np.arange(len(pts))]
     ellipses: list[Ellipse] = [mvee(pts, fit_cfg)]
+    # (priority, split) of each group, worked out once, when first needed
+    splits: list[tuple | None] = [None]
     while len(groups) < k_origin:
-        scores = [normalized_distance(pts[g], e) for g, e in zip(groups, ellipses)]
-        t = int(np.argmax(scores))
-        if scores[t] == _UNSPLITTABLE:
+        splits = [known or _split_priority(pts[g], e) for known, g, e in zip(splits, groups, ellipses)]
+        t = int(np.argmax([score for score, _ in splits]))
+        if splits[t][0] == _UNSPLITTABLE:
             break
-        local_a, local_b = split_cluster(pts[groups[t]])
-        part_a, part_b = groups[t][local_a], groups[t][local_b]
-        groups[t] = part_a
-        ellipses[t] = mvee(pts[part_a], fit_cfg)
+        part_a, part_b = (groups[t][local] for local in splits[t][1])
+        groups[t], ellipses[t], splits[t] = part_a, mvee(pts[part_a], fit_cfg), None
         groups.append(part_b)
         ellipses.append(mvee(pts[part_b], fit_cfg))
+        splits.append(None)
     clusters = [Cluster(frozenset(g.tolist()), e) for g, e in zip(groups, ellipses)]
     return ClusterSet(users=pts, clusters=clusters)
 
@@ -246,32 +249,17 @@ def find_intersections(cs: ClusterSet) -> set[int]:
     Cluster m intersects m' when some user of either lies inside both
     ellipses (boundary inclusive).
     """
-    flagged: set[int] = set()
-    m_count = len(cs.clusters)
-    inside: list[dict[int, bool]] = [{} for _ in cs.clusters]
-    for m in range(m_count):
-        for mp in range(m + 1, m_count):
-            joint = cs.clusters[m].members | cs.clusters[mp].members
-            if _shares_user(cs, m, mp, joint, inside):
-                flagged.add(m)
-                flagged.add(mp)
-    return flagged
-
-
-def _shares_user(cs, m, mp, joint, inside) -> bool:
-    for u in joint:
-        if _inside(cs, m, u, inside) and _inside(cs, mp, u, inside):
-            return True
-    return False
-
-
-def _inside(cs, m, u, inside) -> bool:
-    cache = inside[m]
-    hit = cache.get(u)
-    if hit is None:
-        hit = contains(cs.clusters[m].ellipse, cs.users[u])
-        cache[u] = hit
-    return hit
+    inside = np.zeros((len(cs.clusters), len(cs.users)), dtype=bool)
+    owner = np.zeros_like(inside)
+    for m, c in enumerate(cs.clusters):
+        inside[m] = contains(c.ellipse, cs.users)
+        owner[m, list(c.members)] = True
+    # shared[m, m'] is set when a user of m lies inside both ellipses; the
+    # transpose covers the users of m'
+    shared = (owner & inside) @ inside.T
+    shared |= shared.T
+    np.fill_diagonal(shared, False)
+    return {int(m) for m in np.flatnonzero(shared.any(axis=1))}
 
 
 def ellipse_clustering(

@@ -193,6 +193,7 @@ def evaluate(plan: DeploymentPlan, users) -> PlanMetrics:
     pts = np.atleast_2d(np.asarray(users, dtype=float))
     n = len(pts)
     owner = [-1] * n
+    inside = np.zeros(n, dtype=bool)
     for m, uav in enumerate(plan.uavs):
         for u in uav.members:
             if not 0 <= u < n:
@@ -200,6 +201,8 @@ def evaluate(plan: DeploymentPlan, users) -> PlanMetrics:
             if owner[u] != -1:
                 raise ValueError(f"user {u} claimed by two UAVs")
             owner[u] = m
+        members = list(uav.members)
+        inside[members] = contains(uav.footprint, pts[members])
 
     env, radio = plan.environment, plan.radio
     noise_dbm = radio.noise_power_dbm()
@@ -208,15 +211,11 @@ def evaluate(plan: DeploymentPlan, users) -> PlanMetrics:
     covered = 0
     for u in range(n):
         m = owner[u]
-        if m == -1:
+        if m == -1 or not inside[u]:
             snr.append(float("-inf"))
             throughput.append(0.0)
             continue
         uav = plan.uavs[m]
-        if not contains(uav.footprint, pts[u]):
-            snr.append(float("-inf"))
-            throughput.append(0.0)
-            continue
         horizontal = math.hypot(pts[u][0] - uav.x, pts[u][1] - uav.y)
         pl_db = 10.0 * math.log10(
             avg_path_loss(uav.altitude_m, horizontal, env, radio, uav.beam)

@@ -109,10 +109,17 @@ def mvee(points, cfg: FitConfig | None = None) -> Ellipse:
     return Ellipse(A=A, b=b)
 
 
-def contains(e: Ellipse, point) -> bool:
-    """True when ``point`` lies in the closed region of ``e``."""
-    p = np.asarray(point, dtype=float)
-    return float(np.linalg.norm(e.A @ p - e.b)) <= 1.0
+def contains(e: Ellipse, points):
+    """True where a point lies in the closed region of ``e``.
+
+    Takes one point (gives a bool) or an (n, 2) array (gives n bools).  The
+    test is elementwise, so a point gets the same answer alone or in an array.
+    """
+    p = np.asarray(points, dtype=float)
+    x, y = p[..., 0], p[..., 1]
+    r0 = e.A[0, 0] * x + e.A[0, 1] * y - e.b[0]
+    r1 = e.A[1, 0] * x + e.A[1, 1] * y - e.b[1]
+    return np.sqrt(r0 * r0 + r1 * r1) <= 1.0
 
 
 def edge_distance(e: Ellipse, members) -> float:

@@ -178,8 +178,8 @@ def config_from_dict(cls, raw, where: str):
     """Build the flat config dataclass ``cls`` from a JSON object.
 
     The inverse of ``dataclasses.asdict``.  Every field is required and is
-    coerced to its annotated type; unknown keys warn.  A missing or bad value
-    raises ScenarioFormatError prefixed with ``where``.
+    coerced to its annotated type; unknown keys warn.  A missing, bad or
+    non-finite value raises ScenarioFormatError prefixed with ``where``.
     """
     if not isinstance(raw, dict):
         raise ScenarioFormatError(f"{where}: expected a JSON object, got {type(raw).__name__}", where)
@@ -187,8 +187,16 @@ def config_from_dict(cls, raw, where: str):
     _warn_unknown(raw, names, where)
     values = {name: _require(raw, name, where) for name in names}
     types = get_type_hints(cls)
+    coerced = {}
+    for name, value in values.items():
+        try:
+            coerced[name] = types[name](value)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ScenarioFormatError(f"{where}: malformed value of '{name}': {exc}", name) from exc
+        if isinstance(coerced[name], float) and not math.isfinite(coerced[name]):
+            raise ScenarioFormatError(f"{where}: '{name}' must be finite, got {value!r}", name)
     try:
-        return cls(**{name: types[name](value) for name, value in values.items()})
+        return cls(**coerced)
     except (TypeError, ValueError) as exc:
         raise ScenarioFormatError(f"{where}: malformed value: {exc}") from exc
 

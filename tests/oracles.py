@@ -4,17 +4,25 @@ Everything here is deliberately written from the definitions, not from the
 package internals: the ellipse oracle is a parametric grid/pattern search over
 (center, axes, angle), the silhouette oracle follows the textbook formula
 point by point, and the partition oracle enumerates splits exhaustively.
+The exceptions are the loop references for vectorized code:
+``silhouette_per_point`` repeats the package's arithmetic one point at a time
+so results must match bit for bit, and ``intersections_pairwise`` scans pairs
+with the package's own ``contains``.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from itertools import combinations
 
 import numpy as np
+from scipy.cluster.hierarchy import ClusterWarning, cut_tree, linkage
 from scipy.spatial import ConvexHull, QhullError
+from scipy.spatial.distance import pdist, squareform
 
 from uavcell.channel import avg_path_loss
+from uavcell.geometry import contains
 
 
 def feasible_areas(pts: np.ndarray, cand: np.ndarray, slack: float = 1e-9) -> np.ndarray:
@@ -198,6 +206,65 @@ def silhouette_direct(points, labels) -> float:
         denom = max(a, b)
         scores.append((b - a) / denom if denom > 0.0 else 0.0)
     return float(np.mean(scores))
+
+
+def silhouette_per_point(points, labels) -> float:
+    """Mean silhouette by a loop over points, from per-cluster distance sums.
+
+    The same arithmetic as ``silhouette_index``, one point at a time, so the
+    two agree bit for bit.
+    """
+    pts = np.asarray(points, dtype=float)
+    labels = np.asarray(labels)
+    uniq = np.unique(labels)
+    dist = squareform(pdist(pts))
+    sums = np.stack([dist[:, labels == c].sum(axis=1) for c in uniq], axis=1)
+    counts = np.array([(labels == c).sum() for c in uniq])
+    own = np.searchsorted(uniq, labels)
+    scores = np.zeros(len(pts))
+    for i in range(len(pts)):
+        c = own[i]
+        if counts[c] == 1:
+            continue
+        a = sums[i, c] / (counts[c] - 1)
+        other = np.arange(len(uniq)) != c
+        b = float(np.min(sums[i, other] / counts[other]))
+        denom = max(a, b)
+        if denom > 0.0:
+            scores[i] = (b - a) / denom
+    return float(scores.mean())
+
+
+def select_k_direct(points, k_limit: int, tol: float = 1e-12) -> int:
+    """Per-k reference for ``select_k``: one Ward cut and one textbook
+    silhouette per k.  Scores within ``tol`` of the best tie, and ties go to
+    the smaller k.
+    """
+    pts = np.asarray(points, dtype=float)
+    if len(pts) < 2:
+        return 1
+    with warnings.catch_warnings():
+        # a 2x2 point set can look like a distance matrix; it is still points
+        warnings.simplefilter("ignore", ClusterWarning)
+        merges = linkage(pts, method="ward")
+    scores = {}
+    for k in range(2, min(k_limit, len(pts)) + 1):
+        labels = cut_tree(merges, n_clusters=k).ravel()
+        scores[k] = silhouette_direct(pts, labels)
+    best = max(scores.values())
+    return min(k for k, s in scores.items() if s >= best - tol)
+
+
+def intersections_pairwise(cs) -> set[int]:
+    """Clusters sharing a user, by testing every pair on every user of either."""
+    flagged = set()
+    for m, cm in enumerate(cs.clusters):
+        for mp in range(m + 1, len(cs.clusters)):
+            cp = cs.clusters[mp]
+            joint = cm.members | cp.members
+            if any(contains(cm.ellipse, cs.users[u]) and contains(cp.ellipse, cs.users[u]) for u in joint):
+                flagged |= {m, mp}
+    return flagged
 
 
 def best_two_partition_wcss(points):

@@ -175,6 +175,12 @@ def test_deploy_malformed_scenario(tmp_path):
     ("environment", "sigmoid_a", "x"),
     ("clustering", "k_max", [3]),
     ("region", "width_m", -1.0),
+    ("radio", "snr_threshold_db", "nan"),
+    ("radio", "bandwidth_hz", "inf"),
+    ("environment", "excess_los_db", "-inf"),
+    # json.dumps writes these floats as the literals NaN and Infinity
+    pytest.param("radio", "snr_threshold_db", float("nan"), id="radio-snr_threshold_db-NaN-literal"),
+    pytest.param("clustering", "k_max", float("inf"), id="clustering-k_max-Infinity-literal"),
 ])
 def test_deploy_malformed_nested_block_exit_code(tmp_path, block, key, value):
     scen = write_scenario(tmp_path / "s.json", two_blob_users())
@@ -197,6 +203,14 @@ def test_deploy_old_scenario_with_rng_seed_warns_and_plans_the_same(tmp_path):
     with pytest.warns(UserWarning, match="clustering: ignoring unknown field 'rng_seed'"):
         assert main(["deploy", str(old), "--out-dir", str(tmp_path / "old_out")]) == 0
     assert (tmp_path / "old_out" / "plan.json").read_bytes() == (tmp_path / "new_out" / "plan.json").read_bytes()
+
+
+def test_deploy_rejects_non_finite_flag_overrides(tmp_path):
+    scen = write_scenario(tmp_path / "s.json", two_blob_users())
+    for flag in ("--snr-threshold-db=nan", "--bandwidth-hz=inf", "--noise-psd-dbm-hz=-inf"):
+        out = tmp_path / flag.strip("-")
+        assert main(["deploy", str(scen), "--out-dir", str(out), flag]) == 2
+        assert not (out / "plan.json").exists()
 
 
 def test_deploy_env_override_changes_power(tmp_path):
@@ -327,7 +341,9 @@ def test_sweep_brute_over_its_user_cap_exits_2_with_rows(tmp_path):
 def test_sweep_rejects_unknown_keys(tmp_path):
     write_scenario(tmp_path / "one.json", two_blob_users(seed=1))
     manifest = tmp_path / "manifest.json"
-    for extra in ({"mystery": 1}, {"overrides": {"seed": 3}}, {"overrides": {"env": "lunar"}}, {"overrides": [1]}, {"circle": 5}):
+    for extra in ({"mystery": 1}, {"overrides": {"seed": 3}}, {"overrides": {"env": "lunar"}}, {"overrides": [1]}, {"circle": 5},
+                  {"methods": "ellipse"}, {"methods": []}, {"methods": [["ellipse"]]},
+                  {"overrides": {"snr_threshold_db": "nan"}}):
         manifest.write_text(json.dumps({"out_dir": "x", "scenarios": ["one.json"], **extra}))
         assert main(["sweep", str(manifest)]) == 2
     manifest.write_text("[1]")

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import best_two_partition_wcss, silhouette_direct
+from oracles import best_two_partition_wcss, intersections_pairwise, silhouette_direct
 from uavcell.clustering import (
     AlgorithmTrace,
     Cluster,
@@ -238,14 +238,7 @@ def test_intersections_match_pairwise_scan():
     for _ in range(10):
         pts = rng.uniform(0.0, 400.0, (30, 2))
         cs = grow_to_k(pts, int(rng.integers(2, 7)))
-        want = set()
-        for m in range(len(cs.clusters)):
-            for mp in range(m + 1, len(cs.clusters)):
-                joint = cs.clusters[m].members | cs.clusters[mp].members
-                em, ep = cs.clusters[m].ellipse, cs.clusters[mp].ellipse
-                if any(contains(em, pts[u]) and contains(ep, pts[u]) for u in joint):
-                    want |= {m, mp}
-        assert find_intersections(cs) == want
+        assert find_intersections(cs) == intersections_pairwise(cs)
 
 
 # --- the full loop ----------------------------------------------------------
@@ -266,7 +259,7 @@ def test_two_far_blobs_need_one_iteration():
     assert trace.converged
     assert len(trace.iterations) == 1
     assert trace.iterations[0].intersecting == ()
-    assert trace.u_cond_sizes() == [12, 0]
+    assert trace.iterations[0].u_cond_size == 12
     assert_valid_partition(pts, cs)
 
 

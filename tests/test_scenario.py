@@ -134,6 +134,14 @@ def test_values_are_coerced_to_field_types():
     scenario = scenario_from_dict(payload)
     assert type(scenario.clustering.k_max) is int and scenario.clustering.k_max == 6
     assert type(scenario.radio.bandwidth_hz) is float
+    # no config field can be NaN or infinite, whether spelled as a string or a JSON literal
+    for value in ("nan", "inf", "-inf", float("nan"), float("inf")):
+        for block, key in (("radio", "snr_threshold_db"), ("environment", "sigmoid_a"), ("clustering", "k_max")):
+            payload = scenario_to_dict(make_scenario())
+            payload[block][key] = value
+            with pytest.raises(ScenarioFormatError, match=f"{block}: .*'{key}'") as err:
+                scenario_from_dict(json.loads(json.dumps(payload)))
+            assert err.value.field_name == key
 
 
 def test_unknown_field_warns_but_loads():
