@@ -5,13 +5,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
+from itertools import combinations
 
 import numpy as np
 
 from .channel import Beam, Environment, RadioConfig, avg_path_loss, dbm_to_mw
-from .clustering import Cluster, ClusterSet, find_intersections
-from .deployment import DeploymentPlan, UavDeployment, deploy, required_power_dbm
-from .geometry import Ellipse, FitConfig, mvee
+from .clustering import Cluster
+from .deployment import DeploymentPlan, UavDeployment, deploy_cell, required_power_dbm
+from .geometry import Ellipse, FitConfig, contains, mvee
 from .scenario import Region, Scenario
 
 __all__ = [
@@ -148,9 +149,9 @@ def brute_force_plan(
 
     Enumerates every partition of the users into 1..num_uavs groups
     (restricted growth strings), rejects groupings whose ellipses share a
-    user, and deploys the rest exactly like the main pipeline.  Returns the
-    cheapest plan.  Instance sizes are capped because the partition count
-    grows combinatorially.
+    user, and deploys the rest exactly like the main pipeline, fitting and
+    deploying each distinct cell once.  Returns the first cheapest plan.
+    Instance sizes are capped because the partition count grows combinatorially.
     """
     cfg = cfg or BruteForceConfig()
     fit_cfg = fit_cfg or FitConfig()
@@ -163,28 +164,32 @@ def brute_force_plan(
     if not 1 <= num_uavs <= cfg.max_uavs:
         raise ValueError(f"num_uavs must be in [1, {cfg.max_uavs}]")
 
+    step = cfg.altitude_grid_step_m
+    altitude = partial(_grid_altitude, step=step) if step > 0.0 else None
+    # per distinct cell, keyed by its sorted members: one fit, one inside mask,
+    # and one UAV, deployed when the cell first appears in a feasible partition
+    clusters: dict[tuple[int, ...], Cluster] = {}
+    inside: dict[tuple[int, ...], np.ndarray] = {}
+    uavs: dict[tuple[int, ...], UavDeployment] = {}
     best: DeploymentPlan | None = None
     for labels in _partitions(n, num_uavs):
-        plan = _plan_for_labels(pts, labels, env, radio, cfg, h_max, fit_cfg)
-        if plan is not None and (best is None or plan.total_power_mw < best.total_power_mw):
-            best = plan
+        keys = [tuple(np.flatnonzero(labels == g).tolist()) for g in range(labels.max() + 1)]
+        for key in keys:
+            if key not in clusters:
+                clusters[key] = Cluster(frozenset(key), mvee(pts[list(key)], fit_cfg))
+                inside[key] = contains(clusters[key].ellipse, pts)
+        # the rule of find_intersections: no user of either cell lies inside both
+        if any((inside[a] & inside[b])[list(a + b)].any() for a, b in combinations(keys, 2)):
+            continue
+        for key in keys:
+            if key not in uavs:
+                uavs[key] = deploy_cell(clusters[key], pts[list(key)], env, radio, h_max, altitude)
+        total = sum(dbm_to_mw(uavs[key].tx_power_dbm) for key in keys)
+        if best is None or total < best.total_power_mw:
+            best = DeploymentPlan([uavs[key] for key in keys], env, radio, total)
     if best is None:
         raise ValueError("no feasible partition: every grouping shares users across ellipses")
     return best
-
-
-def _plan_for_labels(pts, labels, env, radio, cfg, h_max, fit_cfg) -> DeploymentPlan | None:
-    clusters = []
-    for g in range(labels.max() + 1):
-        idx = np.flatnonzero(labels == g)
-        clusters.append(Cluster(frozenset(idx.tolist()), mvee(pts[idx], fit_cfg)))
-    cs = ClusterSet(users=pts, clusters=clusters)
-    if find_intersections(cs):
-        return None  # some user falls inside two ellipses
-    altitude = None
-    if cfg.altitude_grid_step_m > 0.0:
-        altitude = partial(_grid_altitude, step=cfg.altitude_grid_step_m)
-    return deploy(cs, env, radio, h_max=h_max, altitude=altitude)
 
 
 def _grid_altitude(edge_distance_m, env, bounds, radio, step) -> float:

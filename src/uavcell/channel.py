@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 __all__ = [
     "Beam",
@@ -33,6 +33,8 @@ class Environment:
     excess_nlos_db: float = 34.0
 
     def __post_init__(self) -> None:
+        if bad := [f.name for f in fields(self)[1:] if not math.isfinite(getattr(self, f.name))]:
+            raise ValueError(f"{bad[0]} must be finite")
         if self.sigmoid_a <= 0.0 or self.sigmoid_b <= 0.0:
             raise ValueError("sigmoid constants must be positive")
         if not 0.0 <= self.excess_los_db <= self.excess_nlos_db:
@@ -57,6 +59,8 @@ class RadioConfig:
     snr_threshold_db: float = 0.0
 
     def __post_init__(self) -> None:
+        if bad := [f.name for f in fields(self) if not math.isfinite(getattr(self, f.name))]:
+            raise ValueError(f"{bad[0]} must be finite")
         if self.carrier_frequency_hz <= 0.0:
             raise ValueError("carrier frequency must be positive")
         if self.bandwidth_hz <= 0.0:

@@ -141,11 +141,11 @@ def _silhouette(dist: np.ndarray, labels: np.ndarray) -> float:
 def select_k(points, k_limit: int) -> int:
     """Silhouette-optimal cluster count in {2, ..., min(k_limit, n)}.
 
-    Ties break toward the smaller k; fewer than two points give 1.
+    Ties break toward the smaller k; fewer than two points or a k_limit below 2 give 1.
     """
     pts = np.asarray(points, dtype=float)
     n = len(pts)
-    if n < 2:
+    if n < 2 or k_limit < 2:
         return 1
     condensed = pdist(pts)
     dist = squareform(condensed)
@@ -215,20 +215,24 @@ def _split_priority(points, ellipse: Ellipse):
 def grow_to_k(points, k_origin: int, fit_cfg: FitConfig | None = None) -> ClusterSet:
     """Split the worst cluster in two until ``k_origin`` clusters exist.
 
-    Starts from a single all-points cluster.  Stops early if every remaining
-    cluster is a singleton.  Cluster members are indices into ``points``.
+    Starts from the 2-means split of all points (one all-points cluster when
+    ``k_origin`` or the point count is 1) and fits each cluster once.  Stops
+    early if every cluster is a singleton.  Members are indices into ``points``.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.size == 0:
         raise ValueError("no points")
     if k_origin < 1:
         raise ValueError("k_origin must be at least 1")
+    if not np.all(np.isfinite(pts)):
+        raise ValueError("invalid point: coordinates must be finite")
     fit_cfg = fit_cfg or FitConfig()
 
-    groups: list[np.ndarray] = [np.arange(len(pts))]
-    ellipses: list[Ellipse] = [mvee(pts, fit_cfg)]
+    parts = split_cluster(pts) if k_origin > 1 else None
+    groups: list[np.ndarray] = [np.arange(len(pts))] if parts is None else list(parts)
+    ellipses = [mvee(pts[g], fit_cfg) for g in groups]
     # (priority, split) of each group, worked out once, when first needed
-    splits: list[tuple | None] = [None]
+    splits: list[tuple | None] = [None] * len(groups)
     while len(groups) < k_origin:
         splits = [known or _split_priority(pts[g], e) for known, g, e in zip(splits, groups, ellipses)]
         t = int(np.argmax([score for score, _ in splits]))

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import Beam, Environment, RadioConfig, avg_path_loss, dbm_to_mw
-from .clustering import ClusterSet, find_intersections
+from .clustering import Cluster, ClusterSet, find_intersections
 from .geometry import Ellipse, contains, edge_distance
 
 __all__ = [
@@ -19,6 +19,7 @@ __all__ = [
     "UavDeployment",
     "beam_from_footprint",
     "deploy",
+    "deploy_cell",
     "evaluate",
     "optimal_altitude",
     "required_power_dbm",
@@ -146,40 +147,44 @@ def deploy(
     h_max: float = 1000.0,
     altitude: Callable[..., float] | None = None,
 ) -> DeploymentPlan:
-    """One UAV per cluster, centered on its ellipse.
+    """One UAV per cluster, each placed by ``deploy_cell`` with ``altitude``.
 
-    ``altitude(edge_distance_m, env, bounds, radio)`` picks each cell's
-    altitude and defaults to ``optimal_altitude``.  Rejects cluster sets whose
-    ellipses still share users: powering such cells independently cannot meet
-    the per-user SNR target.
+    Rejects cluster sets whose ellipses still share users: powering such
+    cells independently cannot meet the per-user SNR target.
     """
     if find_intersections(cs):
         raise ValueError("interference risk: cluster ellipses share users")
-    altitude = altitude or optimal_altitude
-    uavs = []
-    for m, cluster in enumerate(cs.clusters):
-        footprint = cluster.ellipse
-        center = footprint.center
-        major, _ = footprint.semi_axes
-        cell_edge = edge_distance(footprint, cs.member_points(m))
-        bounds = AltitudeBounds.for_footprint(major, h_max)
-        height = altitude(cell_edge, env, bounds, radio)
-        beam = beam_from_footprint(height, footprint)
-        power = required_power_dbm(height, cell_edge, env, beam, radio)
-        uavs.append(
-            UavDeployment(
-                x=float(center[0]),
-                y=float(center[1]),
-                altitude_m=height,
-                orientation_rad=footprint.orientation,
-                beam=beam,
-                tx_power_dbm=power,
-                footprint=footprint,
-                members=cluster.members,
-            )
-        )
+    uavs = [deploy_cell(c, cs.member_points(m), env, radio, h_max, altitude)
+            for m, c in enumerate(cs.clusters)]
     total = sum(dbm_to_mw(u.tx_power_dbm) for u in uavs)
     return DeploymentPlan(uavs=uavs, environment=env, radio=radio, total_power_mw=total)
+
+
+def deploy_cell(
+    cluster: Cluster, points, env: Environment, radio: RadioConfig,
+    h_max: float = 1000.0, altitude: Callable[..., float] | None = None,
+) -> UavDeployment:
+    """The UAV of one cell, centered on its ellipse; ``points`` are its members.
+
+    ``altitude(edge_distance_m, env, bounds, radio)`` defaults to ``optimal_altitude``.
+    """
+    footprint = cluster.ellipse
+    center = footprint.center
+    major, _ = footprint.semi_axes
+    cell_edge = edge_distance(footprint, points)
+    bounds = AltitudeBounds.for_footprint(major, h_max)
+    height = (altitude or optimal_altitude)(cell_edge, env, bounds, radio)
+    beam = beam_from_footprint(height, footprint)
+    return UavDeployment(
+        x=float(center[0]),
+        y=float(center[1]),
+        altitude_m=height,
+        orientation_rad=footprint.orientation,
+        beam=beam,
+        tx_power_dbm=required_power_dbm(height, cell_edge, env, beam, radio),
+        footprint=footprint,
+        members=cluster.members,
+    )
 
 
 def evaluate(plan: DeploymentPlan, users) -> PlanMetrics:

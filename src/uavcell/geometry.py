@@ -7,7 +7,7 @@ positive definite, so containment tests and affine bookkeeping stay cheap.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -25,6 +25,8 @@ class FitConfig:
     min_semi_axis: float = 1.0
 
     def __post_init__(self) -> None:
+        if bad := [f.name for f in fields(self) if not math.isfinite(getattr(self, f.name))]:
+            raise ValueError(f"{bad[0]} must be finite")
         if self.tolerance <= 0.0:
             raise ValueError("tolerance must be positive")
         if self.max_iterations < 1:

@@ -4,16 +4,18 @@ Everything here is deliberately written from the definitions, not from the
 package internals: the ellipse oracle is a parametric grid/pattern search over
 (center, axes, angle), the silhouette oracle follows the textbook formula
 point by point, and the partition oracle enumerates splits exhaustively.
-The exceptions are the loop references for vectorized code:
+The exceptions are the loop references for vectorized or cached code:
 ``silhouette_per_point`` repeats the package's arithmetic one point at a time
-so results must match bit for bit, and ``intersections_pairwise`` scans pairs
-with the package's own ``contains``.
+so results must match bit for bit, ``intersections_pairwise`` scans pairs
+with the package's own ``contains``, and ``brute_force_per_partition`` fits,
+checks and deploys every partition from scratch with the package's own steps.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+from functools import partial
 from itertools import combinations
 
 import numpy as np
@@ -21,8 +23,11 @@ from scipy.cluster.hierarchy import ClusterWarning, cut_tree, linkage
 from scipy.spatial import ConvexHull, QhullError
 from scipy.spatial.distance import pdist, squareform
 
+from uavcell.baseline import _grid_altitude, _partitions
 from uavcell.channel import avg_path_loss
-from uavcell.geometry import contains
+from uavcell.clustering import Cluster, ClusterSet, find_intersections
+from uavcell.deployment import deploy
+from uavcell.geometry import FitConfig, contains, mvee
 
 
 def feasible_areas(pts: np.ndarray, cand: np.ndarray, slack: float = 1e-9) -> np.ndarray:
@@ -265,6 +270,31 @@ def intersections_pairwise(cs) -> set[int]:
             if any(contains(cm.ellipse, cs.users[u]) and contains(cp.ellipse, cs.users[u]) for u in joint):
                 flagged |= {m, mp}
     return flagged
+
+
+def brute_force_per_partition(users, num_uavs, env, radio, altitude_grid_step_m=0.0, h_max=1000.0):
+    """Per-partition reference for ``brute_force_plan``: every partition gets
+    its own fits, its own ``find_intersections`` and its own ``deploy``; the
+    first strictly cheapest plan wins."""
+    pts = np.atleast_2d(np.asarray(users, dtype=float))
+    altitude = None
+    if altitude_grid_step_m > 0.0:
+        altitude = partial(_grid_altitude, step=altitude_grid_step_m)
+    best = None
+    for labels in _partitions(len(pts), num_uavs):
+        clusters = []
+        for g in range(labels.max() + 1):
+            idx = np.flatnonzero(labels == g)
+            clusters.append(Cluster(frozenset(idx.tolist()), mvee(pts[idx], FitConfig())))
+        cs = ClusterSet(users=pts, clusters=clusters)
+        if find_intersections(cs):
+            continue
+        plan = deploy(cs, env, radio, h_max=h_max, altitude=altitude)
+        if best is None or plan.total_power_mw < best.total_power_mw:
+            best = plan
+    if best is None:
+        raise ValueError("no feasible partition: every grouping shares users across ellipses")
+    return best
 
 
 def best_two_partition_wcss(points):

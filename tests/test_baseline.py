@@ -4,17 +4,20 @@ import math
 import numpy as np
 import pytest
 
+from uavcell import baseline, deployment
 from uavcell.baseline import (
     BruteForceConfig,
     CirclePackingConfig,
     PackingError,
     _partitions,
     brute_force_optimum,
+    brute_force_plan,
     circle_pack_deploy,
 )
 from uavcell.channel import ENVIRONMENTS, Beam, RadioConfig, dbm_to_mw
 from uavcell.clustering import ellipse_clustering
 from uavcell.deployment import SNR_GRACE_DB, deploy, evaluate
+from uavcell.geometry import mvee
 from uavcell.scenario import PcpConfig, Region, Scenario, generate_pcp
 
 RADIO = RadioConfig()
@@ -191,6 +194,34 @@ def test_brute_caps():
         BruteForceConfig(max_uavs=0)
     with pytest.raises(ValueError, match="no users"):
         brute_force_optimum(np.empty((0, 2)), 1, URBAN, RADIO)
+
+
+def test_brute_fits_and_deploys_each_distinct_cell_once(monkeypatch):
+    fitted, placed = [], []
+    optimal_altitude = deployment.optimal_altitude
+
+    def counting_mvee(points, cfg=None):
+        fitted.append(tuple(map(tuple, points)))
+        return mvee(points, cfg)
+
+    def counting_altitude(*args):
+        placed.append(args)
+        return optimal_altitude(*args)
+
+    monkeypatch.setattr(baseline, "mvee", counting_mvee)
+    monkeypatch.setattr(deployment, "optimal_altitude", counting_altitude)
+    rng = np.random.default_rng(4)
+    for n, num_uavs in ((7, 3), (6, 2), (5, 1)):
+        fitted.clear()
+        placed.clear()
+        users = rng.uniform(0.0, 1000.0, (n, 2))
+        plan = brute_force_plan(users, num_uavs, URBAN, RADIO)
+        assert len(fitted) <= 2**n - 1
+        assert len(set(fitted)) == len(fitted)  # no point set is fitted twice
+        # one altitude search per deployed cell, each cell deployed at most once
+        assert len(plan.uavs) <= len(placed) <= len(fitted)
+        if num_uavs == 1:
+            assert len(fitted) == len(placed) == 1
 
 
 def test_partition_enumeration_counts():

@@ -168,3 +168,18 @@ def test_radio_config_validation():
         RadioConfig(bandwidth_hz=0.0)
     with pytest.raises(ValueError):
         RadioConfig(carrier_frequency_hz=-1.0)
+
+
+@pytest.mark.parametrize("name", ["carrier_frequency_hz", "noise_psd_dbm_hz", "bandwidth_hz", "snr_threshold_db"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_radio_config_rejects_non_finite_fields(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        RadioConfig(**{name: value})
+
+
+@pytest.mark.parametrize("name", ["sigmoid_a", "sigmoid_b", "excess_los_db", "excess_nlos_db"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_environment_rejects_non_finite_fields(name, value):
+    fields = {"sigmoid_a": 9.61, "sigmoid_b": 0.16, name: value}
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        Environment("urban", **fields)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from oracles import best_two_partition_wcss, intersections_pairwise, silhouette_direct
+from uavcell import clustering
 from uavcell.clustering import (
     AlgorithmTrace,
     Cluster,
@@ -17,6 +18,7 @@ from uavcell.clustering import (
     split_cluster,
 )
 from uavcell.geometry import Ellipse, FitConfig, contains, mvee
+from uavcell.scenario import PcpConfig, Region, generate_pcp
 
 
 def two_blobs(seed=0, n=12, gap=200.0, spread=5.0):
@@ -77,6 +79,19 @@ def test_select_k_boundaries():
     assert select_k(np.array([[3.0, 3.0]]), 5) == 1
     # all scores tie at zero for co-located points; ties resolve low
     assert select_k(np.zeros((4, 2)), 4) == 2
+
+
+def test_select_k_below_two_gives_one():
+    pts = two_blobs(gap=500.0)
+    assert select_k(pts, 1) == 1
+    assert select_k(pts, 0) == 1
+
+
+def test_k_max_one_without_buffer_starts_with_one_cluster():
+    users = generate_pcp(Region(), PcpConfig(seed=0))
+    m, cs, trace = ellipse_clustering(users, ClusteringConfig(k_max=1, silhouette_buffer=0))
+    assert trace.iterations[0].k_origin == 1
+    assert m == 1 and trace.converged
 
 
 # --- 2-means splitting ------------------------------------------------------
@@ -199,6 +214,50 @@ def test_grow_validation():
         grow_to_k(np.empty((0, 2)), 1)
     with pytest.raises(ValueError):
         grow_to_k(two_blobs(), 0)
+
+
+def _grow_cases():
+    rng = np.random.default_rng(12)
+    yield two_blobs(gap=300.0)
+    yield rng.uniform(0.0, 500.0, (40, 2))
+    yield np.repeat(rng.uniform(0.0, 100.0, (3, 2)), 4, axis=0)  # duplicates
+    yield np.column_stack([np.linspace(0.0, 90.0, 10), np.linspace(0.0, 30.0, 10)])
+    yield np.array([[7.0, 7.0]])
+
+
+def test_grow_fits_each_cluster_once_and_never_the_unused_pool(monkeypatch):
+    fitted = []
+
+    def counting_mvee(points, cfg=None):
+        fitted.append(len(points))
+        return mvee(points, cfg)
+
+    monkeypatch.setattr(clustering, "mvee", counting_mvee)
+    for pts in _grow_cases():
+        for k in range(1, 7):
+            fitted.clear()
+            cs = grow_to_k(pts, k)
+            if k == 1 or len(pts) == 1:
+                assert fitted == [len(pts)]  # the all-points cluster is the answer
+            else:
+                splits = len(cs.clusters) - 1
+                assert len(fitted) == 2 * splits
+                assert len(pts) not in fitted
+            for c in cs.clusters:
+                alone = mvee(pts[sorted(c.members)])
+                assert c.ellipse.A.tobytes() == alone.A.tobytes()
+                assert c.ellipse.b.tobytes() == alone.b.tobytes()
+
+
+def test_non_finite_points_are_rejected():
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        pts = two_blobs()
+        pts[3, 1] = bad
+        for k in (1, 3):
+            with pytest.raises(ValueError, match="coordinates must be finite"):
+                grow_to_k(pts, k)
+        with pytest.raises(ValueError):  # select_k's linkage sees it first
+            ellipse_clustering(pts)
 
 
 # --- intersection detection -------------------------------------------------

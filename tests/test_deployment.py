@@ -6,6 +6,7 @@ import pytest
 
 from oracles import grid_best_altitude
 from uavcell.channel import ENVIRONMENTS, Beam, RadioConfig, avg_path_loss, dbm_to_mw
+from uavcell import deployment
 from uavcell.clustering import Cluster, ClusterSet, ellipse_clustering
 from uavcell.deployment import (
     AltitudeBounds,
@@ -14,6 +15,7 @@ from uavcell.deployment import (
     DeploymentPlan,
     beam_from_footprint,
     deploy,
+    deploy_cell,
     evaluate,
     optimal_altitude,
     required_power_dbm,
@@ -161,6 +163,31 @@ def test_deploy_singleton_sits_at_the_elevation_floor():
     # floor footprint is the 1 m circle; overhead loss only grows with height
     assert uav.altitude_m == pytest.approx(math.tan(math.pi / 12.0), rel=1e-9)
     np.testing.assert_allclose([uav.x, uav.y], [50.0, 60.0], atol=1e-9)
+
+
+def test_deploy_places_each_cell_with_deploy_cell():
+    _, cs = blob_cluster_set(seed=2)
+    plan = deploy(cs, URBAN, RADIO, h_max=800.0)
+    alone = [deploy_cell(c, cs.member_points(m), URBAN, RADIO, 800.0) for m, c in enumerate(cs.clusters)]
+    assert plan.uavs == alone
+    assert plan.total_power_mw == sum(dbm_to_mw(u.tx_power_dbm) for u in alone)
+
+
+def test_deploy_cell_looks_up_the_altitude_search_when_called(monkeypatch):
+    # a wrapper installed on the module after import must see every search
+    _, cs = blob_cluster_set(seed=2)
+    searched = []
+
+    def recorded(*args):
+        searched.append(args[0])
+        return optimal_altitude(*args)
+
+    monkeypatch.setattr(deployment, "optimal_altitude", recorded)
+    plan = deploy(cs, URBAN, RADIO)
+    assert len(searched) == len(plan.uavs) == len(cs.clusters)
+    fixed = deploy(cs, URBAN, RADIO, altitude=lambda edge, env, bounds, radio: bounds.h_max)
+    assert len(searched) == len(cs.clusters)
+    assert all(u.altitude_m == 1000.0 for u in fixed.uavs)
 
 
 def test_deploy_rejects_overlapping_cells():

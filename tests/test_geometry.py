@@ -135,6 +135,13 @@ def test_fit_config_validation():
         FitConfig(min_semi_axis=0.0)
 
 
+@pytest.mark.parametrize("name", ["tolerance", "max_iterations", "min_semi_axis"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_fit_config_rejects_non_finite_fields(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        FitConfig(**{name: value})
+
+
 def test_ellipse_validation():
     with pytest.raises(ValueError):
         Ellipse(A=np.array([[1.0, 0.5], [0.0, 1.0]]), b=np.zeros(2))  # not symmetric

@@ -6,10 +6,17 @@ Examples are derandomized so that every run checks the same cases.
 import math
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import intersections_pairwise, select_k_direct, silhouette_per_point
+from oracles import (
+    brute_force_per_partition,
+    intersections_pairwise,
+    select_k_direct,
+    silhouette_per_point,
+)
+from uavcell.baseline import BruteForceConfig, brute_force_plan
+from uavcell.channel import ENVIRONMENTS, RadioConfig
 from uavcell.clustering import (
     Cluster,
     ClusterSet,
@@ -112,3 +119,57 @@ def test_contains_on_an_array_equals_per_point_results(e, pts):
             assert hit
         else:
             assert not hit
+
+
+@st.composite
+def tiny_instances(draw):
+    """Up to six users in a 1 km square; duplicates, collinear users and
+    lattices within the 1 m floor radius make some partitions, or all but
+    the single cell, infeasible, and lattices give exact power ties."""
+    kind = draw(st.sampled_from(["uniform", "duplicates", "collinear", "clustered", "lattice"]))
+    n = draw(st.sampled_from([6, 5, 4, 3, 2, 1]))
+    coord = st.floats(0.0, 1000.0, allow_nan=False, allow_infinity=False)
+    if kind == "uniform":
+        pts = [(draw(coord), draw(coord)) for _ in range(n)]
+    elif kind == "duplicates":
+        base = [(draw(coord), draw(coord)) for _ in range(draw(st.integers(1, 3)))]
+        pts = [base[draw(st.integers(0, len(base) - 1))] for _ in range(n)]
+    elif kind == "collinear":
+        a, b = np.array([draw(coord), draw(coord)]), np.array([draw(coord), draw(coord)])
+        pts = [a + draw(st.floats(0.0, 1.0)) * (b - a) for _ in range(n)]
+    elif kind == "lattice":
+        spacing = draw(st.sampled_from([1.0, 100.0]))
+        pts = [(spacing * draw(st.integers(0, 4)), spacing * draw(st.integers(0, 4))) for _ in range(n)]
+    else:
+        centers = [np.array([draw(coord), draw(coord)]) for _ in range(2)]
+        jitter = st.floats(-30.0, 30.0)
+        pts = [centers[i % 2] + (draw(jitter), draw(jitter)) for i in range(n)]
+    return np.array(pts, dtype=float).reshape(n, 2)
+
+
+def _outcome(search):
+    """Every UAV field and the total power of a search's plan, or its error."""
+    try:
+        plan = search()
+    except ValueError as exc:
+        return str(exc)
+    fields = [
+        (u.members, u.x, u.y, u.altitude_m, u.orientation_rad, u.beam, u.tx_power_dbm,
+         u.footprint.A.tobytes(), u.footprint.b.tobytes())
+        for u in plan.uavs
+    ]
+    return fields, plan.total_power_mw
+
+
+@PROPERTY
+@given(tiny_instances(), st.integers(1, 3), st.sampled_from([0.0, 40.0]))
+# the cheapest split here, {0} and {1, 2, 3}, leaves user 1 on the 1 m floor
+# circle of user 0; a rule checking the users of only one cell of each pair
+# would accept it
+@example(np.array([[1.0, 3.0], [1.0, 2.0], [2.0, 2.0], [2.0, 1.0]]), 2, 0.0)
+def test_brute_force_matches_per_partition_reference(users, num_uavs, step):
+    urban, radio = ENVIRONMENTS["urban"], RadioConfig()
+    cfg = BruteForceConfig(altitude_grid_step_m=step)
+    got = _outcome(lambda: brute_force_plan(users, num_uavs, urban, radio, cfg))
+    want = _outcome(lambda: brute_force_per_partition(users, num_uavs, urban, radio, step))
+    assert got == want  # same groups, UAV fields and bit-equal total power
