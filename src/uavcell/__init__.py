@@ -1,7 +1,6 @@
 """Energy-aware multi-UAV base station placement with elliptic cells."""
 
 from .baseline import (
-    BruteForceConfig,
     CirclePackingConfig,
     PackingError,
     brute_force_optimum,
@@ -40,7 +39,7 @@ from .deployment import (
     optimal_altitude,
     required_power_dbm,
 )
-from .geometry import Ellipse, FitConfig, contains, edge_distance, mvee
+from .geometry import Ellipse, contains, edge_distance, mvee
 from .scenario import (
     PcpConfig,
     Region,

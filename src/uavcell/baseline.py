@@ -4,19 +4,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from itertools import combinations
 
 import numpy as np
 
-from .channel import Beam, Environment, RadioConfig, avg_path_loss, dbm_to_mw
+from .channel import Beam, Environment, RadioConfig, dbm_to_mw
 from .clustering import Cluster
 from .deployment import DeploymentPlan, UavDeployment, deploy_cell, required_power_dbm
-from .geometry import Ellipse, FitConfig, contains, mvee
+from .geometry import Ellipse, contains, mvee
 from .scenario import Region, Scenario
 
 __all__ = [
-    "BruteForceConfig",
     "CirclePackingConfig",
     "PackingError",
     "brute_force_optimum",
@@ -55,23 +53,6 @@ class CirclePackingConfig:
             raise ValueError("packed cells are circular: beam must have theta1 == theta2")
 
 
-@dataclass
-class BruteForceConfig:
-    max_users: int = _HARD_MAX_USERS
-    max_uavs: int = _HARD_MAX_UAVS
-    # 0 keeps golden-section altitude search; > 0 switches to a grid with
-    # this step, handy for cross-checking the optimizer
-    altitude_grid_step_m: float = 0.0
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.max_users <= _HARD_MAX_USERS:
-            raise ValueError(f"max_users must be in [1, {_HARD_MAX_USERS}]")
-        if not 1 <= self.max_uavs <= _HARD_MAX_UAVS:
-            raise ValueError(f"max_uavs must be in [1, {_HARD_MAX_UAVS}]")
-        if self.altitude_grid_step_m < 0.0:
-            raise ValueError("altitude grid step must be non-negative")
-
-
 def circle_pack_deploy(scenario: Scenario, cfg: CirclePackingConfig) -> DeploymentPlan:
     """Place ``num_uavs`` equal disjoint circles and serve whoever they cover.
 
@@ -102,10 +83,9 @@ def circle_pack_deploy(scenario: Scenario, cfg: CirclePackingConfig) -> Deployme
     claimed = np.full(len(users), False)
     uavs = []
     for center in centers:
-        dist = np.linalg.norm(users - center, axis=1)
-        mine = (dist <= cover_radius) & ~claimed
-        claimed |= mine
         footprint = Ellipse(A=np.eye(2) / cover_radius, b=center / cover_radius)
+        mine = contains(footprint, users) & ~claimed
+        claimed |= mine
         uavs.append(
             UavDeployment(
                 x=float(center[0]),
@@ -123,49 +103,34 @@ def circle_pack_deploy(scenario: Scenario, cfg: CirclePackingConfig) -> Deployme
 
 
 def brute_force_optimum(
-    users,
-    num_uavs: int,
-    env: Environment,
-    radio: RadioConfig,
-    cfg: BruteForceConfig | None = None,
-    h_max: float = 1000.0,
-    fit_cfg: FitConfig | None = None,
+    users, num_uavs: int, env: Environment, radio: RadioConfig, h_max: float = 1000.0
 ) -> tuple[list[set[int]], float]:
     """Cheapest grouping from ``brute_force_plan``: (groups, total power in mW)."""
-    plan = brute_force_plan(users, num_uavs, env, radio, cfg, h_max, fit_cfg)
+    plan = brute_force_plan(users, num_uavs, env, radio, h_max)
     return [set(u.members) for u in plan.uavs], plan.total_power_mw
 
 
 def brute_force_plan(
-    users,
-    num_uavs: int,
-    env: Environment,
-    radio: RadioConfig,
-    cfg: BruteForceConfig | None = None,
-    h_max: float = 1000.0,
-    fit_cfg: FitConfig | None = None,
+    users, num_uavs: int, env: Environment, radio: RadioConfig, h_max: float = 1000.0
 ) -> DeploymentPlan:
     """Exhaustive minimum-power deployment over at most ``num_uavs`` cells.
 
     Enumerates every partition of the users into 1..num_uavs groups
     (restricted growth strings), rejects groupings whose ellipses share a
     user, and deploys the rest exactly like the main pipeline, fitting and
-    deploying each distinct cell once.  Returns the first cheapest plan.
+    deploying each distinct cell once.  Returns the first cheapest plan; the
+    one-cell grouping comes first and is always feasible, so there is one.
     Instance sizes are capped because the partition count grows combinatorially.
     """
-    cfg = cfg or BruteForceConfig()
-    fit_cfg = fit_cfg or FitConfig()
     pts = np.atleast_2d(np.asarray(users, dtype=float))
     n = len(pts)
     if n == 0:
         raise ValueError("no users")
-    if n > cfg.max_users:
-        raise ValueError(f"instance has {n} users, cap is {cfg.max_users}")
-    if not 1 <= num_uavs <= cfg.max_uavs:
-        raise ValueError(f"num_uavs must be in [1, {cfg.max_uavs}]")
+    if n > _HARD_MAX_USERS:
+        raise ValueError(f"instance has {n} users, cap is {_HARD_MAX_USERS}")
+    if not 1 <= num_uavs <= _HARD_MAX_UAVS:
+        raise ValueError(f"num_uavs must be in [1, {_HARD_MAX_UAVS}]")
 
-    step = cfg.altitude_grid_step_m
-    altitude = partial(_grid_altitude, step=step) if step > 0.0 else None
     # per distinct cell, keyed by its sorted members: one fit, one inside mask,
     # and one UAV, deployed when the cell first appears in a feasible partition
     clusters: dict[tuple[int, ...], Cluster] = {}
@@ -176,27 +141,18 @@ def brute_force_plan(
         keys = [tuple(np.flatnonzero(labels == g).tolist()) for g in range(labels.max() + 1)]
         for key in keys:
             if key not in clusters:
-                clusters[key] = Cluster(frozenset(key), mvee(pts[list(key)], fit_cfg))
+                clusters[key] = Cluster(frozenset(key), mvee(pts[list(key)]))
                 inside[key] = contains(clusters[key].ellipse, pts)
         # the rule of find_intersections: no user of either cell lies inside both
         if any((inside[a] & inside[b])[list(a + b)].any() for a, b in combinations(keys, 2)):
             continue
         for key in keys:
             if key not in uavs:
-                uavs[key] = deploy_cell(clusters[key], pts[list(key)], env, radio, h_max, altitude)
+                uavs[key] = deploy_cell(clusters[key], pts[list(key)], env, radio, h_max)
         total = sum(dbm_to_mw(uavs[key].tx_power_dbm) for key in keys)
         if best is None or total < best.total_power_mw:
             best = DeploymentPlan([uavs[key] for key in keys], env, radio, total)
-    if best is None:
-        raise ValueError("no feasible partition: every grouping shares users across ellipses")
     return best
-
-
-def _grid_altitude(edge_distance_m, env, bounds, radio, step) -> float:
-    """Grid argmin of the path loss, a cross-check for the golden-section search."""
-    grid = np.append(np.arange(bounds.h_min, bounds.h_max, step), bounds.h_max)
-    losses = [avg_path_loss(h, edge_distance_m, env, radio) for h in grid]
-    return float(grid[int(np.argmin(losses))])
 
 
 def _partitions(n: int, max_blocks: int):

@@ -14,7 +14,7 @@ import numpy as np
 from scipy.cluster.hierarchy import cut_tree, linkage
 from scipy.spatial.distance import pdist, squareform
 
-from .geometry import Ellipse, FitConfig, contains, mvee
+from .geometry import Ellipse, contains, mvee
 
 __all__ = [
     "AlgorithmTrace",
@@ -26,13 +26,13 @@ __all__ = [
     "ellipse_clustering",
     "find_intersections",
     "grow_to_k",
-    "normalized_distance",
     "select_k",
     "silhouette_index",
     "split_cluster",
 ]
 
 _UNSPLITTABLE = float("-inf")
+_SPLIT_MAX_ITERATIONS = 100  # 2-means rounds in split_cluster
 
 # Pool appearances a user may accumulate before their pool is collapsed into a
 # single ellipse instead of being re-split.
@@ -161,7 +161,7 @@ def select_k(points, k_limit: int) -> int:
     return best_k
 
 
-def split_cluster(points, max_iterations: int = 100):
+def split_cluster(points):
     """2-means split of ``points``; returns (idx_a, idx_b) local index arrays.
 
     Centers start at the farthest pair of points (first such pair on ties) so
@@ -176,7 +176,7 @@ def split_cluster(points, max_iterations: int = 100):
     i, j = np.unravel_index(int(np.argmax(dist)), dist.shape)
     centers = np.stack([pts[i], pts[j]])
     assign = np.zeros(n, dtype=bool)  # False -> center 0
-    for _ in range(max_iterations):
+    for _ in range(_SPLIT_MAX_ITERATIONS):
         d0 = np.linalg.norm(pts - centers[0], axis=1)
         d1 = np.linalg.norm(pts - centers[1], axis=1)
         new_assign = d1 < d0
@@ -193,16 +193,12 @@ def split_cluster(points, max_iterations: int = 100):
     return np.flatnonzero(~assign), np.flatnonzero(assign)
 
 
-def normalized_distance(points, ellipse: Ellipse) -> float:
-    """Sub-centroid separation over the full major-axis length.
-
-    The split priority of the grow loop; -inf flags an unsplittable cluster.
-    """
-    return _split_priority(points, ellipse)[0]
-
-
 def _split_priority(points, ellipse: Ellipse):
-    """(normalized_distance, split_cluster parts) of one cluster."""
+    """(priority, split_cluster parts) of one cluster.
+
+    The priority is the sub-centroid separation over the full major-axis
+    length; -inf flags an unsplittable cluster.
+    """
     parts = split_cluster(points)
     if parts is None:
         return _UNSPLITTABLE, None
@@ -212,7 +208,7 @@ def _split_priority(points, ellipse: Ellipse):
     return gap / (2.0 * major), parts
 
 
-def grow_to_k(points, k_origin: int, fit_cfg: FitConfig | None = None) -> ClusterSet:
+def grow_to_k(points, k_origin: int) -> ClusterSet:
     """Split the worst cluster in two until ``k_origin`` clusters exist.
 
     Starts from the 2-means split of all points (one all-points cluster when
@@ -226,11 +222,10 @@ def grow_to_k(points, k_origin: int, fit_cfg: FitConfig | None = None) -> Cluste
         raise ValueError("k_origin must be at least 1")
     if not np.all(np.isfinite(pts)):
         raise ValueError("invalid point: coordinates must be finite")
-    fit_cfg = fit_cfg or FitConfig()
 
     parts = split_cluster(pts) if k_origin > 1 else None
     groups: list[np.ndarray] = [np.arange(len(pts))] if parts is None else list(parts)
-    ellipses = [mvee(pts[g], fit_cfg) for g in groups]
+    ellipses = [mvee(pts[g]) for g in groups]
     # (priority, split) of each group, worked out once, when first needed
     splits: list[tuple | None] = [None] * len(groups)
     while len(groups) < k_origin:
@@ -239,9 +234,9 @@ def grow_to_k(points, k_origin: int, fit_cfg: FitConfig | None = None) -> Cluste
         if splits[t][0] == _UNSPLITTABLE:
             break
         part_a, part_b = (groups[t][local] for local in splits[t][1])
-        groups[t], ellipses[t], splits[t] = part_a, mvee(pts[part_a], fit_cfg), None
+        groups[t], ellipses[t], splits[t] = part_a, mvee(pts[part_a]), None
         groups.append(part_b)
-        ellipses.append(mvee(pts[part_b], fit_cfg))
+        ellipses.append(mvee(pts[part_b]))
         splits.append(None)
     clusters = [Cluster(frozenset(g.tolist()), e) for g, e in zip(groups, ellipses)]
     return ClusterSet(users=pts, clusters=clusters)
@@ -267,9 +262,7 @@ def find_intersections(cs: ClusterSet) -> set[int]:
 
 
 def ellipse_clustering(
-    users,
-    cfg: ClusteringConfig | None = None,
-    fit_cfg: FitConfig | None = None,
+    users, cfg: ClusteringConfig | None = None
 ) -> tuple[int, ClusterSet, AlgorithmTrace]:
     """Partition users into disjoint elliptic cells.
 
@@ -281,10 +274,11 @@ def ellipse_clustering(
     NoConvergenceError if overlap persists past the iteration budget.
     """
     cfg = cfg or ClusteringConfig()
-    fit_cfg = fit_cfg or FitConfig()
     pts = np.atleast_2d(np.asarray(users, dtype=float))
     if pts.size == 0:
         raise ValueError("no users")
+    if not np.all(np.isfinite(pts)):
+        raise ValueError("invalid point: coordinates must be finite")
 
     trace = AlgorithmTrace()
     final: list[Cluster] = []
@@ -317,7 +311,7 @@ def ellipse_clustering(
                 k_origin = prior + 1
             k_origin = min(k_origin, len(u_cond))
             attempts[pool] = k_origin
-        grown = grow_to_k(pts[u_cond], k_origin, fit_cfg)
+        grown = grow_to_k(pts[u_cond], k_origin)
         fresh = [
             Cluster(frozenset(int(u_cond[i]) for i in c.members), c.ellipse)
             for c in grown.clusters

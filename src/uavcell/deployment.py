@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -145,35 +144,33 @@ def deploy(
     env: Environment,
     radio: RadioConfig,
     h_max: float = 1000.0,
-    altitude: Callable[..., float] | None = None,
 ) -> DeploymentPlan:
-    """One UAV per cluster, each placed by ``deploy_cell`` with ``altitude``.
+    """One UAV per cluster, each placed by ``deploy_cell``.
 
     Rejects cluster sets whose ellipses still share users: powering such
     cells independently cannot meet the per-user SNR target.
     """
     if find_intersections(cs):
         raise ValueError("interference risk: cluster ellipses share users")
-    uavs = [deploy_cell(c, cs.member_points(m), env, radio, h_max, altitude)
-            for m, c in enumerate(cs.clusters)]
+    uavs = [deploy_cell(c, cs.member_points(m), env, radio, h_max) for m, c in enumerate(cs.clusters)]
     total = sum(dbm_to_mw(u.tx_power_dbm) for u in uavs)
     return DeploymentPlan(uavs=uavs, environment=env, radio=radio, total_power_mw=total)
 
 
 def deploy_cell(
-    cluster: Cluster, points, env: Environment, radio: RadioConfig,
-    h_max: float = 1000.0, altitude: Callable[..., float] | None = None,
+    cluster: Cluster, points, env: Environment, radio: RadioConfig, h_max: float = 1000.0
 ) -> UavDeployment:
     """The UAV of one cell, centered on its ellipse; ``points`` are its members.
 
-    ``altitude(edge_distance_m, env, bounds, radio)`` defaults to ``optimal_altitude``.
+    The altitude comes from ``optimal_altitude``, looked up in this module at
+    call time, so a replacement installed on the module is used.
     """
     footprint = cluster.ellipse
     center = footprint.center
     major, _ = footprint.semi_axes
     cell_edge = edge_distance(footprint, points)
     bounds = AltitudeBounds.for_footprint(major, h_max)
-    height = (altitude or optimal_altitude)(cell_edge, env, bounds, radio)
+    height = optimal_altitude(cell_edge, env, bounds, radio)
     beam = beam_from_footprint(height, footprint)
     return UavDeployment(
         x=float(center[0]),

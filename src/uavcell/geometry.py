@@ -7,32 +7,16 @@ positive definite, so containment tests and affine bookkeeping stay cheap.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Ellipse", "FitConfig", "mvee", "contains", "edge_distance"]
+__all__ = ["Ellipse", "mvee", "contains", "edge_distance"]
 
 _LIFT_DIM = 3  # planar points lifted with a homogeneous coordinate
-
-
-@dataclass
-class FitConfig:
-    """Solver knobs for the enclosing-ellipse fit."""
-
-    tolerance: float = 1e-7
-    max_iterations: int = 10_000
-    min_semi_axis: float = 1.0
-
-    def __post_init__(self) -> None:
-        if bad := [f.name for f in fields(self) if not math.isfinite(getattr(self, f.name))]:
-            raise ValueError(f"{bad[0]} must be finite")
-        if self.tolerance <= 0.0:
-            raise ValueError("tolerance must be positive")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
-        if self.min_semi_axis <= 0.0:
-            raise ValueError("min_semi_axis must be positive")
+MVEE_TOLERANCE = 1e-7  # relative duality gap that stops the dual solve
+MVEE_MAX_ITERATIONS = 10_000
+MIN_SEMI_AXIS_M = 1.0  # floor on every fitted semi-axis
 
 
 @dataclass
@@ -76,19 +60,18 @@ class Ellipse:
         return math.pi / float(np.linalg.det(self.A))
 
 
-def mvee(points, cfg: FitConfig | None = None) -> Ellipse:
+def mvee(points) -> Ellipse:
     """Fit a minimum-area ellipse enclosing ``points``.
 
     Runs a dual weight-update scheme (Khachiyan style, with away steps for
     fast convergence) on the lifted point set, stopping at a relative duality
-    gap of ``cfg.tolerance``.  Inputs
+    gap of ``MVEE_TOLERANCE`` or after ``MVEE_MAX_ITERATIONS`` updates.  Inputs
     whose spread collapses in some direction are rebuilt from their principal
     axis instead, and every fitted semi-axis is floored at
-    ``cfg.min_semi_axis`` so downstream beam math never sees a zero extent.
+    ``MIN_SEMI_AXIS_M`` so downstream beam math never sees a zero extent.
     The result is inflated by at most a relative 1e-12 so that ``contains``
     holds for every input point despite rounding.
     """
-    cfg = cfg or FitConfig()
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.size == 0:
         raise ValueError("no points")
@@ -97,8 +80,8 @@ def mvee(points, cfg: FitConfig | None = None) -> Ellipse:
     if not np.all(np.isfinite(pts)):
         raise ValueError("invalid point: coordinates must be finite")
 
-    center, axes, basis = _fit_center_form(pts, cfg)
-    axes = np.maximum(axes, cfg.min_semi_axis)
+    center, axes, basis = _fit_center_form(pts)
+    axes = np.maximum(axes, MIN_SEMI_AXIS_M)
     A = basis @ np.diag(1.0 / axes) @ basis.T
     A = 0.5 * (A + A.T)
     b = A @ center
@@ -132,7 +115,7 @@ def edge_distance(e: Ellipse, members) -> float:
     return float(np.linalg.norm(pts - e.center, axis=1).max())
 
 
-def _fit_center_form(pts: np.ndarray, cfg: FitConfig):
+def _fit_center_form(pts: np.ndarray):
     """Return (center, semi_axes, basis) of the optimal ellipse, unclamped."""
     n = len(pts)
     if n == 1:
@@ -151,7 +134,7 @@ def _fit_center_form(pts: np.ndarray, cfg: FitConfig):
         basis = np.column_stack([direction, [-direction[1], direction[0]]])
         return center, np.array([0.5 * (hi - lo), 0.0]), basis
 
-    u = _dual_weights(pts, cfg)
+    u = _dual_weights(pts)
     center = u @ pts
     sigma = (pts * u[:, None]).T @ pts - np.outer(center, center)
     lams, vecs = np.linalg.eigh(0.5 * (sigma + sigma.T))
@@ -159,12 +142,12 @@ def _fit_center_form(pts: np.ndarray, cfg: FitConfig):
     return center, axes, vecs
 
 
-def _dual_weights(pts: np.ndarray, cfg: FitConfig) -> np.ndarray:
+def _dual_weights(pts: np.ndarray) -> np.ndarray:
     n = len(pts)
     d = float(_LIFT_DIM)
     q = np.column_stack([pts, np.ones(n)])
     u = np.full(n, 1.0 / n)
-    for _ in range(cfg.max_iterations):
+    for _ in range(MVEE_MAX_ITERATIONS):
         v = q.T @ (q * u[:, None])
         vinv = np.linalg.inv(v)
         w = np.einsum("ij,jk,ik->i", q, vinv, q)
@@ -172,7 +155,7 @@ def _dual_weights(pts: np.ndarray, cfg: FitConfig) -> np.ndarray:
         gap_fw = w[j_fw] / d - 1.0
         # the max-w gap bounds the area suboptimality, so it is the stop test;
         # a weight-change test would quit early on clamped away steps
-        if gap_fw <= cfg.tolerance:
+        if gap_fw <= MVEE_TOLERANCE:
             break
         active = np.flatnonzero(u > 0.0)
         j_aw = int(active[np.argmin(w[active])])

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from functools import partial
 from itertools import combinations
 
 import numpy as np
@@ -23,11 +22,11 @@ from scipy.cluster.hierarchy import ClusterWarning, cut_tree, linkage
 from scipy.spatial import ConvexHull, QhullError
 from scipy.spatial.distance import pdist, squareform
 
-from uavcell.baseline import _grid_altitude, _partitions
+from uavcell.baseline import _partitions
 from uavcell.channel import avg_path_loss
 from uavcell.clustering import Cluster, ClusterSet, find_intersections
 from uavcell.deployment import deploy
-from uavcell.geometry import FitConfig, contains, mvee
+from uavcell.geometry import contains, mvee
 
 
 def feasible_areas(pts: np.ndarray, cand: np.ndarray, slack: float = 1e-9) -> np.ndarray:
@@ -192,6 +191,12 @@ def grid_best_altitude(edge_distance_m, env, radio, h_min, h_max, step=0.5) -> f
     return float(grid[int(np.argmin(losses))])
 
 
+def grid_altitude(edge_distance_m, env, bounds, radio, step) -> float:
+    """``grid_best_altitude`` with the signature of ``deployment.optimal_altitude``,
+    to stand in for the golden-section search (bind ``step`` first)."""
+    return grid_best_altitude(edge_distance_m, env, radio, bounds.h_min, bounds.h_max, step)
+
+
 def silhouette_direct(points, labels) -> float:
     """Textbook per-point silhouette, averaged; singletons contribute zero."""
     pts = np.asarray(points, dtype=float)
@@ -272,24 +277,21 @@ def intersections_pairwise(cs) -> set[int]:
     return flagged
 
 
-def brute_force_per_partition(users, num_uavs, env, radio, altitude_grid_step_m=0.0, h_max=1000.0):
+def brute_force_per_partition(users, num_uavs, env, radio, h_max=1000.0):
     """Per-partition reference for ``brute_force_plan``: every partition gets
     its own fits, its own ``find_intersections`` and its own ``deploy``; the
     first strictly cheapest plan wins."""
     pts = np.atleast_2d(np.asarray(users, dtype=float))
-    altitude = None
-    if altitude_grid_step_m > 0.0:
-        altitude = partial(_grid_altitude, step=altitude_grid_step_m)
     best = None
     for labels in _partitions(len(pts), num_uavs):
         clusters = []
         for g in range(labels.max() + 1):
             idx = np.flatnonzero(labels == g)
-            clusters.append(Cluster(frozenset(idx.tolist()), mvee(pts[idx], FitConfig())))
+            clusters.append(Cluster(frozenset(idx.tolist()), mvee(pts[idx])))
         cs = ClusterSet(users=pts, clusters=clusters)
         if find_intersections(cs):
             continue
-        plan = deploy(cs, env, radio, h_max=h_max, altitude=altitude)
+        plan = deploy(cs, env, radio, h_max=h_max)
         if best is None or plan.total_power_mw < best.total_power_mw:
             best = plan
     if best is None:

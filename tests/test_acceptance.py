@@ -23,12 +23,11 @@ from uavcell.channel import ENVIRONMENTS, Beam, RadioConfig, antenna_gain_db, av
 from uavcell.cli import main
 from uavcell.clustering import ClusteringConfig, ClusterSet, ellipse_clustering, find_intersections
 from uavcell.deployment import AltitudeBounds, DeploymentPlan, deploy, evaluate, optimal_altitude
-from uavcell.geometry import FitConfig, mvee
+from uavcell.geometry import mvee
 from uavcell.scenario import PcpConfig, Region, Scenario, generate_pcp
 
 URBAN = ENVIRONMENTS["urban"]
 RADIO = RadioConfig()
-TIGHT = FitConfig(min_semi_axis=1e-9)
 
 CAMPAIGN_SEEDS = range(100)
 
@@ -129,7 +128,7 @@ def test_acceptance_04_min_ellipse_covers_points_and_nears_grid_optimum():
     for _ in range(200):
         n = int(rng.integers(3, 7))
         pts = rng.uniform(0.0, 1000.0, (n, 2))
-        area = mvee(pts, TIGHT).area
+        area = mvee(pts).area
         oracle = grid_min_ellipse_area(pts)
         worst_ratio = max(worst_ratio, area / oracle)
     assert worst_ratio <= 1.01

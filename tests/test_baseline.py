@@ -1,12 +1,13 @@
 import dataclasses
 import math
+from functools import partial
 
 import numpy as np
 import pytest
 
+from oracles import grid_altitude
 from uavcell import baseline, deployment
 from uavcell.baseline import (
-    BruteForceConfig,
     CirclePackingConfig,
     PackingError,
     _partitions,
@@ -17,7 +18,7 @@ from uavcell.baseline import (
 from uavcell.channel import ENVIRONMENTS, Beam, RadioConfig, dbm_to_mw
 from uavcell.clustering import ellipse_clustering
 from uavcell.deployment import SNR_GRACE_DB, deploy, evaluate
-from uavcell.geometry import mvee
+from uavcell.geometry import contains, mvee
 from uavcell.scenario import PcpConfig, Region, Scenario, generate_pcp
 
 RADIO = RadioConfig()
@@ -60,7 +61,9 @@ def test_single_circle_fills_the_region():
 
 def test_packed_circles_never_overlap():
     for num in (2, 3, 5, 7, 9):
-        plan = circle_pack_deploy(pcp_scenario(), CirclePackingConfig(num_uavs=num))
+        scen = pcp_scenario()
+        plan = circle_pack_deploy(scen, CirclePackingConfig(num_uavs=num))
+        assert all(contains(u.footprint, scen.users[sorted(u.members)]).all() for u in plan.uavs)
         centers = np.array([[u.x, u.y] for u in plan.uavs])
         radius = 150.0 * math.tan(math.radians(plan.uavs[0].beam.theta1_deg))
         for i in range(num):
@@ -171,14 +174,15 @@ def test_brute_never_loses_to_pipeline():
         assert brute_power <= pipeline_power * (1.0 + 1e-9)
 
 
-def test_grid_altitude_cross_checks_golden_section():
+def test_grid_altitude_cross_checks_golden_section(monkeypatch):
     rng = np.random.default_rng(9)
     pts = np.vstack([
         rng.normal([250.0, 250.0], 20.0, (3, 2)),
         rng.normal([700.0, 700.0], 20.0, (3, 2)),
     ])
     _, golden = brute_force_optimum(pts, 2, URBAN, RADIO)
-    _, grid = brute_force_optimum(pts, 2, URBAN, RADIO, BruteForceConfig(altitude_grid_step_m=0.5))
+    monkeypatch.setattr(deployment, "optimal_altitude", partial(grid_altitude, step=0.5))
+    _, grid = brute_force_optimum(pts, 2, URBAN, RADIO)
     assert grid == pytest.approx(golden, rel=1e-3)
 
 
@@ -188,10 +192,6 @@ def test_brute_caps():
         brute_force_optimum(eleven, 2, URBAN, RADIO)
     with pytest.raises(ValueError, match="num_uavs"):
         brute_force_optimum(eleven[:4], 4, URBAN, RADIO)
-    with pytest.raises(ValueError):
-        BruteForceConfig(max_users=11)
-    with pytest.raises(ValueError):
-        BruteForceConfig(max_uavs=0)
     with pytest.raises(ValueError, match="no users"):
         brute_force_optimum(np.empty((0, 2)), 1, URBAN, RADIO)
 
@@ -200,9 +200,9 @@ def test_brute_fits_and_deploys_each_distinct_cell_once(monkeypatch):
     fitted, placed = [], []
     optimal_altitude = deployment.optimal_altitude
 
-    def counting_mvee(points, cfg=None):
+    def counting_mvee(points):
         fitted.append(tuple(map(tuple, points)))
-        return mvee(points, cfg)
+        return mvee(points)
 
     def counting_altitude(*args):
         placed.append(args)
@@ -229,5 +229,7 @@ def test_partition_enumeration_counts():
     assert sum(1 for _ in _partitions(4, 3)) == 14
     assert sum(1 for _ in _partitions(4, 4)) == 15
     assert sum(1 for _ in _partitions(3, 1)) == 1
+    # the one-cell labelling comes first, so brute force always has a feasible plan
+    assert not next(_partitions(4, 3)).any()
     seen = {tuple(labels) for labels in _partitions(5, 3)}
     assert len(seen) == sum(1 for _ in _partitions(5, 3))  # each partition exactly once

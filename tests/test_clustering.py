@@ -9,15 +9,15 @@ from uavcell.clustering import (
     ClusterSet,
     ClusteringConfig,
     NoConvergenceError,
+    _split_priority,
     ellipse_clustering,
     find_intersections,
     grow_to_k,
-    normalized_distance,
     select_k,
     silhouette_index,
     split_cluster,
 )
-from uavcell.geometry import Ellipse, FitConfig, contains, mvee
+from uavcell.geometry import Ellipse, contains, mvee
 from uavcell.scenario import PcpConfig, Region, generate_pcp
 
 
@@ -141,9 +141,9 @@ def test_split_is_locally_optimal():
 
 def test_normalized_distance_ranks_separated_blobs_first():
     blobs = two_blobs(gap=100.0, spread=1.0)
-    d_blobs = normalized_distance(blobs, mvee(blobs))
+    d_blobs = _split_priority(blobs, mvee(blobs))[0]
     uniform = np.random.default_rng(8).uniform(0.0, 100.0, (12, 2))
-    d_uniform = normalized_distance(uniform, mvee(uniform))
+    d_uniform = _split_priority(uniform, mvee(uniform))[0]
     # sub-centroids are interior points, so the score stays below 1
     assert 0.0 < d_uniform < d_blobs <= 1.0
     assert d_blobs == pytest.approx(0.7087, abs=1e-3)
@@ -151,20 +151,19 @@ def test_normalized_distance_ranks_separated_blobs_first():
 
 def test_normalized_distance_duplicates_zero():
     pts = np.zeros((4, 2))
-    assert normalized_distance(pts, mvee(pts)) == 0.0
+    assert _split_priority(pts, mvee(pts))[0] == 0.0
 
 
 def test_normalized_distance_scale_invariant():
-    tight = FitConfig(min_semi_axis=1e-9)
     pts = two_blobs(seed=3, gap=150.0)
-    d1 = normalized_distance(pts, mvee(pts, tight))
-    d2 = normalized_distance(pts * 7.0, mvee(pts * 7.0, tight))
+    d1 = _split_priority(pts, mvee(pts))[0]
+    d2 = _split_priority(pts * 7.0, mvee(pts * 7.0))[0]
     assert d2 == pytest.approx(d1, rel=1e-6)
 
 
 def test_normalized_distance_singleton_flag():
     pts = np.array([[5.0, 5.0]])
-    assert normalized_distance(pts, mvee(pts)) == float("-inf")
+    assert _split_priority(pts, mvee(pts))[0] == float("-inf")
 
 
 # --- growing to a cluster count ---------------------------------------------
@@ -228,9 +227,9 @@ def _grow_cases():
 def test_grow_fits_each_cluster_once_and_never_the_unused_pool(monkeypatch):
     fitted = []
 
-    def counting_mvee(points, cfg=None):
+    def counting_mvee(points):
         fitted.append(len(points))
-        return mvee(points, cfg)
+        return mvee(points)
 
     monkeypatch.setattr(clustering, "mvee", counting_mvee)
     for pts in _grow_cases():
@@ -256,7 +255,7 @@ def test_non_finite_points_are_rejected():
         for k in (1, 3):
             with pytest.raises(ValueError, match="coordinates must be finite"):
                 grow_to_k(pts, k)
-        with pytest.raises(ValueError):  # select_k's linkage sees it first
+        with pytest.raises(ValueError, match="coordinates must be finite"):
             ellipse_clustering(pts)
 
 

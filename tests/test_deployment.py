@@ -185,7 +185,8 @@ def test_deploy_cell_looks_up_the_altitude_search_when_called(monkeypatch):
     monkeypatch.setattr(deployment, "optimal_altitude", recorded)
     plan = deploy(cs, URBAN, RADIO)
     assert len(searched) == len(plan.uavs) == len(cs.clusters)
-    fixed = deploy(cs, URBAN, RADIO, altitude=lambda edge, env, bounds, radio: bounds.h_max)
+    monkeypatch.setattr(deployment, "optimal_altitude", lambda edge, env, bounds, radio: bounds.h_max)
+    fixed = deploy(cs, URBAN, RADIO)
     assert len(searched) == len(cs.clusters)
     assert all(u.altitude_m == 1000.0 for u in fixed.uavs)
 

@@ -4,9 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import grid_min_ellipse_area
-from uavcell.geometry import Ellipse, FitConfig, contains, edge_distance, mvee
-
-TIGHT = FitConfig(min_semi_axis=1e-9)
+from uavcell.geometry import Ellipse, contains, edge_distance, mvee
 
 
 def test_four_symmetric_points_give_unit_circle():
@@ -75,7 +73,7 @@ def test_translation_equivariance():
     rng = np.random.default_rng(5)
     pts = rng.uniform(0.0, 100.0, (12, 2))
     t = np.array([37.5, -12.25])
-    e0, e1 = mvee(pts, TIGHT), mvee(pts + t, TIGHT)
+    e0, e1 = mvee(pts), mvee(pts + t)
     np.testing.assert_allclose(e1.center, e0.center + t, atol=1e-6)
     np.testing.assert_allclose(e1.semi_axes, e0.semi_axes, rtol=1e-6)
 
@@ -85,7 +83,7 @@ def test_rotation_equivariance():
     base = rng.uniform(0.0, 100.0, (10, 2)) * [3.0, 1.0]  # elongated, so orientation is well defined
     phi = 0.7
     rot = np.array([[math.cos(phi), -math.sin(phi)], [math.sin(phi), math.cos(phi)]])
-    e0, e1 = mvee(base, TIGHT), mvee(base @ rot.T, TIGHT)
+    e0, e1 = mvee(base), mvee(base @ rot.T)
     np.testing.assert_allclose(e1.semi_axes, e0.semi_axes, rtol=1e-6)
     diff = (e1.orientation - e0.orientation - phi) % math.pi
     assert min(diff, math.pi - diff) < 1e-4
@@ -105,7 +103,7 @@ def test_five_point_area_matches_grid_oracle():
     rng = np.random.default_rng(42)
     pts = rng.uniform(0.0, 100.0, (5, 2))
     want = grid_min_ellipse_area(pts)
-    assert mvee(pts, TIGHT).area == pytest.approx(want, rel=1e-2)
+    assert mvee(pts).area == pytest.approx(want, rel=1e-2)
 
 
 def test_small_set_optimality_sample():
@@ -114,7 +112,7 @@ def test_small_set_optimality_sample():
         n = int(rng.integers(3, 7))
         pts = rng.uniform(0.0, 100.0, (n, 2))
         want = grid_min_ellipse_area(pts)
-        assert mvee(pts, TIGHT).area <= want * 1.01
+        assert mvee(pts).area <= want * 1.01
 
 
 def test_input_validation():
@@ -124,22 +122,6 @@ def test_input_validation():
         mvee([(0.0, float("nan"))])
     with pytest.raises(ValueError):
         mvee([(1.0, 2.0, 3.0)])
-
-
-def test_fit_config_validation():
-    with pytest.raises(ValueError):
-        FitConfig(tolerance=0.0)
-    with pytest.raises(ValueError):
-        FitConfig(max_iterations=0)
-    with pytest.raises(ValueError):
-        FitConfig(min_semi_axis=0.0)
-
-
-@pytest.mark.parametrize("name", ["tolerance", "max_iterations", "min_semi_axis"])
-@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-def test_fit_config_rejects_non_finite_fields(name, value):
-    with pytest.raises(ValueError, match=f"{name} must be finite"):
-        FitConfig(**{name: value})
 
 
 def test_ellipse_validation():

@@ -4,6 +4,8 @@ Examples are derandomized so that every run checks the same cases.
 """
 
 import math
+from functools import partial
+from unittest.mock import patch
 
 import numpy as np
 from hypothesis import example, given, settings
@@ -11,11 +13,13 @@ from hypothesis import strategies as st
 
 from oracles import (
     brute_force_per_partition,
+    grid_altitude,
     intersections_pairwise,
     select_k_direct,
     silhouette_per_point,
 )
-from uavcell.baseline import BruteForceConfig, brute_force_plan
+from uavcell import deployment
+from uavcell.baseline import brute_force_plan
 from uavcell.channel import ENVIRONMENTS, RadioConfig
 from uavcell.clustering import (
     Cluster,
@@ -169,7 +173,9 @@ def _outcome(search):
 @example(np.array([[1.0, 3.0], [1.0, 2.0], [2.0, 2.0], [2.0, 1.0]]), 2, 0.0)
 def test_brute_force_matches_per_partition_reference(users, num_uavs, step):
     urban, radio = ENVIRONMENTS["urban"], RadioConfig()
-    cfg = BruteForceConfig(altitude_grid_step_m=step)
-    got = _outcome(lambda: brute_force_plan(users, num_uavs, urban, radio, cfg))
-    want = _outcome(lambda: brute_force_per_partition(users, num_uavs, urban, radio, step))
+    # step 0 keeps the golden-section search; hypothesis rejects monkeypatch here
+    search = partial(grid_altitude, step=step) if step > 0.0 else deployment.optimal_altitude
+    with patch.object(deployment, "optimal_altitude", search):
+        got = _outcome(lambda: brute_force_plan(users, num_uavs, urban, radio))
+        want = _outcome(lambda: brute_force_per_partition(users, num_uavs, urban, radio))
     assert got == want  # same groups, UAV fields and bit-equal total power
