@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.cluster.hierarchy import cut_tree, linkage
+from scipy.spatial import ConvexHull, QhullError
 from scipy.spatial.distance import pdist, squareform
 
 from .geometry import Ellipse, contains, mvee
@@ -33,6 +34,9 @@ __all__ = [
 
 _UNSPLITTABLE = float("-inf")
 _SPLIT_MAX_ITERATIONS = 100  # 2-means rounds in split_cluster
+# points from which split_cluster's farthest pair is sought on the hull: below
+# it, one qhull call costs more than scanning all pairs
+_HULL_MIN_POINTS = 200
 
 # Pool appearances a user may accumulate before their pool is collapsed into a
 # single ellipse instead of being re-split.
@@ -172,8 +176,7 @@ def split_cluster(points):
     n = len(pts)
     if n < 2:
         return None
-    dist = squareform(pdist(pts))
-    i, j = np.unravel_index(int(np.argmax(dist)), dist.shape)
+    i, j = _farthest_pair(pts)
     centers = np.stack([pts[i], pts[j]])
     assign = np.zeros(n, dtype=bool)  # False -> center 0
     for _ in range(_SPLIT_MAX_ITERATIONS):
@@ -191,6 +194,26 @@ def split_cluster(points):
         assign = np.zeros(n, dtype=bool)
         assign[j] = True
     return np.flatnonzero(~assign), np.flatnonzero(assign)
+
+
+def _farthest_pair(pts: np.ndarray) -> tuple[int, int]:
+    """First farthest pair (i, j) in row-major order over the indices of ``pts``.
+
+    Only points on the hull boundary can be farthest apart, so larger sets
+    compare only their pairs; qhull's "Qc" keeps the duplicates of a vertex
+    and the points on an edge among them.  Below ``_HULL_MIN_POINTS`` and for
+    sets qhull rejects, every pair is compared.  When all points coincide the
+    pair is (0, 0).
+    """
+    rim = np.arange(len(pts))
+    if len(pts) >= _HULL_MIN_POINTS:
+        try:
+            hull = ConvexHull(pts, qhull_options="Qc")
+            rim = np.sort(np.concatenate([hull.vertices, hull.coplanar[:, 0]]))
+        except QhullError:
+            pass
+    a, b = divmod(int(np.argmax(squareform(pdist(pts[rim])))), len(rim))
+    return int(rim[a]), int(rim[b])
 
 
 def _split_priority(points, ellipse: Ellipse):

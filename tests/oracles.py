@@ -7,8 +7,10 @@ point by point, and the partition oracle enumerates splits exhaustively.
 The exceptions are the loop references for vectorized or cached code:
 ``silhouette_per_point`` repeats the package's arithmetic one point at a time
 so results must match bit for bit, ``intersections_pairwise`` scans pairs
-with the package's own ``contains``, and ``brute_force_per_partition`` fits,
-checks and deploys every partition from scratch with the package's own steps.
+with the package's own ``contains``, ``brute_force_per_partition`` fits,
+checks and deploys every partition from scratch with the package's own steps,
+and ``farthest_pair_squareform`` scans the full distance matrix for the pair
+the hull-based search in ``split_cluster`` must find.
 """
 
 from __future__ import annotations
@@ -297,6 +299,13 @@ def brute_force_per_partition(users, num_uavs, env, radio, h_max=1000.0):
     if best is None:
         raise ValueError("no feasible partition: every grouping shares users across ellipses")
     return best
+
+
+def farthest_pair_squareform(points) -> tuple[int, int]:
+    """First farthest pair in row-major order over the full n x n distance matrix."""
+    dist = squareform(pdist(np.asarray(points, dtype=float)))
+    i, j = np.unravel_index(int(np.argmax(dist)), dist.shape)
+    return int(i), int(j)
 
 
 def best_two_partition_wcss(points):

@@ -1,10 +1,13 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from oracles import grid_min_ellipse_area
-from uavcell.geometry import Ellipse, contains, edge_distance, mvee
+from uavcell import geometry
+from uavcell.geometry import MVEE_TOLERANCE, Ellipse, contains, edge_distance, mvee
+from uavcell.scenario import PcpConfig, Region, generate_pcp
 
 
 def test_four_symmetric_points_give_unit_circle():
@@ -139,3 +142,32 @@ def test_ellipse_derived_quantities_agree():
     major, minor = e.semi_axes
     assert major >= minor > 0.0
     assert e.area == pytest.approx(math.pi * major * minor, rel=1e-9)
+
+
+def test_seed_two_user_set_is_certified_without_fallback():
+    # all 244 users of acceptance seed 2: the first-order loop alone stops at
+    # its 10 000-iteration cap here, with a gap of 1.1e-5
+    users = generate_pcp(Region(), PcpConfig(seed=2))
+    assert len(users) == 244
+    e = mvee(users)
+    assert e.fit.gap <= 1e-12
+    assert not e.fit.fallback
+    assert contains(e, users).all()
+
+
+def test_capped_fallback_warns_with_size_and_gap(monkeypatch):
+    monkeypatch.setattr(geometry, "_newton", lambda q, u: (None, 0, math.inf))
+    monkeypatch.setattr(geometry, "MVEE_MAX_ITERATIONS", 5)
+    pts = np.random.default_rng(4).uniform(0.0, 100.0, (40, 2))
+    with pytest.warns(RuntimeWarning, match=r"on 40 points .* gap of"):
+        e = mvee(pts)
+    assert e.fit.fallback and e.fit.iterations == 5 and e.fit.gap > MVEE_TOLERANCE
+    assert contains(e, pts).all()
+
+
+def test_fit_record_stays_out_of_equality_and_repr():
+    e = mvee([(0.0, 0.0), (4.0, 0.0), (0.0, 3.0), (4.0, 3.0)])
+    assert e.fit.gap <= 1e-12 and e.fit.newton_steps > 0 and not e.fit.fallback
+    assert "fit" not in repr(e)
+    assert Ellipse(A=e.A, b=e.b).fit is None
+    assert [f.name for f in fields(e) if f.compare] == ["A", "b"]

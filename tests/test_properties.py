@@ -1,4 +1,5 @@
-"""Property tests of the vectorized clustering steps against per-item oracles.
+"""Property tests of the ellipse fit and the clustering steps, the vectorized
+steps against per-item oracles.
 
 Examples are derandomized so that every run checks the same cases.
 """
@@ -10,26 +11,29 @@ from unittest.mock import patch
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.spatial import ConvexHull, QhullError
 
 from oracles import (
     brute_force_per_partition,
+    farthest_pair_squareform,
     grid_altitude,
     intersections_pairwise,
     select_k_direct,
     silhouette_per_point,
 )
-from uavcell import deployment
+from uavcell import clustering, deployment
 from uavcell.baseline import brute_force_plan
 from uavcell.channel import ENVIRONMENTS, RadioConfig
 from uavcell.clustering import (
     Cluster,
     ClusterSet,
+    _farthest_pair,
     find_intersections,
     grow_to_k,
     select_k,
     silhouette_index,
 )
-from uavcell.geometry import Ellipse, contains
+from uavcell.geometry import MIN_SEMI_AXIS_M, MVEE_TOLERANCE, Ellipse, contains, mvee
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -123,6 +127,103 @@ def test_contains_on_an_array_equals_per_point_results(e, pts):
             assert hit
         else:
             assert not hit
+
+
+@PROPERTY
+@given(point_sets(min_size=2, max_size=40))
+@example(np.zeros((5, 2)))  # every pair ties at distance 0
+@example(np.array([[0.0, 0.0], [2.0, 2.0], [0.0, 0.0], [2.0, 0.0], [0.0, 2.0], [2.0, 2.0], [1.0, 1.0]]))
+def test_farthest_pair_from_hull_matches_full_distance_matrix(pts):
+    with patch.object(clustering, "_HULL_MIN_POINTS", 3):  # take the hull at every size
+        assert _farthest_pair(pts) == farthest_pair_squareform(pts)
+    assert _farthest_pair(pts) == farthest_pair_squareform(pts)
+
+
+@st.composite
+def fit_sets(draw):
+    """3-7 points at a 1e-3 m, 1 m or 100 m scale around the origin:
+    duplicates, square lattices and sets just wider than the thin threshold."""
+    kind = draw(st.sampled_from(["uniform", "duplicates", "near-collinear", "lattice"]))
+    n = draw(st.integers(3, 7))
+    unit = st.floats(-1.0, 1.0, allow_nan=False)
+    if kind == "uniform":
+        pts = [(draw(unit), draw(unit)) for _ in range(n)]
+    elif kind == "duplicates":
+        base = [(draw(unit), draw(unit)) for _ in range(3)]
+        pts = [base[i % 3] if i < 3 else base[draw(st.integers(0, 2))] for i in range(n)]
+    elif kind == "near-collinear":
+        # a width of 1e-8 against a unit length; thin sets stop at 1e-9
+        pts = [(t, 0.3 * t + 1e-8 * draw(st.sampled_from([-1.0, 1.0]))) for t in (draw(unit) for _ in range(n))]
+    else:
+        pts = [(draw(grid), draw(grid)) for _ in range(n)]
+    return np.array(pts, dtype=float) * draw(st.sampled_from([1e-3, 1.0, 100.0]))
+
+
+offsets = st.sampled_from([0.0, 1e6]).map(lambda d: np.array([d, -0.5 * d]))  # in m
+
+
+def _shape(e: Ellipse) -> np.ndarray:
+    """A'A, which fixes the ellipse whatever orthogonal factor A carries."""
+    return e.A.T @ e.A
+
+
+def _sliver(pts) -> float:
+    """Length over width (s0 / s1) of a point set."""
+    spread = np.linalg.svd(pts - pts.mean(axis=0), compute_uv=False)
+    return spread[0] / max(spread[1], 1e-300)
+
+
+def _assert_same_ellipse(e: Ellipse, shape, center, pts) -> None:
+    """Shape and center within 1e-9 of the ellipse's size, widened where the
+    input is less certain than that.  Across a sliver any rotated frame keeps
+    only eps * s0 / s1 of the width.  Far out, b holds about reach / minor
+    semi-axis, so the boundary resolves only eps times that, and the
+    containment inflation works at that resolution."""
+    eps = np.finfo(float).eps
+    rel = 1e-9 + 16.0 * eps * _sliver(pts) + 64.0 * eps * np.abs(pts).max() / e.semi_axes[1]
+    np.testing.assert_allclose(_shape(e), shape, rtol=0.0, atol=rel * np.abs(shape).max())
+    np.testing.assert_allclose(e.center, center, rtol=0.0, atol=rel * e.semi_axes[0])
+
+
+@PROPERTY
+@given(fit_sets(), offsets)
+def test_mvee_contains_every_point_with_a_certified_gap(pts, offset):
+    pts = pts + offset
+    e = mvee(pts)
+    assert contains(e, pts).all()
+    assert e.fit.gap <= MVEE_TOLERANCE
+
+
+@PROPERTY
+@given(fit_sets(), st.integers(0, 3), st.booleans(), st.sampled_from([(1, 1), (1, 4), (2, 1)]), offsets)
+def test_mvee_is_affine_equivariant(pts, quarter_turns, mirror, stretch, offset):
+    # points on a 2**-32 m grid and maps built from quarter turns, mirrors,
+    # powers of two and these offsets carry every coordinate over exactly
+    pts = np.round(pts * 2.0**32) / 2.0**32
+    lin = np.diag([float(stretch[0]), -float(stretch[1]) if mirror else float(stretch[1])])
+    for _ in range(quarter_turns):
+        lin = np.array([[0.0, -1.0], [1.0, 0.0]]) @ lin
+    moved = pts @ lin.T + offset
+    np.testing.assert_array_equal((moved - offset) @ np.linalg.inv(lin).T, pts)
+    e0, e1 = mvee(pts), mvee(moved)
+    if stretch != (1, 1) and min(e0.semi_axes[1], e1.semi_axes[1]) < 1.5 * MIN_SEMI_AXIS_M:
+        return  # the semi-axis floor commutes with rigid maps only
+    inv = np.linalg.inv(lin)
+    _assert_same_ellipse(e1, inv.T @ _shape(e0) @ inv, lin @ e0.center + offset, moved)
+
+
+@PROPERTY
+@given(fit_sets(), offsets)
+def test_mvee_of_the_hull_vertices_is_the_same_ellipse(pts, offset):
+    pts = pts + offset
+    try:
+        hull = ConvexHull(pts).vertices
+    except QhullError:
+        return  # qhull rejects thin sets; their fit takes the line path
+    if _sliver(pts) > 1e6:
+        return  # a point within rounding of a sliver's edge may or may not be a vertex
+    e = mvee(pts)
+    _assert_same_ellipse(mvee(pts[hull]), _shape(e), e.center, pts)
 
 
 @st.composite
