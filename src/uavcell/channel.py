@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
+import numpy as np
+
 __all__ = [
     "Beam",
     "Environment",
@@ -12,6 +14,7 @@ __all__ = [
     "RadioConfig",
     "antenna_gain_db",
     "avg_path_loss",
+    "avg_path_loss_array",
     "dbm_to_mw",
     "fspl_db",
     "los_probability",
@@ -93,17 +96,13 @@ def fspl_db(distance_m: float, frequency_hz: float) -> float:
         raise ValueError("distance must be positive")
     if frequency_hz <= 0.0:
         raise ValueError("frequency must be positive")
-    return 20.0 * math.log10(4.0 * math.pi * distance_m * frequency_hz / SPEED_OF_LIGHT)
+    return _fspl_db(math, distance_m, frequency_hz)
 
 
 def los_probability(altitude_m: float, horizontal_m: float, env: Environment) -> float:
     """Line-of-sight probability for the elevation angle seen by the user."""
-    if altitude_m <= 0.0:
-        raise ValueError("altitude must be positive")
-    if horizontal_m < 0.0:
-        raise ValueError("horizontal distance must be non-negative")
-    elevation_deg = math.degrees(math.atan2(altitude_m, horizontal_m))
-    return 1.0 / (1.0 + env.sigmoid_a * math.exp(-env.sigmoid_b * (elevation_deg - env.sigmoid_a)))
+    _check_link(altitude_m, horizontal_m)
+    return _los_probability(math, altitude_m, horizontal_m, env)
 
 
 def avg_path_loss(
@@ -119,11 +118,46 @@ def avg_path_loss(
     pass ``beam=None`` to leave the gain out (used while optimizing altitude,
     where the beam is not yet known).
     """
-    distance = math.hypot(altitude_m, horizontal_m)
-    base_db = fspl_db(distance, radio.carrier_frequency_hz)
+    _check_link(altitude_m, horizontal_m)
+    return _avg_path_loss(math, altitude_m, horizontal_m, env, radio, beam)
+
+
+def avg_path_loss_array(
+    altitude_m: float, horizontal_m: np.ndarray, env: Environment, radio: RadioConfig, beam: Beam | None = None
+) -> np.ndarray:
+    """``avg_path_loss`` toward every entry of ``horizontal_m`` at once.
+
+    The formula is the scalar one evaluated with numpy's elementwise
+    functions, which may differ from ``math``'s in the last ulp.
+    """
+    _check_link(altitude_m, np.min(horizontal_m, initial=0.0))
+    return _avg_path_loss(np, altitude_m, horizontal_m, env, radio, beam)
+
+
+def _check_link(altitude_m: float, horizontal_m: float) -> None:
+    if altitude_m <= 0.0:
+        raise ValueError("altitude must be positive")
+    if horizontal_m < 0.0:
+        raise ValueError("horizontal distance must be non-negative")
+
+
+# The link budget, written once for both paths: ``xp`` is ``math`` for one
+# user and ``numpy`` for an array of users.
+
+def _fspl_db(xp, distance_m, frequency_hz):
+    return 20.0 * xp.log10(4.0 * math.pi * distance_m * frequency_hz / SPEED_OF_LIGHT)
+
+
+def _los_probability(xp, altitude_m, horizontal_m, env: Environment):
+    elevation_deg = xp.degrees(xp.atan2(altitude_m, horizontal_m))
+    return 1.0 / (1.0 + env.sigmoid_a * xp.exp(-env.sigmoid_b * (elevation_deg - env.sigmoid_a)))
+
+
+def _avg_path_loss(xp, altitude_m, horizontal_m, env: Environment, radio: RadioConfig, beam: Beam | None):
+    base_db = _fspl_db(xp, xp.hypot(altitude_m, horizontal_m), radio.carrier_frequency_hz)
     if beam is not None:
         base_db -= antenna_gain_db(beam)
-    p_los = los_probability(altitude_m, horizontal_m, env)
+    p_los = _los_probability(xp, altitude_m, horizontal_m, env)
     mix = p_los * 10.0 ** (env.excess_los_db / 10.0) + (1.0 - p_los) * 10.0 ** (
         env.excess_nlos_db / 10.0
     )

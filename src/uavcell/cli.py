@@ -8,8 +8,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
+import io
 import json
 import logging
+import math
 import statistics
 import sys
 from dataclasses import asdict, replace
@@ -57,8 +60,7 @@ _RUN_COLUMNS = [
 
 def main(argv=None) -> int:
     logging.basicConfig(stream=sys.stderr, level=logging.INFO, format="%(levelname)s %(message)s")
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
     except (ScenarioFormatError, FileNotFoundError, json.JSONDecodeError, ValueError, NoConvergenceError) as exc:
@@ -75,7 +77,9 @@ def _exit_code(exc: Exception) -> int:
     return EXIT_PARSE_ERROR
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(prog="uavcell", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -330,8 +334,7 @@ def _sweep_generate(spec: dict, out_dir: Path) -> list[Path]:
     for key in ("width", "height", "parent_intensity_per_km2", "cluster_radius", "mean_daughters", "env"):
         if key in spec:
             argv += [f"--{key.replace('_', '-')}", str(spec[key])]
-    parser = _build_parser()
-    cmd_generate(parser.parse_args(argv))
+    cmd_generate(_build_parser().parse_args(argv))
     return sorted(gen_dir.glob("scenario_*.json"))
 
 
@@ -432,31 +435,43 @@ def plan_to_dict(plan: DeploymentPlan, method: str) -> dict:
 
 
 def plan_from_dict(payload: dict) -> DeploymentPlan:
+    """The plan of ``plan_to_dict``; a bad field raises ScenarioFormatError naming it."""
     uavs = []
-    for raw in payload["uavs"]:
-        x, y, altitude = (float(v) for v in raw["position"])
+    for i, raw in enumerate(payload["uavs"]):
+        where = f"uav {i}"
+        x, y, altitude = (_finite(v, "position", where) for v in raw["position"])
         theta1, theta2 = (float(v) for v in raw["beam_deg"])
+        members = raw["members"]
+        if not isinstance(members, list) or not set(map(type, members)) <= {int}:
+            raise ScenarioFormatError(f"{where}: 'members' must be a list of integer user indices", "members")
         uavs.append(
             UavDeployment(
                 x=x,
                 y=y,
                 altitude_m=altitude,
-                orientation_rad=float(raw["orientation_rad"]),
+                orientation_rad=_finite(raw["orientation_rad"], "orientation_rad", where),
                 beam=Beam(theta1_deg=theta1, theta2_deg=theta2),
-                tx_power_dbm=float(raw["tx_power_dbm"]),
+                tx_power_dbm=_finite(raw["tx_power_dbm"], "tx_power_dbm", where),
                 footprint=Ellipse(
                     A=np.asarray(raw["footprint"]["A"], dtype=float),
                     b=np.asarray(raw["footprint"]["b"], dtype=float),
                 ),
-                members=frozenset(int(i) for i in raw["members"]),
+                members=frozenset(members),
             )
         )
     return DeploymentPlan(
         uavs=uavs,
         environment=config_from_dict(Environment, payload["environment"], "environment"),
         radio=config_from_dict(RadioConfig, payload["radio"], "radio"),
-        total_power_mw=float(payload["total_power_mw"]),
+        total_power_mw=_finite(payload["total_power_mw"], "total_power_mw", "plan"),
     )
+
+
+def _finite(value, name: str, where: str) -> float:
+    number = float(value)
+    if not math.isfinite(number):
+        raise ScenarioFormatError(f"{where}: '{name}' must be finite, got {value!r}", name)
+    return number
 
 
 def _load_plan(path) -> DeploymentPlan:
@@ -466,7 +481,7 @@ def _load_plan(path) -> DeploymentPlan:
         raise ScenarioFormatError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
     try:
         return plan_from_dict(payload)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ScenarioFormatError(f"{path}: malformed plan: {exc}") from exc
 
 
@@ -475,11 +490,24 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_csv_cell(v) for v in row])
+    """Write ``header`` and ``rows`` byte for byte as ``csv.writer`` would.
+
+    Lines end in ``\\n``, floats are written with ``repr`` and bools as
+    true/false.  A row of plain ints and floats, which never needs quotes,
+    is joined in one step; any other row goes through ``csv.writer``, which
+    quotes a cell holding a comma, a quote or a line break.
+    """
+    lines = [
+        ",".join(map(repr, row)) if set(map(type, row)) <= {int, float} else _csv_line(row)
+        for row in [header, *rows]
+    ]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="")
+
+
+def _csv_line(row) -> str:
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow([_csv_cell(v) for v in row])
+    return buf.getvalue()[:-1]
 
 
 def _csv_cell(value):

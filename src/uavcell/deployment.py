@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import Beam, Environment, RadioConfig, avg_path_loss, dbm_to_mw
+from .channel import Beam, Environment, RadioConfig, avg_path_loss, avg_path_loss_array, dbm_to_mw
 from .clustering import Cluster, ClusterSet, find_intersections
 from .geometry import Ellipse, contains, edge_distance
 
@@ -194,45 +195,50 @@ def evaluate(plan: DeploymentPlan, users) -> PlanMetrics:
     """
     pts = np.atleast_2d(np.asarray(users, dtype=float))
     n = len(pts)
-    owner = [-1] * n
-    inside = np.zeros(n, dtype=bool)
+    owner = np.full(n, -1, dtype=np.intp)
+    env, radio = plan.environment, plan.radio
+    noise_dbm = radio.noise_power_dbm()
+    snr = np.full(n, -math.inf)
+    throughput = np.zeros(n)
     for m, uav in enumerate(plan.uavs):
-        for u in uav.members:
+        members = _claim(owner, uav.members, m)
+        served = members[contains(uav.footprint, pts[members])]
+        if not len(served):
+            continue
+        horizontal = np.hypot(pts[served, 0] - uav.x, pts[served, 1] - uav.y)
+        pl_db = 10.0 * np.log10(avg_path_loss_array(uav.altitude_m, horizontal, env, radio, uav.beam))
+        snr_db = uav.tx_power_dbm - pl_db - noise_dbm
+        snr[served] = snr_db
+        share = radio.bandwidth_hz / len(uav.members)
+        throughput[served] = share * np.log2(1.0 + 10.0 ** (snr_db / 10.0))
+
+    covered = int(np.count_nonzero(snr >= radio.snr_threshold_db - SNR_GRACE_DB))
+    return PlanMetrics(
+        coverage_probability=covered / n if n else 0.0,
+        total_power_mw=plan.total_power_mw,
+        per_user_snr_db=snr.tolist(),
+        per_user_throughput_bps=throughput.tolist(),
+        num_uavs=len(plan.uavs),
+    )
+
+
+def _claim(owner: np.ndarray, members: frozenset[int], m: int) -> np.ndarray:
+    """Mark ``members`` as UAV ``m``'s users in ``owner``; returns their indices.
+
+    Raises ValueError naming the first member, in set order, that is outside
+    the user array or already claimed by another UAV.
+    """
+    order = list(members)
+    try:
+        idx = np.fromiter(map(operator.index, order), dtype=np.intp, count=len(order))
+    except OverflowError:  # beyond intp, so outside the array: reported below
+        idx = None
+    n = len(owner)
+    if idx is None or not ((idx >= 0) & (idx < n)).all() or (owner[idx] != -1).any():
+        for u in order:
             if not 0 <= u < n:
                 raise ValueError(f"member index {u} outside user array")
             if owner[u] != -1:
                 raise ValueError(f"user {u} claimed by two UAVs")
-            owner[u] = m
-        members = list(uav.members)
-        inside[members] = contains(uav.footprint, pts[members])
-
-    env, radio = plan.environment, plan.radio
-    noise_dbm = radio.noise_power_dbm()
-    snr: list[float] = []
-    throughput: list[float] = []
-    covered = 0
-    for u in range(n):
-        m = owner[u]
-        if m == -1 or not inside[u]:
-            snr.append(float("-inf"))
-            throughput.append(0.0)
-            continue
-        uav = plan.uavs[m]
-        horizontal = math.hypot(pts[u][0] - uav.x, pts[u][1] - uav.y)
-        pl_db = 10.0 * math.log10(
-            avg_path_loss(uav.altitude_m, horizontal, env, radio, uav.beam)
-        )
-        snr_db = uav.tx_power_dbm - pl_db - noise_dbm
-        snr.append(snr_db)
-        if snr_db >= radio.snr_threshold_db - SNR_GRACE_DB:
-            covered += 1
-        share = radio.bandwidth_hz / len(uav.members)
-        throughput.append(share * math.log2(1.0 + 10.0 ** (snr_db / 10.0)))
-
-    return PlanMetrics(
-        coverage_probability=covered / n if n else 0.0,
-        total_power_mw=plan.total_power_mw,
-        per_user_snr_db=snr,
-        per_user_throughput_bps=throughput,
-        num_uavs=len(plan.uavs),
-    )
+    owner[idx] = m
+    return idx

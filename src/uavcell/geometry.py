@@ -59,6 +59,13 @@ class Ellipse:
         if np.linalg.eigvalsh(self.A)[0] <= 0.0:
             raise ValueError("A must be positive definite")
 
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Ellipse):
+            return NotImplemented
+        return bool(np.array_equal(self.A, other.A) and np.array_equal(self.b, other.b))
+
+    __hash__ = None  # equal by value, and the arrays are mutable
+
     @property
     def center(self) -> np.ndarray:
         return np.linalg.solve(self.A, self.b)

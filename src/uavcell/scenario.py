@@ -13,6 +13,7 @@ import json
 import math
 import warnings
 from dataclasses import asdict, dataclass, field, fields
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import get_type_hints
 
@@ -118,7 +119,77 @@ def load_scenario(path) -> Scenario:
 
 
 def dump_canonical_json(payload) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """``json.dumps(payload, indent=2, sort_keys=True) + "\\n"``, byte for byte.
+
+    ``json`` encodes in pure Python whenever ``indent`` is set; this walks the
+    payload by the same rules, and writes a list of ints (cell members) or
+    of [float, float] pairs (users, ellipse matrices) with one join.  Unlike
+    ``json`` it does not look for containers that hold themselves.
+    """
+    out = []
+    _encode(payload, "\n", out)
+    return "".join(out) + "\n"
+
+
+def _encode(value, newline: str, out: list[str]) -> None:
+    """Append the JSON of ``value``; ``newline`` starts a line at its depth."""
+    if (text := _scalar(value)) is not None:
+        out.append(text)
+        return
+    if not isinstance(value, (list, tuple, dict)):
+        raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+    is_dict = isinstance(value, dict)
+    if not value:
+        out.append("{}" if is_dict else "[]")
+        return
+    inner = newline + "  "
+    if not is_dict and (rows := _flat_rows(value, newline, inner)) is not None:
+        out.append(rows)
+        return
+    out.append("{" if is_dict else "[")
+    for i, item in enumerate(sorted(value.items()) if is_dict else value):
+        out.append("," + inner if i else inner)
+        if is_dict:
+            key, item = item
+            text = key if isinstance(key, str) else _scalar(key)
+            if text is None:
+                raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+            out.append(encode_basestring_ascii(text) + ": ")
+        _encode(item, inner, out)
+    out.append(newline + ("}" if is_dict else "]"))
+
+
+def _scalar(value) -> str | None:
+    """The JSON of a string, number, bool or None; None for anything else."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None or value is True or value is False:
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if math.isfinite(value):
+            return float.__repr__(value)
+        return "NaN" if value != value else "Infinity" if value > 0 else "-Infinity"
+    return None
+
+
+def _flat_rows(items, newline: str, inner: str) -> str | None:
+    """The whole list if it holds only ints or only [float, float] pairs, else None."""
+    kinds = set(map(type, items))
+    if kinds == {int}:
+        return "[" + inner + ("," + inner).join(map(int.__repr__, items)) + newline + "]"
+    if not kinds <= {list, tuple} or set(map(len, items)) != {2}:
+        return None
+    deeper = inner + "  "
+    try:  # float.__repr__ takes nothing but floats
+        text = ("," + inner).join(
+            [f"[{deeper}{float.__repr__(x)},{deeper}{float.__repr__(y)}{inner}]" for x, y in items]
+        )
+    except TypeError:
+        return None
+    # finite reprs hold no "n"; nan and inf are spelled NaN and Infinity in JSON
+    return None if "n" in text else "[" + inner + text + newline + "]"
 
 
 # scenario blocks that hold one flat config dataclass each
@@ -137,7 +208,7 @@ def scenario_to_dict(scenario: Scenario) -> dict:
         for name in _BLOCKS
         if getattr(scenario, name) is not None
     }
-    payload["users"] = [[float(x), float(y)] for x, y in np.atleast_2d(scenario.users)]
+    payload["users"] = np.atleast_2d(np.asarray(scenario.users, dtype=float)).tolist()
     return payload
 
 

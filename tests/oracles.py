@@ -9,8 +9,10 @@ The exceptions are the loop references for vectorized or cached code:
 so results must match bit for bit, ``intersections_pairwise`` scans pairs
 with the package's own ``contains``, ``brute_force_per_partition`` fits,
 checks and deploys every partition from scratch with the package's own steps,
-and ``farthest_pair_squareform`` scans the full distance matrix for the pair
-the hull-based search in ``split_cluster`` must find.
+``farthest_pair_squareform`` scans the full distance matrix for the pair
+the hull-based search in ``split_cluster`` must find, and
+``evaluate_per_user`` scores a plan one user at a time with the scalar
+``avg_path_loss``, as ``evaluate`` did before it worked per UAV.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from scipy.spatial.distance import pdist, squareform
 from uavcell.baseline import _partitions
 from uavcell.channel import avg_path_loss
 from uavcell.clustering import Cluster, ClusterSet, find_intersections
-from uavcell.deployment import deploy
+from uavcell.deployment import SNR_GRACE_DB, deploy
 from uavcell.geometry import contains, mvee
 
 
@@ -343,3 +345,35 @@ def pcp_retention_fraction(width, height, radius, parent_grid=60, radial=64, ang
         ok_x = (gx >= 0.0) & (gx <= width)
         inside += int((ok_x[None, :] & ok_y).sum())
     return inside / (parent_grid * parent_grid * radial * angular)
+
+
+def evaluate_per_user(plan, users):
+    """(per-user SNR in dB, per-user throughput, coverage) with ``math`` per user."""
+    pts = np.atleast_2d(np.asarray(users, dtype=float))
+    n = len(pts)
+    owner = [-1] * n
+    inside = np.zeros(n, dtype=bool)
+    for m, uav in enumerate(plan.uavs):
+        for u in uav.members:
+            if not 0 <= u < n:
+                raise ValueError(f"member index {u} outside user array")
+            if owner[u] != -1:
+                raise ValueError(f"user {u} claimed by two UAVs")
+            owner[u] = m
+        members = list(uav.members)
+        inside[members] = contains(uav.footprint, pts[members])
+    env, radio = plan.environment, plan.radio
+    snr, throughput, covered = [], [], 0
+    for u in range(n):
+        if owner[u] == -1 or not inside[u]:
+            snr.append(-math.inf)
+            throughput.append(0.0)
+            continue
+        uav = plan.uavs[owner[u]]
+        horizontal = math.hypot(pts[u][0] - uav.x, pts[u][1] - uav.y)
+        pl_db = 10.0 * math.log10(avg_path_loss(uav.altitude_m, horizontal, env, radio, uav.beam))
+        snr.append(uav.tx_power_dbm - pl_db - radio.noise_power_dbm())
+        covered += snr[-1] >= radio.snr_threshold_db - SNR_GRACE_DB
+        share = radio.bandwidth_hz / len(uav.members)
+        throughput.append(share * math.log2(1.0 + 10.0 ** (snr[-1] / 10.0)))
+    return snr, throughput, covered / n

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -263,6 +264,54 @@ def test_evaluate_is_byte_deterministic(tmp_path):
 def test_evaluate_missing_plan(tmp_path):
     scen = write_scenario(tmp_path / "s.json", two_blob_users())
     assert main(["evaluate", str(tmp_path / "missing.json"), str(scen), "--out-dir", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize("field, literal, message", [
+    ("members", "1e400", "'members' must be a list of integer user indices"),
+    ("members", "2.5", "'members' must be a list of integer user indices"),
+    ("members", "true", "'members' must be a list of integer user indices"),
+    ("members", "1000000000000000000000000000000", "member index 1000000000000000000000000000000 outside user array"),
+    ("position", "NaN", "uav 0: 'position' must be finite, got nan"),
+    ("orientation_rad", "Infinity", "uav 0: 'orientation_rad' must be finite, got inf"),
+    ("tx_power_dbm", "-Infinity", "uav 0: 'tx_power_dbm' must be finite, got -inf"),
+    ("total_power_mw", "NaN", "plan: 'total_power_mw' must be finite, got nan"),
+])
+def test_evaluate_names_a_bad_plan_field_and_exits_2(tmp_path, caplog, field, literal, message):
+    scen = write_scenario(tmp_path / "s.json", two_blob_users())
+    out = tmp_path / "out"
+    main(["deploy", str(scen), "--out-dir", str(out)])
+    payload = json.loads((out / "plan.json").read_text())
+    uav = payload["uavs"][0]
+    if field == "total_power_mw":
+        payload[field] = "LITERAL"
+    elif field in ("members", "position"):
+        uav[field][-1] = "LITERAL"
+    else:
+        uav[field] = "LITERAL"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload).replace('"LITERAL"', literal))
+    assert main(["evaluate", str(bad), str(scen), "--out-dir", str(tmp_path / "ev")]) == 2
+    assert message in caplog.text
+
+
+def test_plan_round_trips_to_an_equal_plan(tmp_path):
+    scen = write_scenario(tmp_path / "s.json", two_blob_users(seed=4))
+    for method, num in (("ellipse", None), ("circle", 4)):
+        plan, _ = plan_scenario(load_scenario(scen), method, num_uavs=num)
+        assert plan_from_dict(plan_to_dict(plan, method)) == plan
+
+
+def test_generated_and_deployed_files_keep_their_bytes(tmp_path):
+    # digests of the files written before the JSON writer was replaced
+    scen_dir, plan_dir = tmp_path / "s", tmp_path / "p"
+    assert main(["generate", "--out-dir", str(scen_dir), "--master-seed", "7", "--mean-daughters", "360"]) == 0
+    scen = scen_dir / "scenario_000.json"
+    assert main(["deploy", str(scen), "--out-dir", str(plan_dir), "--method", "circle", "--num-uavs", "9"]) == 0
+    digest = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in (scen, plan_dir / "plan.json")}
+    assert digest == {
+        "scenario_000.json": "a5c18e797601c8f87f21c192dfcbd5f0de4d439353893cb7cbef2524f67f18fc",
+        "plan.json": "d3fb8f955f4f83c03ab6dd48e781f05cb85cee474d6313c7a8d3b4f1fc7f849e",
+    }
 
 
 # --- sweep ------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import copy
 import math
 from dataclasses import fields
 
@@ -171,3 +172,13 @@ def test_fit_record_stays_out_of_equality_and_repr():
     assert "fit" not in repr(e)
     assert Ellipse(A=e.A, b=e.b).fit is None
     assert [f.name for f in fields(e) if f.compare] == ["A", "b"]
+
+
+def test_equal_ellipses_compare_by_value():
+    pts = np.random.default_rng(3).uniform(0.0, 100.0, (25, 2))
+    e = mvee(pts)
+    assert e == copy.deepcopy(mvee(pts))
+    assert e == Ellipse(A=e.A, b=e.b)  # the fit record stays out of equality
+    assert e != Ellipse(A=2.0 * e.A, b=e.b) and e != "ellipse"
+    with pytest.raises(TypeError):
+        hash(e)

@@ -1,9 +1,11 @@
 """Property tests of the ellipse fit and the clustering steps, the vectorized
-steps against per-item oracles.
+steps against per-item oracles, the JSON writer against ``json`` and the
+per-UAV ``evaluate`` against the per-user scalar link budget.
 
 Examples are derandomized so that every run checks the same cases.
 """
 
+import json
 import math
 from functools import partial
 from unittest.mock import patch
@@ -15,6 +17,7 @@ from scipy.spatial import ConvexHull, QhullError
 
 from oracles import (
     brute_force_per_partition,
+    evaluate_per_user,
     farthest_pair_squareform,
     grid_altitude,
     intersections_pairwise,
@@ -23,7 +26,7 @@ from oracles import (
 )
 from uavcell import clustering, deployment
 from uavcell.baseline import brute_force_plan
-from uavcell.channel import ENVIRONMENTS, RadioConfig
+from uavcell.channel import ENVIRONMENTS, Beam, RadioConfig
 from uavcell.clustering import (
     Cluster,
     ClusterSet,
@@ -33,7 +36,9 @@ from uavcell.clustering import (
     select_k,
     silhouette_index,
 )
+from uavcell.deployment import SNR_GRACE_DB, DeploymentPlan, UavDeployment, evaluate, required_power_dbm
 from uavcell.geometry import MIN_SEMI_AXIS_M, MVEE_TOLERANCE, Ellipse, contains, mvee
+from uavcell.scenario import dump_canonical_json
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -280,3 +285,108 @@ def test_brute_force_matches_per_partition_reference(users, num_uavs, step):
         got = _outcome(lambda: brute_force_plan(users, num_uavs, urban, radio))
         want = _outcome(lambda: brute_force_per_partition(users, num_uavs, urban, radio))
     assert got == want  # same groups, UAV fields and bit-equal total power
+
+
+json_floats = st.floats() | st.sampled_from(
+    [-0.0, 5e-324, 1e16, 1e-7, 1e22, math.nan, math.inf, -math.inf]
+) | st.floats().map(np.float64)  # a float subclass, written by float.__repr__
+json_ints = st.integers() | st.sampled_from([2**63, -(2**63) - 1, 2**64, 10**30])
+json_text = st.text() | st.sampled_from(['say "hi"', "back\\slash", "\x00\x1f\x7f\n\t", "naïve ☃ 𝄞 \u2028"])
+json_scalars = st.none() | st.booleans() | json_ints | json_floats | json_text
+# lists the writer joins in one step, and near misses it must leave to the general walk
+json_pair = st.tuples(json_floats, json_floats | json_ints | st.booleans())
+json_flat_lists = (
+    st.lists(json_pair.map(list) | json_pair | st.lists(json_floats, max_size=3), max_size=4)
+    | st.lists(json_ints | st.booleans(), max_size=5)
+)
+
+
+@PROPERTY
+@given(st.recursive(
+    json_scalars | json_flat_lists,
+    lambda kids: st.lists(kids, max_size=4)
+    | st.lists(kids, max_size=3).map(tuple)
+    | st.dictionaries(json_text, kids, max_size=4)
+    | st.dictionaries(json_ints | json_floats, kids, max_size=3),
+    max_leaves=24,
+))
+@example([[1.5, -math.inf], (5e-324, math.nan)])
+@example({"members": [0, 2**64, True], "A": [[np.float64(0.1), 1e16], [-0.0, 1e-7]], "b": [[1.0, 2]]})
+def test_canonical_json_matches_json_dumps(payload):
+    assert dump_canonical_json(payload) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+@st.composite
+def scored_plans(draw):
+    """A plan of random UAVs over random users; some users are unowned,
+    some lie outside their UAV's footprint, some cells are empty, and
+    some UAVs put their farthest member exactly at the SNR threshold."""
+    coord = st.floats(0.0, 400.0)
+    n = draw(st.integers(1, 40))
+    users = np.array([(draw(coord), draw(coord)) for _ in range(n)]).reshape(n, 2)
+    env = ENVIRONMENTS[draw(st.sampled_from(sorted(ENVIRONMENTS)))]
+    radio = RadioConfig(snr_threshold_db=draw(st.floats(-5.0, 10.0)))
+    m = draw(st.integers(0, 5))
+    owner = [draw(st.integers(-1, m - 1)) for _ in range(n)]
+    uavs = []
+    for c in range(m):
+        axes = sorted([draw(st.floats(5.0, 300.0)), draw(st.floats(5.0, 300.0))])
+        angle = draw(st.floats(0.0, math.pi))
+        rot = np.array([[math.cos(angle), -math.sin(angle)], [math.sin(angle), math.cos(angle)]])
+        a = rot @ np.diag([1.0 / axes[1], 1.0 / axes[0]]) @ rot.T
+        a = 0.5 * (a + a.T)
+        x, y = draw(coord), draw(coord)
+        altitude = draw(st.floats(5.0, 800.0))
+        beam = Beam(draw(st.floats(5.0, 80.0)), draw(st.floats(1.0, 5.0)))
+        members = frozenset(u for u in range(n) if owner[u] == c)
+        power = draw(st.floats(-20.0, 40.0))
+        if members and draw(st.booleans()):
+            edge = max(math.hypot(users[u][0] - x, users[u][1] - y) for u in members)
+            power = required_power_dbm(altitude, edge, env, beam, radio)
+        footprint = Ellipse(A=a, b=a @ np.array([x, y]))
+        uavs.append(UavDeployment(x, y, altitude, angle, beam, power, footprint, members))
+    return DeploymentPlan(uavs, env, radio, total_power_mw=1.0), users
+
+
+@PROPERTY
+@given(scored_plans())
+def test_per_uav_evaluate_matches_per_user_link_budget(case):
+    plan, users = case
+    got = evaluate(plan, users)
+    snr, throughput, coverage = evaluate_per_user(plan, users)
+    got_snr, got_rate = np.array(got.per_user_snr_db), np.array(got.per_user_throughput_bps)
+    unserved = np.array(snr) == -math.inf
+    np.testing.assert_array_equal(got_snr[unserved], -math.inf)
+    np.testing.assert_array_equal(got_rate[unserved], 0.0)
+    np.testing.assert_allclose(got_snr[~unserved], np.array(snr)[~unserved], rtol=0.0, atol=1e-11)
+    np.testing.assert_allclose(got_rate, throughput, rtol=1e-12, atol=0.0)
+    cut = plan.radio.snr_threshold_db - SNR_GRACE_DB
+    clear = np.abs(np.array(snr) - cut) > 1e-11
+    np.testing.assert_array_equal((got_snr >= cut)[clear], (np.array(snr) >= cut)[clear])
+    if clear.all():
+        assert got.coverage_probability == coverage
+
+
+def _error(score, plan, users):
+    try:
+        score(plan, users)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@PROPERTY
+@given(scored_plans(), st.sampled_from(["past_end", "negative", "huge", "twice"]), st.integers(0, 10))
+def test_per_uav_evaluate_rejects_bad_members_like_the_per_user_loop(case, fault, k):
+    plan, users = case
+    if not plan.uavs:
+        return
+    uav = plan.uavs[k % len(plan.uavs)]
+    bad = {"past_end": len(users) + k, "negative": -1 - k, "huge": 10**30 + k, "twice": k % len(users)}[fault]
+    if fault == "twice":
+        plan.uavs.append(UavDeployment(**{**vars(uav), "members": frozenset({bad})}))
+    else:
+        uav.members = uav.members | {bad}
+    want = _error(evaluate_per_user, plan, users)
+    assert want is not None or fault == "twice"  # an unowned user taken once is no fault
+    assert _error(evaluate, plan, users) == want
