@@ -14,7 +14,6 @@ __all__ = [
     "RadioConfig",
     "antenna_gain_db",
     "avg_path_loss",
-    "avg_path_loss_array",
     "dbm_to_mw",
     "fspl_db",
     "los_probability",
@@ -149,7 +148,8 @@ def _fspl_db(xp, distance_m, frequency_hz):
 
 
 def _los_probability(xp, altitude_m, horizontal_m, env: Environment):
-    elevation_deg = xp.degrees(xp.atan2(altitude_m, horizontal_m))
+    atan2 = math.atan2 if xp is math else xp.arctan2  # numpy spells it atan2 only from 2.0
+    elevation_deg = xp.degrees(atan2(altitude_m, horizontal_m))
     return 1.0 / (1.0 + env.sigmoid_a * xp.exp(-env.sigmoid_b * (elevation_deg - env.sigmoid_a)))
 
 

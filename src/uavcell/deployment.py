@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -195,7 +194,7 @@ def evaluate(plan: DeploymentPlan, users) -> PlanMetrics:
     """
     pts = np.atleast_2d(np.asarray(users, dtype=float))
     n = len(pts)
-    owner = np.full(n, -1, dtype=np.intp)
+    owner = [-1] * n
     env, radio = plan.environment, plan.radio
     noise_dbm = radio.noise_power_dbm()
     snr = np.full(n, -math.inf)
@@ -222,23 +221,13 @@ def evaluate(plan: DeploymentPlan, users) -> PlanMetrics:
     )
 
 
-def _claim(owner: np.ndarray, members: frozenset[int], m: int) -> np.ndarray:
-    """Mark ``members`` as UAV ``m``'s users in ``owner``; returns their indices.
-
-    Raises ValueError naming the first member, in set order, that is outside
-    the user array or already claimed by another UAV.
-    """
-    order = list(members)
-    try:
-        idx = np.fromiter(map(operator.index, order), dtype=np.intp, count=len(order))
-    except OverflowError:  # beyond intp, so outside the array: reported below
-        idx = None
+def _claim(owner: list[int], members: frozenset[int], m: int) -> np.ndarray:
+    """Mark ``members`` as UAV ``m``'s users in ``owner``; returns their indices."""
     n = len(owner)
-    if idx is None or not ((idx >= 0) & (idx < n)).all() or (owner[idx] != -1).any():
-        for u in order:
-            if not 0 <= u < n:
-                raise ValueError(f"member index {u} outside user array")
-            if owner[u] != -1:
-                raise ValueError(f"user {u} claimed by two UAVs")
-    owner[idx] = m
-    return idx
+    for u in members:
+        if not 0 <= u < n:
+            raise ValueError(f"member index {u} outside user array")
+        if owner[u] != -1:
+            raise ValueError(f"user {u} claimed by two UAVs")
+        owner[u] = m
+    return np.fromiter(members, dtype=np.intp, count=len(members))

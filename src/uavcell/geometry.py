@@ -64,8 +64,6 @@ class Ellipse:
             return NotImplemented
         return bool(np.array_equal(self.A, other.A) and np.array_equal(self.b, other.b))
 
-    __hash__ = None  # equal by value, and the arrays are mutable
-
     @property
     def center(self) -> np.ndarray:
         return np.linalg.solve(self.A, self.b)

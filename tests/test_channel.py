@@ -11,6 +11,7 @@ from uavcell.channel import (
     RadioConfig,
     antenna_gain_db,
     avg_path_loss,
+    avg_path_loss_array,
     dbm_to_mw,
     fspl_db,
     los_probability,
@@ -150,6 +151,14 @@ def test_beam_gain_divides_out():
     bare = avg_path_loss(300.0, 400.0, ENVIRONMENTS["urban"], RADIO)
     with_gain = avg_path_loss(300.0, 400.0, ENVIRONMENTS["urban"], RADIO, beam)
     assert bare / with_gain == pytest.approx(dbm_to_mw(antenna_gain_db(beam)), rel=1e-12)
+
+
+def test_array_path_loss_matches_the_scalar_one_without_numpy_2_names(monkeypatch):
+    monkeypatch.delattr(np, "atan2")  # numpy before 2.0 spells it arctan2 only
+    beam, env = Beam(40.0, 25.0), ENVIRONMENTS["urban"]
+    radii = np.arange(0.0, 1001.0, 50.0)
+    want = [avg_path_loss(300.0, r, env, RADIO, beam) for r in radii]
+    np.testing.assert_allclose(avg_path_loss_array(300.0, radii, env, RADIO, beam), want, rtol=1e-12)
 
 
 def test_power_unit_round_trip():
