@@ -492,10 +492,10 @@ def _write_json(path: Path, payload: dict) -> None:
 def _write_csv(path: Path, header: list[str], rows) -> None:
     """Write ``header`` and ``rows`` byte for byte as ``csv.writer`` would.
 
-    Lines end in ``\\n``, floats are written with ``repr`` and bools as
-    true/false.  A row of plain ints and floats, which never needs quotes,
-    is joined in one step; any other row goes through ``csv.writer``, which
-    quotes a cell holding a comma, a quote or a line break.
+    Lines end in ``\\n``, floats (numpy's too) with ``float.__repr__`` and
+    bools as true/false.  A row of plain ints and floats, which never needs
+    quotes, is joined in one step; any other row goes through ``csv.writer``,
+    which quotes a cell holding a comma, a quote or a line break.
     """
     lines = [
         ",".join(map(repr, row)) if set(map(type, row)) <= {int, float} else _csv_line(row)
@@ -514,7 +514,7 @@ def _csv_cell(value):
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        return repr(value)
+        return float.__repr__(value)
     return value
 
 

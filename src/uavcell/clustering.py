@@ -11,7 +11,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.cluster.hierarchy import cut_tree, linkage
+from scipy.cluster.hierarchy import linkage
 from scipy.spatial import ConvexHull, QhullError
 from scipy.spatial.distance import pdist, squareform
 
@@ -154,15 +154,38 @@ def select_k(points, k_limit: int) -> int:
     condensed = pdist(pts)
     dist = squareform(condensed)
     ks = list(range(2, min(k_limit, n) + 1))
-    cuts = cut_tree(linkage(condensed, method="ward"), n_clusters=ks)
+    cuts = _ward_cuts(linkage(condensed, method="ward"), ks)
     best_k, best_score = 2, -np.inf
-    for col, k in enumerate(ks):
-        # the multi-k cut_tree gives all zeros for k == n; that cut is all singletons
-        labels = np.arange(n) if k == n else cuts[:, col]
+    for labels, k in zip(cuts, ks):
         score = _silhouette(dist, labels)
         if score > best_score:
             best_k, best_score = k, score
     return best_k
+
+
+def _ward_cuts(z: np.ndarray, ks: list[int]) -> np.ndarray:
+    """Leaf labels after the first n - k merges of ``z``, one row per k in ``ks``.
+
+    Merges go in ``cut_tree``'s order (by height, ties in reverse breadth-first
+    order from the root, right child first); a leaf's label is its highest
+    ancestor formed by then, found for every k at once by pointer doubling.
+    """
+    n = len(z) + 1
+    kids = z[:, :2].astype(np.intp)
+    visit, level = [], np.array([n - 2])
+    while level.size:
+        visit.append(level)
+        level = kids[level, ::-1].ravel()
+        level = level[level >= n] - n
+    nodes = np.arange(2 * n - 1)
+    parent, step = nodes.copy(), np.zeros_like(nodes)  # step: merges done once a node exists
+    parent[kids] = nodes[n:, None]
+    step[n + np.lexsort((-np.argsort(np.concatenate(visit)), z[:, 2]))] = nodes[1:n]
+    up = np.where(step[parent] <= n - np.array(ks)[:, None], parent, nodes)
+    up = (up + nodes.size * np.arange(len(ks))[:, None]).ravel()  # one id range per k
+    while not np.array_equal(jump := up[up], up):
+        up = jump
+    return up.reshape(len(ks), -1)[:, :n]
 
 
 def split_cluster(points):

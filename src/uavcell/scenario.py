@@ -13,6 +13,7 @@ import json
 import math
 import warnings
 from dataclasses import asdict, dataclass, field, fields
+from functools import cache
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import get_type_hints
@@ -192,6 +193,7 @@ def _flat_rows(items, newline: str, inner: str) -> str | None:
     return None if "n" in text else "[" + inner + text + newline + "]"
 
 
+_field_types = cache(get_type_hints)  # string annotations compile again on every uncached call
 # scenario blocks that hold one flat config dataclass each
 _BLOCKS = {
     "region": Region,
@@ -257,7 +259,7 @@ def config_from_dict(cls, raw, where: str):
     names = [f.name for f in fields(cls)]
     _warn_unknown(raw, names, where)
     values = {name: _require(raw, name, where) for name in names}
-    types = get_type_hints(cls)
+    types = _field_types(cls)
     coerced = {}
     for name, value in values.items():
         try:

@@ -8,7 +8,7 @@ import pytest
 
 from uavcell.baseline import brute_force_optimum
 from uavcell.channel import ENVIRONMENTS, RadioConfig
-from uavcell.cli import main, plan_from_dict, plan_scenario, plan_to_dict
+from uavcell.cli import _write_csv, main, plan_from_dict, plan_scenario, plan_to_dict
 from uavcell.clustering import ClusteringConfig
 from uavcell.scenario import Region, Scenario, dump_canonical_json, load_scenario, save_scenario
 
@@ -419,3 +419,9 @@ def test_console_entry_point_help():
     assert proc.returncode == 0
     for sub in ("generate", "deploy", "evaluate", "sweep"):
         assert sub in proc.stdout
+
+
+def test_csv_writes_numpy_scalars_as_plain_numbers(tmp_path):
+    path = tmp_path / "t.csv"
+    _write_csv(path, ["a", "b"], [[np.float64(0.1), np.int64(3)]])
+    assert path.read_bytes() == b"a,b\n0.1,3\n"

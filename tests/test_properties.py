@@ -1,6 +1,7 @@
 """Property tests of the ellipse fit and the clustering steps, the vectorized
-steps against per-item oracles, the JSON writer against ``json`` and the
-per-UAV ``evaluate`` against the per-user scalar link budget.
+steps against per-item oracles, the Ward-merge replay against ``cut_tree``,
+the JSON writer against ``json`` and the per-UAV ``evaluate`` against the
+per-user scalar link budget.
 
 Examples are derandomized so that every run checks the same cases.
 """
@@ -13,7 +14,9 @@ from unittest.mock import patch
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.cluster.hierarchy import cut_tree, linkage
 from scipy.spatial import ConvexHull, QhullError
+from scipy.spatial.distance import pdist
 
 from oracles import (
     brute_force_per_partition,
@@ -38,7 +41,7 @@ from uavcell.clustering import (
 )
 from uavcell.deployment import SNR_GRACE_DB, DeploymentPlan, UavDeployment, evaluate, required_power_dbm
 from uavcell.geometry import MIN_SEMI_AXIS_M, MVEE_TOLERANCE, Ellipse, contains, mvee
-from uavcell.scenario import dump_canonical_json
+from uavcell.scenario import PcpConfig, Region, dump_canonical_json, generate_pcp
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -94,6 +97,32 @@ def test_select_k_matches_per_k_reference(pts, k_limit):
     with np.errstate(all="raise"):  # no score may come from 0/0 or inf/inf
         k = select_k(pts, k_limit)
     assert k == select_k_direct(pts, k_limit)
+
+
+def same_partition(a, b) -> bool:
+    """Whether two label arrays group the points alike, whatever the label values."""
+    return np.array_equal(a[:, None] == a[None, :], b[:, None] == b[None, :])
+
+
+@PROPERTY
+@given(point_sets(min_size=2, max_size=18))
+# tied heights, where the order of Z's rows and cut_tree's order differ
+@example(np.array([[0.0, 0.0], [5.0, 1.0], [0.0, 0.0], [5.0, 1.0], [5.0, 1.0]]))
+@example(np.array([[1.0, -2.0], [2.0, 1.0], [0.0, 1.0], [-1.0, 1.0], [0.0, -2.0]]))
+def test_ward_replay_cuts_like_cut_tree_at_every_k(pts):
+    merges = linkage(pdist(pts), method="ward")
+    ks = list(range(1, len(pts) + 1))
+    for k, labels in zip(ks, clustering._ward_cuts(merges, ks)):
+        assert same_partition(labels, cut_tree(merges, n_clusters=k).ravel()), k
+
+
+def test_ward_replay_cuts_like_cut_tree_at_campaign_size():
+    users = generate_pcp(Region(), PcpConfig(seed=0))  # the first campaign item, 122 users
+    merges = linkage(pdist(users), method="ward")
+    ks = list(range(1, 11))
+    for k, labels in zip(ks, clustering._ward_cuts(merges, ks)):
+        assert len(np.unique(labels)) == k
+        assert same_partition(labels, cut_tree(merges, n_clusters=k).ravel()), k
 
 
 @PROPERTY
