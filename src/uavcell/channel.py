@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, fields
 
@@ -17,6 +18,7 @@ __all__ = [
     "dbm_to_mw",
     "fspl_db",
     "los_probability",
+    "optimal_elevation_rad",
 ]
 
 SPEED_OF_LIGHT = 299_792_458.0
@@ -114,8 +116,8 @@ def avg_path_loss(
     """Probability-weighted path loss as a linear power ratio (>= 0).
 
     The LoS and NLoS branches share one free-space term and the antenna gain;
-    pass ``beam=None`` to leave the gain out (used while optimizing altitude,
-    where the beam is not yet known).
+    pass ``beam=None`` to leave the gain out (the loss the altitude minimizes,
+    since the beam is not yet known there).
     """
     _check_link(altitude_m, horizontal_m)
     return _avg_path_loss(math, altitude_m, horizontal_m, env, radio, beam)
@@ -131,6 +133,26 @@ def avg_path_loss_array(
     """
     _check_link(altitude_m, np.min(horizontal_m, initial=0.0))
     return _avg_path_loss(np, altitude_m, horizontal_m, env, radio, beam)
+
+
+@functools.cache
+def optimal_elevation_rad(env: Environment) -> float:
+    """Cell-edge elevation angle minimizing the gain-free path loss in ``env``.
+
+    At h = R tan(theta) the loss is R^2 mix(theta) / cos^2(theta) up to a
+    constant, so R and the carrier do not move the optimum (Al-Hourani et
+    al., IEEE WCL 2014).  In theta the loss falls at 0 and rises at pi/2, so
+    bisection finds its minimum down to adjacent floats, which always ends.
+    """
+    los, nlos = 10.0 ** (env.excess_los_db / 10.0), 10.0 ** (env.excess_nlos_db / 10.0)
+    rise = (nlos - los) * env.sigmoid_b * math.degrees(1.0)  # -d(mix)/d(theta) = rise p (1 - p)
+
+    lo, hi = 0.0, math.pi / 2.0
+    while lo < (theta := 0.5 * (lo + hi)) < hi:
+        p = _los_probability(math, math.sin(theta), math.cos(theta), env)
+        falling = 2.0 * math.tan(theta) * (nlos - p * (nlos - los)) < rise * p * (1.0 - p)
+        lo, hi = (theta, hi) if falling else (lo, theta)
+    return hi
 
 
 def _check_link(altitude_m: float, horizontal_m: float) -> None:

@@ -63,7 +63,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (ScenarioFormatError, FileNotFoundError, json.JSONDecodeError, ValueError, NoConvergenceError) as exc:
+    except (ScenarioFormatError, OSError, json.JSONDecodeError, ValueError, NoConvergenceError) as exc:
         code = _exit_code(exc)
         log.error("infeasible baseline: %s" if code == EXIT_INFEASIBLE else "%s", exc)
         return code
@@ -288,8 +288,11 @@ def cmd_sweep(args) -> int:
     for key in ("generate", "overrides", "circle", "brute"):
         if not isinstance(manifest.get(key, {}), dict):
             raise ValueError(f"{manifest_path}: '{key}' must be a JSON object")
-    if "out_dir" not in manifest:
-        raise ValueError(f"{manifest_path}: manifest needs 'out_dir'")
+    if not isinstance(manifest.get("out_dir"), str):
+        raise ValueError(f"{manifest_path}: manifest needs 'out_dir', a path")
+    scenarios = manifest.get("scenarios", [])
+    if not isinstance(scenarios, list) or not all(isinstance(p, str) for p in scenarios):
+        raise ValueError(f"{manifest_path}: 'scenarios' must be a list of paths")
     out_dir = Path(manifest["out_dir"])
     if not out_dir.is_absolute():
         out_dir = manifest_path.parent / out_dir
@@ -297,7 +300,7 @@ def cmd_sweep(args) -> int:
 
     scenario_paths = [
         p if Path(p).is_absolute() else manifest_path.parent / p
-        for p in manifest.get("scenarios", [])
+        for p in scenarios
     ]
     if "generate" in manifest:
         scenario_paths += _sweep_generate(manifest["generate"], out_dir)
@@ -345,7 +348,10 @@ def _run_sweep(manifest, methods, scenario_paths):
     is the one ``main`` gives for the first failure.
     """
     overrides = dict(manifest.get("overrides", {}))
-    h_max = float(overrides.pop("h_max", 1000.0))
+    try:
+        h_max = float(overrides.pop("h_max", 1000.0))
+    except (TypeError, OverflowError) as exc:
+        raise ValueError(f"'h_max' override must be a number: {exc}") from exc
     rows = []
     code = EXIT_OK
     for path in scenario_paths:

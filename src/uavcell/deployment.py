@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import Beam, Environment, RadioConfig, avg_path_loss, avg_path_loss_array, dbm_to_mw
+from .channel import Beam, Environment, RadioConfig, avg_path_loss, avg_path_loss_array, dbm_to_mw, optimal_elevation_rad
 from .clustering import Cluster, ClusterSet, find_intersections
 from .geometry import Ellipse, contains, edge_distance
 
@@ -25,9 +25,6 @@ __all__ = [
 ]
 
 MIN_ELEVATION_RAD = math.pi / 12  # cell-edge elevation floor
-GOLDEN_TOLERANCE_M = 0.5
-GOLDEN_MAX_ITERATIONS = 200
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 # edge users sit exactly at the SNR threshold, so coverage predicates give
 # that equality this much slack against rounding
 SNR_GRACE_DB = 1e-9
@@ -77,43 +74,13 @@ class PlanMetrics:
     num_uavs: int
 
 
-def optimal_altitude(
-    edge_distance_m: float,
-    env: Environment,
-    bounds: AltitudeBounds,
-    radio: RadioConfig,
-) -> float:
-    """Altitude minimizing the gain-free path loss toward the cell edge.
-
-    Golden-section search over the bounds (0.5 m tolerance); the returned
-    value is the best of the interior estimate and both boundary altitudes,
-    which also covers the case of a minimizer outside the bounds.
-    """
+def optimal_altitude(edge_distance_m: float, env: Environment, bounds: AltitudeBounds) -> float:
+    """Altitude minimizing the gain-free path loss toward the cell edge: the
+    edge at ``optimal_elevation_rad(env)``, clamped to the bounds, which is the
+    best inside them because the loss has one minimum in the elevation."""
     if edge_distance_m < 0.0:
         raise ValueError("edge distance must be non-negative")
-
-    def loss(h: float) -> float:
-        return avg_path_loss(h, edge_distance_m, env, radio)
-
-    lo, hi = bounds.h_min, bounds.h_max
-    a, b = lo, hi
-    c = b - _INV_PHI * (b - a)
-    d = a + _INV_PHI * (b - a)
-    fc, fd = loss(c), loss(d)
-    for _ in range(GOLDEN_MAX_ITERATIONS):
-        if b - a <= GOLDEN_TOLERANCE_M:
-            break
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_PHI * (b - a)
-            fc = loss(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_PHI * (b - a)
-            fd = loss(d)
-    interior = 0.5 * (a + b)
-    candidates = (interior, lo, hi)
-    return min(candidates, key=loss)
+    return min(max(edge_distance_m * math.tan(optimal_elevation_rad(env)), bounds.h_min), bounds.h_max)
 
 
 def beam_from_footprint(altitude_m: float, footprint: Ellipse) -> Beam:
@@ -170,7 +137,7 @@ def deploy_cell(
     major, _ = footprint.semi_axes
     cell_edge = edge_distance(footprint, points)
     bounds = AltitudeBounds.for_footprint(major, h_max)
-    height = optimal_altitude(cell_edge, env, bounds, radio)
+    height = optimal_altitude(cell_edge, env, bounds)
     beam = beam_from_footprint(height, footprint)
     return UavDeployment(
         x=float(center[0]),

@@ -210,11 +210,14 @@ def _dual_weights(z: np.ndarray):
     u[hull] = 1.0 / len(hull)
     iterations = 0
     if len(hull) > _MAX_SUPPORT:
-        u[hull], iterations = _away_steps(q[hull], u[hull], _COARSE_GAP, MVEE_MAX_ITERATIONS)
+        u[hull], iterations, gap = _away_steps(q[hull], u[hull], _COARSE_GAP, MVEE_MAX_ITERATIONS)
+        # a cocircular hull is optimal at uniform weights, out of Newton's six-point reach
+        if gap <= _CERTIFIED_GAP and (gap := _gap(_leverages(q, u))) <= _CERTIFIED_GAP:
+            return u, FitRecord(gap, 0, iterations, False)
     polished, steps, gap = _newton(q, u)
     if polished is not None:
         return polished, FitRecord(gap, steps, iterations, False)
-    u[hull], more = _away_steps(q[hull], u[hull], MVEE_TOLERANCE, MVEE_MAX_ITERATIONS - iterations)
+    u[hull], more, _ = _away_steps(q[hull], u[hull], MVEE_TOLERANCE, MVEE_MAX_ITERATIONS - iterations)
     gap = _gap(_leverages(q, u))
     if gap > MVEE_TOLERANCE:
         warnings.warn(
@@ -243,7 +246,7 @@ def _leverages(q: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 def _away_steps(q: np.ndarray, u: np.ndarray, tolerance: float, max_iterations: int):
-    """First-order dual updates with away steps; returns (u, iterations)."""
+    """First-order dual updates with away steps; returns (u, iterations, gap)."""
     d = float(_LIFT_DIM)
     u = u.copy()
     it = 0
@@ -254,7 +257,7 @@ def _away_steps(q: np.ndarray, u: np.ndarray, tolerance: float, max_iterations: 
         # the max-w gap bounds the area suboptimality, so it is the stop test;
         # a weight-change test would quit early on clamped away steps
         if gap <= tolerance or it == max_iterations:
-            return u, it
+            return u, it, gap
         active = np.flatnonzero(u > 0.0)
         j_aw = int(active[np.argmin(w[active])])
         gap_aw = 1.0 - w[j_aw] / d

@@ -27,7 +27,7 @@ from scipy.spatial import ConvexHull, QhullError
 from scipy.spatial.distance import pdist, squareform
 
 from uavcell.baseline import _partitions
-from uavcell.channel import avg_path_loss
+from uavcell.channel import RadioConfig, avg_path_loss
 from uavcell.clustering import Cluster, ClusterSet, find_intersections
 from uavcell.deployment import SNR_GRACE_DB, deploy
 from uavcell.geometry import contains, mvee
@@ -195,10 +195,11 @@ def grid_best_altitude(edge_distance_m, env, radio, h_min, h_max, step=0.5) -> f
     return float(grid[int(np.argmin(losses))])
 
 
-def grid_altitude(edge_distance_m, env, bounds, radio, step) -> float:
-    """``grid_best_altitude`` with the signature of ``deployment.optimal_altitude``,
-    to stand in for the golden-section search (bind ``step`` first)."""
-    return grid_best_altitude(edge_distance_m, env, radio, bounds.h_min, bounds.h_max, step)
+def grid_altitude(edge_distance_m, env, bounds, step) -> float:
+    """``grid_best_altitude`` on the default radio with the signature of
+    ``deployment.optimal_altitude``, to stand in for the closed form (bind
+    ``step`` first)."""
+    return grid_best_altitude(edge_distance_m, env, RadioConfig(), bounds.h_min, bounds.h_max, step)
 
 
 def silhouette_direct(points, labels) -> float:

@@ -147,7 +147,7 @@ def test_acceptance_05_altitude_search_matches_grid_argmin():
         best_losses = []
         for edge in edges:
             bounds = AltitudeBounds.for_footprint(edge, h_max=3000.0)
-            h_opt = optimal_altitude(edge, env, bounds, RADIO)
+            h_opt = optimal_altitude(edge, env, bounds)
             h_grid = grid_best_altitude(edge, env, RADIO, bounds.h_min, bounds.h_max, step=0.5)
             worst_gap = max(worst_gap, abs(h_opt - h_grid))
             best_losses.append(avg_path_loss(h_opt, edge, env, RADIO))

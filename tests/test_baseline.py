@@ -180,10 +180,10 @@ def test_grid_altitude_cross_checks_golden_section(monkeypatch):
         rng.normal([250.0, 250.0], 20.0, (3, 2)),
         rng.normal([700.0, 700.0], 20.0, (3, 2)),
     ])
-    _, golden = brute_force_optimum(pts, 2, URBAN, RADIO)
+    _, closed_form = brute_force_optimum(pts, 2, URBAN, RADIO)
     monkeypatch.setattr(deployment, "optimal_altitude", partial(grid_altitude, step=0.5))
     _, grid = brute_force_optimum(pts, 2, URBAN, RADIO)
-    assert grid == pytest.approx(golden, rel=1e-3)
+    assert grid == pytest.approx(closed_form, rel=1e-3)
 
 
 def test_brute_caps():

@@ -266,6 +266,13 @@ def test_evaluate_missing_plan(tmp_path):
     assert main(["evaluate", str(tmp_path / "missing.json"), str(scen), "--out-dir", str(tmp_path / "o")]) == 2
 
 
+def test_deploy_and_evaluate_on_a_directory_exit_2(tmp_path):
+    scen = write_scenario(tmp_path / "s.json", two_blob_users())
+    out = str(tmp_path / "o")
+    assert main(["deploy", str(tmp_path), "--out-dir", out]) == 2
+    assert main(["evaluate", str(tmp_path), str(scen), "--out-dir", out]) == 2
+
+
 @pytest.mark.parametrize("field, literal, message", [
     ("members", "1e400", "'members' must be a list of integer user indices"),
     ("members", "2.5", "'members' must be a list of integer user indices"),
@@ -398,7 +405,8 @@ def test_sweep_rejects_unknown_keys(tmp_path):
     manifest = tmp_path / "manifest.json"
     for extra in ({"mystery": 1}, {"overrides": {"seed": 3}}, {"overrides": {"env": "lunar"}}, {"overrides": [1]}, {"circle": 5},
                   {"methods": "ellipse"}, {"methods": []}, {"methods": [["ellipse"]]},
-                  {"overrides": {"snr_threshold_db": "nan"}}):
+                  {"overrides": {"snr_threshold_db": "nan"}}, {"scenarios": 5}, {"scenarios": [5]},
+                  {"scenarios": "one.json"}, {"out_dir": 5}, {"overrides": {"h_max": [1]}}):
         manifest.write_text(json.dumps({"out_dir": "x", "scenarios": ["one.json"], **extra}))
         assert main(["sweep", str(manifest)]) == 2
     manifest.write_text("[1]")

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from oracles import grid_best_altitude
-from uavcell.channel import ENVIRONMENTS, Beam, RadioConfig, avg_path_loss, dbm_to_mw
+from uavcell.channel import ENVIRONMENTS, Beam, RadioConfig, avg_path_loss, dbm_to_mw, optimal_elevation_rad
 from uavcell import deployment
 from uavcell.clustering import Cluster, ClusterSet, ellipse_clustering
 from uavcell.deployment import (
@@ -56,7 +56,7 @@ def test_altitude_matches_dense_grid():
         edge = float(rng.uniform(50.0, 800.0))
         env = ENVIRONMENTS[rng.choice(list(ENVIRONMENTS))]
         bounds = AltitudeBounds.for_footprint(edge * 0.9, 1000.0)
-        got = optimal_altitude(edge, env, bounds, RADIO)
+        got = optimal_altitude(edge, env, bounds)
         want = grid_best_altitude(edge, env, RADIO, bounds.h_min, bounds.h_max)
         assert abs(got - want) <= 1.0
         assert bounds.h_min <= got <= bounds.h_max
@@ -65,7 +65,7 @@ def test_altitude_matches_dense_grid():
 def test_altitude_boundary_when_minimizer_below_range():
     # urban at a 100 m edge wants a low platform; force the range above it
     bounds = AltitudeBounds(800.0, 1000.0)
-    got = optimal_altitude(100.0, URBAN, bounds, RADIO)
+    got = optimal_altitude(100.0, URBAN, bounds)
     assert got == pytest.approx(800.0)
 
 
@@ -74,14 +74,27 @@ def test_min_loss_grows_with_cell_size():
         best = []
         for edge in (100.0, 200.0, 400.0, 800.0):
             bounds = AltitudeBounds.for_footprint(edge, 1000.0)
-            h = optimal_altitude(edge, env, bounds, RADIO)
+            h = optimal_altitude(edge, env, bounds)
             best.append(avg_path_loss(h, edge, env, RADIO))
         assert all(b >= a for a, b in zip(best, best[1:]))
 
 
 def test_altitude_rejects_negative_edge():
     with pytest.raises(ValueError):
-        optimal_altitude(-1.0, URBAN, AltitudeBounds(10.0, 100.0), RADIO)
+        optimal_altitude(-1.0, URBAN, AltitudeBounds(10.0, 100.0))
+
+
+@pytest.mark.parametrize("env", ENVIRONMENTS.values(), ids=ENVIRONMENTS)
+def test_optimal_elevation_matches_grid_argmin(env):
+    step = 1e-5
+    thetas = np.arange(step, math.pi / 2.0, step)
+    losses = [avg_path_loss(math.tan(t), 1.0, env, RADIO) for t in thetas]
+    assert abs(optimal_elevation_rad(env) - thetas[int(np.argmin(losses))]) <= step
+
+
+def test_zero_edge_distance_sits_on_the_floor():
+    for env in ENVIRONMENTS.values():
+        assert optimal_altitude(0.0, env, AltitudeBounds(25.0, 1000.0)) == 25.0
 
 
 # --- beam sizing ------------------------------------------------------------
@@ -185,7 +198,7 @@ def test_deploy_cell_looks_up_the_altitude_search_when_called(monkeypatch):
     monkeypatch.setattr(deployment, "optimal_altitude", recorded)
     plan = deploy(cs, URBAN, RADIO)
     assert len(searched) == len(plan.uavs) == len(cs.clusters)
-    monkeypatch.setattr(deployment, "optimal_altitude", lambda edge, env, bounds, radio: bounds.h_max)
+    monkeypatch.setattr(deployment, "optimal_altitude", lambda edge, env, bounds: bounds.h_max)
     fixed = deploy(cs, URBAN, RADIO)
     assert len(searched) == len(cs.clusters)
     assert all(u.altitude_m == 1000.0 for u in fixed.uavs)

@@ -156,6 +156,17 @@ def test_seed_two_user_set_is_certified_without_fallback():
     assert contains(e, users).all()
 
 
+@pytest.mark.parametrize("sides", [48, 90, 360])
+def test_cocircular_hulls_are_certified_without_fallback(sides):
+    # uniform weights are optimal on a regular polygon, out of reach of
+    # Newton's support of at most six points
+    t = 2.0 * math.pi * np.arange(sides) / sides
+    pts = 1e3 + 100.0 * np.column_stack([np.cos(t), np.sin(t)])
+    e = mvee(pts)
+    assert not e.fit.fallback and e.fit.gap <= 1e-12
+    assert contains(e, pts).all()
+
+
 def test_capped_fallback_warns_with_size_and_gap(monkeypatch):
     monkeypatch.setattr(geometry, "_newton", lambda q, u: (None, 0, math.inf))
     monkeypatch.setattr(geometry, "MVEE_MAX_ITERATIONS", 5)

@@ -1,7 +1,7 @@
 """Property tests of the ellipse fit and the clustering steps, the vectorized
 steps against per-item oracles, the Ward-merge replay against ``cut_tree``,
-the JSON writer against ``json`` and the per-UAV ``evaluate`` against the
-per-user scalar link budget.
+the JSON writer against ``json``, the per-UAV ``evaluate`` against the
+per-user scalar link budget and the closed-form altitude against a grid.
 
 Examples are derandomized so that every run checks the same cases.
 """
@@ -29,7 +29,7 @@ from oracles import (
 )
 from uavcell import clustering, deployment
 from uavcell.baseline import brute_force_plan
-from uavcell.channel import ENVIRONMENTS, Beam, RadioConfig
+from uavcell.channel import ENVIRONMENTS, Beam, RadioConfig, avg_path_loss
 from uavcell.clustering import (
     Cluster,
     ClusterSet,
@@ -39,7 +39,7 @@ from uavcell.clustering import (
     select_k,
     silhouette_index,
 )
-from uavcell.deployment import SNR_GRACE_DB, DeploymentPlan, UavDeployment, evaluate, required_power_dbm
+from uavcell.deployment import SNR_GRACE_DB, AltitudeBounds, DeploymentPlan, UavDeployment, evaluate, required_power_dbm
 from uavcell.geometry import MIN_SEMI_AXIS_M, MVEE_TOLERANCE, Ellipse, contains, mvee
 from uavcell.scenario import PcpConfig, Region, dump_canonical_json, generate_pcp
 
@@ -308,12 +308,32 @@ def _outcome(search):
 @example(np.array([[1.0, 3.0], [1.0, 2.0], [2.0, 2.0], [2.0, 1.0]]), 2, 0.0)
 def test_brute_force_matches_per_partition_reference(users, num_uavs, step):
     urban, radio = ENVIRONMENTS["urban"], RadioConfig()
-    # step 0 keeps the golden-section search; hypothesis rejects monkeypatch here
+    # step 0 keeps the closed-form altitude; hypothesis rejects monkeypatch here
     search = partial(grid_altitude, step=step) if step > 0.0 else deployment.optimal_altitude
     with patch.object(deployment, "optimal_altitude", search):
         got = _outcome(lambda: brute_force_plan(users, num_uavs, urban, radio))
         want = _outcome(lambda: brute_force_per_partition(users, num_uavs, urban, radio))
     assert got == want  # same groups, UAV fields and bit-equal total power
+
+
+@PROPERTY
+@given(
+    st.floats(0.0, 3000.0),
+    st.sampled_from(list(ENVIRONMENTS.values())),
+    st.floats(1.0, 1000.0),
+    st.floats(0.0, 2000.0),
+    st.sampled_from([0.9e9, 2.0e9, 5.8e9]),
+)
+@example(3000.0, ENVIRONMENTS["suburban"], 1.0, 2000.0, 5.8e9)  # the optimum inside the bounds
+@example(0.0, ENVIRONMENTS["urban"], 1.0, 10.0, 0.9e9)
+def test_closed_form_altitude_is_no_worse_than_a_grid(edge, env, h_min, span, carrier):
+    bounds = AltitudeBounds(h_min, h_min + span)
+    radio = RadioConfig(carrier_frequency_hz=carrier)
+    grid = np.append(np.arange(bounds.h_min, bounds.h_max, 0.5), bounds.h_max)
+    best = min(avg_path_loss(h, edge, env, radio) for h in grid)
+    got = deployment.optimal_altitude(edge, env, bounds)
+    assert bounds.h_min <= got <= bounds.h_max
+    assert avg_path_loss(got, edge, env, radio) <= (1.0 + 1e-12) * best
 
 
 json_floats = st.floats() | st.sampled_from(
