@@ -131,24 +131,28 @@ def brute_force_plan(
     if not 1 <= num_uavs <= _HARD_MAX_UAVS:
         raise ValueError(f"num_uavs must be in [1, {_HARD_MAX_UAVS}]")
 
-    # per distinct cell, keyed by its sorted members: one fit, one inside mask,
-    # and one UAV, deployed when the cell first appears in a feasible partition
-    clusters: dict[tuple[int, ...], Cluster] = {}
-    inside: dict[tuple[int, ...], np.ndarray] = {}
-    uavs: dict[tuple[int, ...], UavDeployment] = {}
+    # per distinct cell, keyed by the bitmask of its members: one fit, the
+    # bitmask of the users inside its ellipse, and one UAV, deployed when the
+    # cell first appears in a feasible partition
+    clusters: dict[int, Cluster] = {}
+    inside: dict[int, int] = {}
+    uavs: dict[int, UavDeployment] = {}
     best: DeploymentPlan | None = None
     for labels in _partitions(n, num_uavs):
-        keys = [tuple(np.flatnonzero(labels == g).tolist()) for g in range(labels.max() + 1)]
+        keys = [0] * (int(labels.max()) + 1)
+        for i, g in enumerate(labels.tolist()):
+            keys[g] |= 1 << i
         for key in keys:
             if key not in clusters:
-                clusters[key] = Cluster(frozenset(key), mvee(pts[list(key)]))
-                inside[key] = contains(clusters[key].ellipse, pts)
+                members = [i for i in range(n) if key >> i & 1]
+                clusters[key] = Cluster(frozenset(members), mvee(pts[members]))
+                inside[key] = sum(1 << i for i in np.flatnonzero(contains(clusters[key].ellipse, pts)).tolist())
         # the rule of find_intersections: no user of either cell lies inside both
-        if any((inside[a] & inside[b])[list(a + b)].any() for a, b in combinations(keys, 2)):
+        if any(inside[a] & inside[b] & (a | b) for a, b in combinations(keys, 2)):
             continue
         for key in keys:
             if key not in uavs:
-                uavs[key] = deploy_cell(clusters[key], pts[list(key)], env, radio, h_max)
+                uavs[key] = deploy_cell(clusters[key], pts[sorted(clusters[key].members)], env, radio, h_max)
         total = sum(dbm_to_mw(uavs[key].tx_power_dbm) for key in keys)
         if best is None or total < best.total_power_mw:
             best = DeploymentPlan([uavs[key] for key in keys], env, radio, total)

@@ -133,11 +133,10 @@ def _flag_overrides(args) -> dict:
 
 
 def cmd_generate(args) -> int:
+    region = Region(width_m=args.width, height_m=args.height)
+    template = _override_scenario(_default_scenario(region), _flag_overrides(args))
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    region = Region(width_m=args.width, height_m=args.height)
-    defaults = Scenario(region, np.empty((0, 2)), ENVIRONMENTS["urban"], RadioConfig(), ClusteringConfig())
-    template = _override_scenario(defaults, _flag_overrides(args))
     rng = np.random.default_rng(args.master_seed)
     seeds = rng.integers(0, 2**62, size=max(args.count, 0))
     for i in range(args.count):
@@ -147,6 +146,11 @@ def cmd_generate(args) -> int:
         save_scenario(scenario, path)
         log.info("wrote %s (%d users)", path, len(users))
     return EXIT_OK
+
+
+def _default_scenario(region: Region) -> Scenario:
+    """A user-less urban scenario with default radio and clustering settings."""
+    return Scenario(region, np.empty((0, 2)), ENVIRONMENTS["urban"], RadioConfig(), ClusteringConfig())
 
 
 def _nonempty_realization(region: Region, seed: int, args) -> tuple[PcpConfig, np.ndarray]:
@@ -293,28 +297,35 @@ def cmd_sweep(args) -> int:
     scenarios = manifest.get("scenarios", [])
     if not isinstance(scenarios, list) or not all(isinstance(p, str) for p in scenarios):
         raise ValueError(f"{manifest_path}: 'scenarios' must be a list of paths")
-    out_dir = Path(manifest["out_dir"])
-    if not out_dir.is_absolute():
-        out_dir = manifest_path.parent / out_dir
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    scenario_paths = [
-        p if Path(p).is_absolute() else manifest_path.parent / p
-        for p in scenarios
-    ]
-    if "generate" in manifest:
-        scenario_paths += _sweep_generate(manifest["generate"], out_dir)
-    if not scenario_paths:
-        raise ValueError(f"{manifest_path}: no scenarios given or generated")
-
     methods = manifest.get("methods", ["ellipse"])
     if not isinstance(methods, list) or not methods or not all(isinstance(m, str) for m in methods):
         raise ValueError(f"{manifest_path}: 'methods' must be a non-empty list of method names")
     bad = [m for m in methods if m not in _METHODS]
     if bad:
         raise ValueError(f"{manifest_path}: unknown methods {bad}")
+    overrides = dict(manifest.get("overrides", {}))
+    try:
+        h_max = float(overrides.pop("h_max", 1000.0))
+    except (TypeError, OverflowError) as exc:
+        raise ValueError(f"'h_max' override must be a number: {exc}") from exc
+    _override_scenario(_default_scenario(Region()), overrides)  # every override is checked before any file is written
+    out_dir = Path(manifest["out_dir"])
+    if not out_dir.is_absolute():
+        out_dir = manifest_path.parent / out_dir
+    generate = _sweep_generate_args(manifest["generate"], out_dir) if "generate" in manifest else None
+    if not scenarios and (generate is None or generate.count < 1):
+        raise ValueError(f"{manifest_path}: no scenarios given or generated")
 
-    rows, aggregates, code = _run_sweep(manifest, methods, scenario_paths)
+    scenario_paths = [
+        p if Path(p).is_absolute() else manifest_path.parent / p
+        for p in scenarios
+    ]
+    if generate is not None:
+        cmd_generate(generate)  # checks its own flags before it writes
+        scenario_paths += sorted(Path(generate.out_dir).glob("scenario_*.json"))
+    out_dir.mkdir(parents=True, exist_ok=True)
+
+    rows, aggregates, code = _run_sweep(manifest, methods, scenario_paths, overrides, h_max)
     _write_csv(out_dir / "runs.csv", _RUN_COLUMNS, [[row[c] for c in _RUN_COLUMNS] for row in rows])
     _write_csv(
         out_dir / "aggregate.csv",
@@ -326,32 +337,26 @@ def cmd_sweep(args) -> int:
     return code
 
 
-def _sweep_generate(spec: dict, out_dir: Path) -> list[Path]:
-    gen_dir = out_dir / "scenarios"
+def _sweep_generate_args(spec: dict, out_dir: Path) -> argparse.Namespace:
+    """The parsed ``generate`` command of a manifest's ``generate`` block."""
     argv = [
         "generate",
-        "--out-dir", str(gen_dir),
+        "--out-dir", str(out_dir / "scenarios"),
         "--count", str(spec.get("count", 1)),
         "--master-seed", str(spec.get("master_seed", 0)),
     ]
     for key in ("width", "height", "parent_intensity_per_km2", "cluster_radius", "mean_daughters", "env"):
         if key in spec:
             argv += [f"--{key.replace('_', '-')}", str(spec[key])]
-    cmd_generate(_build_parser().parse_args(argv))
-    return sorted(gen_dir.glob("scenario_*.json"))
+    return _build_parser().parse_args(argv)
 
 
-def _run_sweep(manifest, methods, scenario_paths):
+def _run_sweep(manifest, methods, scenario_paths, overrides, h_max):
     """Run every method on every scenario; returns (rows, aggregates, exit code).
 
     A failed run becomes a row with its status and error, and the exit code
     is the one ``main`` gives for the first failure.
     """
-    overrides = dict(manifest.get("overrides", {}))
-    try:
-        h_max = float(overrides.pop("h_max", 1000.0))
-    except (TypeError, OverflowError) as exc:
-        raise ValueError(f"'h_max' override must be a number: {exc}") from exc
     rows = []
     code = EXIT_OK
     for path in scenario_paths:

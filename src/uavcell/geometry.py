@@ -6,9 +6,11 @@ positive definite, so containment tests and affine bookkeeping stay cheap.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
@@ -56,7 +58,8 @@ class Ellipse:
             raise ValueError("ellipse parameters must be finite")
         if abs(self.A[0, 1] - self.A[1, 0]) > 1e-9 * (1.0 + abs(self.A).max()):
             raise ValueError("A must be symmetric")
-        if np.linalg.eigvalsh(self.A)[0] <= 0.0:
+        # a symmetric 2x2 matrix is positive definite iff A[0,0] > 0 and det(A) > 0
+        if not (self.A[0, 0] > 0.0 and self.A[0, 0] * self.A[1, 1] - self.A[0, 1] * self.A[1, 0] > 0.0):
             raise ValueError("A must be positive definite")
 
     def __eq__(self, other) -> bool:
@@ -90,8 +93,11 @@ def mvee(points) -> Ellipse:
     """Fit a minimum-area ellipse enclosing ``points``.
 
     Solves the dual of the lifted problem on the whitened convex-hull
-    vertices (sets of up to six points whole): a short away-step phase, then
-    active-set Newton, certified to a relative duality gap of 1e-12 on every
+    vertices (sets of up to six points whole).  A hull of at most six
+    vertices is first screened for a vertex triple whose Steiner ellipse
+    already holds every point; otherwise a short away-step phase (hulls of
+    more than six vertices) and active-set Newton follow.  Either way the
+    weights are certified to a relative duality gap of 1e-12 on every
     point.  If Newton fails, the away-step loop goes on to a gap of
     ``MVEE_TOLERANCE``; stopping at ``MVEE_MAX_ITERATIONS`` above it warns.
     ``Ellipse.fit`` records how the solve ended.  Inputs whose spread
@@ -189,11 +195,13 @@ def _dual_weights(z: np.ndarray):
     """(weights, fit record) of the dual MVEE solve on the points ``z``.
 
     Only hull vertices can carry weight.  Sets of up to ``_MAX_SUPPORT``
-    points go straight to Newton from uniform weights; larger sets run the
-    away-step loop on their hull vertices to a gap of ``_COARSE_GAP`` first.
-    Newton certifies its gap on every point, so the fit does not rest on
-    qhull's rounding.  If Newton fails, the away-step loop continues on the
-    hull from the same weights to ``MVEE_TOLERANCE``.
+    points, and larger sets whose hull has at most that many vertices, try
+    the best Steiner triple (``_steiner_triple``) and then go to Newton from
+    uniform weights; larger hulls run the away-step loop to a gap of
+    ``_COARSE_GAP`` first.  Every answer is certified by its gap on every
+    point, so the fit does not rest on qhull's rounding.  If Newton fails,
+    the away-step loop continues on the hull from the same weights to
+    ``MVEE_TOLERANCE``.
     """
     n = len(z)
     if n == _LIFT_DIM:
@@ -207,6 +215,11 @@ def _dual_weights(z: np.ndarray):
         except QhullError:
             pass
     u = np.zeros(n)
+    if len(hull) <= _MAX_SUPPORT and (triple := _steiner_triple(z, hull)) is not None:
+        # by Welzl's argument, a support's optimum that holds every point is optimal
+        u[triple] = 1.0 / _LIFT_DIM
+        if (gap := _gap(_leverages(q, u))) <= _CERTIFIED_GAP:
+            return u, FitRecord(gap, 0, 0, False)
     u[hull] = 1.0 / len(hull)
     iterations = 0
     if len(hull) > _MAX_SUPPORT:
@@ -227,6 +240,40 @@ def _dual_weights(z: np.ndarray):
             stacklevel=4,
         )
     return u, FitRecord(gap, steps, iterations + more, True)
+
+
+def _steiner_triple(z: np.ndarray, hull: np.ndarray):
+    """The hull triple whose Steiner ellipse holds every point with the most room.
+
+    Point p lies in the Steiner ellipse of (a, b, c), whose dual weights are
+    1/3 each, iff its barycentric coordinates l satisfy ||l||^2 <= 1, since its
+    leverage there is 3 ||l||^2.  All triples are scored at once; collinear
+    ones are skipped.  Returns the triple's indices into ``z``, or None when
+    no triple comes within 1e-9 of holding every point.
+    """
+    triples = hull[_triples(len(hull))]
+    a, b, c = z[triples]  # (triples, 2) each
+    ab, ac = b - a, c - a
+    det = ab[:, 0] * ac[:, 1] - ab[:, 1] * ac[:, 0]
+    d = z - a[:, None, :]  # (triples, n, 2)
+    nb = d[..., 0] * ac[:, 1, None] - d[..., 1] * ac[:, 0, None]  # det * l_b
+    nc = ab[:, 0, None] * d[..., 1] - ab[:, 1, None] * d[..., 0]  # det * l_c
+    na = det[:, None] - nb - nc
+    worst = (na * na + nb * nb + nc * nc).max(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        room = np.where(det != 0.0, worst / (det * det), np.inf)
+    best = int(np.argmin(room))
+    if not room[best] <= 1.0 + 1e-9:
+        return None
+    return triples[:, best]
+
+
+@functools.cache
+def _triples(m: int) -> np.ndarray:
+    """(3, C(m, 3)) indices of every 3-subset of range(m), in lexicographic order."""
+    triples = np.array(list(combinations(range(m), 3)), dtype=np.intp).reshape(-1, 3).T
+    triples.flags.writeable = False  # shared by every caller through the cache
+    return triples
 
 
 def _gap(w: np.ndarray) -> float:

@@ -419,6 +419,16 @@ def test_sweep_needs_scenarios(tmp_path):
     assert main(["sweep", str(manifest)]) == 2
 
 
+@pytest.mark.parametrize(
+    "extra", [{"overrides": {"env": "lunar"}}, {"methods": ["bogus"]}, {"generate": {"count": 1, "width": -5}}]
+)
+def test_bad_sweep_manifest_exits_2_before_writing(tmp_path, extra):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"out_dir": "out", "generate": {"count": 1}, **extra}))
+    assert main(["sweep", str(manifest)]) == 2
+    assert not (tmp_path / "out").exists()
+
+
 def test_console_entry_point_help():
     proc = subprocess.run(
         [sys.executable, "-m", "uavcell.cli", "--help"],

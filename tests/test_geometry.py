@@ -133,6 +133,10 @@ def test_ellipse_validation():
         Ellipse(A=np.array([[1.0, 0.5], [0.0, 1.0]]), b=np.zeros(2))  # not symmetric
     with pytest.raises(ValueError):
         Ellipse(A=np.array([[1.0, 0.0], [0.0, -1.0]]), b=np.zeros(2))  # not positive definite
+    with pytest.raises(ValueError, match="positive definite"):
+        Ellipse(A=np.array([[1.0, 1.0], [1.0, 1.0]]), b=np.zeros(2))  # semidefinite: det(A) = 0
+    with pytest.raises(ValueError, match="positive definite"):
+        Ellipse(A=-np.eye(2), b=np.zeros(2))  # negative definite: det(A) > 0, A[0, 0] < 0
     with pytest.raises(ValueError):
         Ellipse(A=np.eye(3), b=np.zeros(3))
 
@@ -193,3 +197,30 @@ def test_equal_ellipses_compare_by_value():
     assert e != Ellipse(A=2.0 * e.A, b=e.b) and e != "ellipse"
     with pytest.raises(TypeError):
         hash(e)
+
+
+@pytest.mark.parametrize("interior", [1, 2, 3, 7])
+def test_triangle_with_interior_points_is_certified_without_newton(interior):
+    # the Steiner ellipse of the hull triangle holds every interior point, so
+    # it is the optimum, with area 4 pi / (3 sqrt 3) times the triangle's
+    tri = np.array([[100.0, 200.0], [400.0, 250.0], [180.0, 520.0]])
+    weights = np.random.default_rng(interior).dirichlet(np.ones(3), interior)
+    pts = np.vstack([tri, weights @ tri])
+    e = mvee(pts)
+    assert e.fit.newton_steps == 0 and e.fit.gap <= 1e-12 and not e.fit.fallback
+    assert contains(e, pts).all()
+    (ax, ay), (bx, by) = tri[1] - tri[0], tri[2] - tri[0]
+    tri_area = 0.5 * abs(ax * by - ay * bx)
+    assert e.area == pytest.approx(4.0 * math.pi / (3.0 * math.sqrt(3.0)) * tri_area, rel=1e-9)
+
+
+@pytest.mark.parametrize("shape", ["rectangle", "pentagon"])
+def test_supports_beyond_three_points_still_reach_newton(shape):
+    if shape == "rectangle":
+        pts = np.array([[0.0, 0.0], [40.0, 0.0], [40.0, 30.0], [0.0, 30.0]])
+    else:
+        t = 2.0 * math.pi * np.arange(5) / 5
+        pts = 50.0 * np.column_stack([np.cos(t), np.sin(t)])
+    e = mvee(pts)
+    assert e.fit.newton_steps > 0 and e.fit.gap <= 1e-12 and not e.fit.fallback
+    assert contains(e, pts).all()

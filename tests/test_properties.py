@@ -12,6 +12,7 @@ from functools import partial
 from unittest.mock import patch
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.cluster.hierarchy import cut_tree, linkage
@@ -27,7 +28,7 @@ from oracles import (
     select_k_direct,
     silhouette_per_point,
 )
-from uavcell import clustering, deployment
+from uavcell import clustering, deployment, geometry
 from uavcell.baseline import brute_force_plan
 from uavcell.channel import ENVIRONMENTS, Beam, RadioConfig, avg_path_loss
 from uavcell.clustering import (
@@ -260,6 +261,16 @@ def test_mvee_of_the_hull_vertices_is_the_same_ellipse(pts, offset):
     _assert_same_ellipse(mvee(pts[hull]), _shape(e), e.center, pts)
 
 
+@PROPERTY
+@given(point_sets(4, 6))
+def test_steiner_screen_gives_the_newton_area(pts):
+    screened = mvee(pts)
+    with patch.object(geometry, "_steiner_triple", lambda z, hull: None):
+        newton = mvee(pts)
+    assert math.isclose(screened.area, newton.area, rel_tol=1e-12)
+    assert contains(screened, pts).all()
+
+
 @st.composite
 def tiny_instances(draw):
     """Up to six users in a 1 km square; duplicates, collinear users and
@@ -314,6 +325,16 @@ def test_brute_force_matches_per_partition_reference(users, num_uavs, step):
         got = _outcome(lambda: brute_force_plan(users, num_uavs, urban, radio))
         want = _outcome(lambda: brute_force_per_partition(users, num_uavs, urban, radio))
     assert got == want  # same groups, UAV fields and bit-equal total power
+
+
+@pytest.mark.parametrize("n, num_uavs", [(10, 2), (8, 3)])
+def test_brute_force_matches_per_partition_reference_at_the_user_cap(n, num_uavs):
+    # tiny_instances stops at six users, so the high member bits go untested there
+    users = np.random.default_rng(n).uniform(0.0, 600.0, (n, 2))
+    urban, radio = ENVIRONMENTS["urban"], RadioConfig()
+    got = _outcome(lambda: brute_force_plan(users, num_uavs, urban, radio))
+    want = _outcome(lambda: brute_force_per_partition(users, num_uavs, urban, radio))
+    assert got == want
 
 
 @PROPERTY
