@@ -142,10 +142,15 @@ def cmd_generate(args) -> int:
     for i in range(args.count):
         pcp, users = _nonempty_realization(region, int(seeds[i]), args)
         scenario = replace(template, users=users, pcp=pcp)
-        path = out_dir / f"scenario_{i:03d}.json"
+        path = _scenario_path(out_dir, i)
         save_scenario(scenario, path)
         log.info("wrote %s (%d users)", path, len(users))
     return EXIT_OK
+
+
+def _scenario_path(out_dir: Path, i: int) -> Path:
+    """Where ``generate`` writes its ``i``-th scenario."""
+    return out_dir / f"scenario_{i:03d}.json"
 
 
 def _default_scenario(region: Region) -> Scenario:
@@ -322,7 +327,8 @@ def cmd_sweep(args) -> int:
     ]
     if generate is not None:
         cmd_generate(generate)  # checks its own flags before it writes
-        scenario_paths += sorted(Path(generate.out_dir).glob("scenario_*.json"))
+        # exactly the files this generate wrote, not those of an earlier, larger run
+        scenario_paths += [_scenario_path(Path(generate.out_dir), i) for i in range(generate.count)]
     out_dir.mkdir(parents=True, exist_ok=True)
 
     rows, aggregates, code = _run_sweep(manifest, methods, scenario_paths, overrides, h_max)

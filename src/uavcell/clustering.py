@@ -11,9 +11,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.cluster.hierarchy import linkage
-from scipy.spatial import ConvexHull, QhullError
-from scipy.spatial.distance import pdist, squareform
 
 from .geometry import Ellipse, contains, mvee
 
@@ -118,6 +115,8 @@ def silhouette_index(points, labels) -> float:
     Points in singleton clusters contribute 0, as do points whose intra and
     inter distances are both zero (co-located duplicates).
     """
+    from scipy.spatial.distance import pdist, squareform
+
     labels = np.asarray(labels)
     if len(np.unique(labels)) < 2:
         raise ValueError("silhouette needs at least two clusters")
@@ -147,6 +146,9 @@ def select_k(points, k_limit: int) -> int:
 
     Ties break toward the smaller k; fewer than two points or a k_limit below 2 give 1.
     """
+    from scipy.cluster.hierarchy import linkage
+    from scipy.spatial.distance import pdist, squareform
+
     pts = np.asarray(points, dtype=float)
     n = len(pts)
     if n < 2 or k_limit < 2:
@@ -228,6 +230,9 @@ def _farthest_pair(pts: np.ndarray) -> tuple[int, int]:
     sets qhull rejects, every pair is compared.  When all points coincide the
     pair is (0, 0).
     """
+    from scipy.spatial import ConvexHull, QhullError
+    from scipy.spatial.distance import pdist, squareform
+
     rim = np.arange(len(pts))
     if len(pts) >= _HULL_MIN_POINTS:
         try:

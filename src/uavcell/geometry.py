@@ -13,19 +13,19 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError
 
 __all__ = ["Ellipse", "mvee", "contains", "edge_distance"]
 
 _LIFT_DIM = 3  # planar points lifted with a homogeneous coordinate
 MVEE_TOLERANCE = 1e-7  # relative duality gap that stops the away-step fallback
-MVEE_MAX_ITERATIONS = 10_000  # away-step updates per fit, coarse phase included
+MVEE_MAX_ITERATIONS = 10_000  # away-step updates per fallback fit
 MIN_SEMI_AXIS_M = 1.0  # floor on every fitted semi-axis
-_COARSE_GAP = 1e-2  # away-step gap at which Newton takes over
 _CERTIFIED_GAP = 1e-12  # gap Newton must certify on every point
 _KKT_TOLERANCE = 3e-13  # |w_i - 3| on the support at Newton convergence
-_NEWTON_MAX_STEPS = 50
+_NEWTON_MAX_STEPS = 100
 _MAX_SUPPORT = 6  # rank bound of K o K for planar points lifted to 3-D
+_SINGULAR = 1e12  # condition number of K o K past which rounding picks the sign of a Newton step
+_DIRECTIONS = np.array([[1.0, 0.0, 1.0, 1.0], [0.0, 1.0, 1.0, -1.0]])  # x, y, x+y, x-y
 
 
 @dataclass(frozen=True)
@@ -92,14 +92,11 @@ class Ellipse:
 def mvee(points) -> Ellipse:
     """Fit a minimum-area ellipse enclosing ``points``.
 
-    Solves the dual of the lifted problem on the whitened convex-hull
-    vertices (sets of up to six points whole).  A hull of at most six
-    vertices is first screened for a vertex triple whose Steiner ellipse
-    already holds every point; otherwise a short away-step phase (hulls of
-    more than six vertices) and active-set Newton follow.  Either way the
-    weights are certified to a relative duality gap of 1e-12 on every
-    point.  If Newton fails, the away-step loop goes on to a gap of
-    ``MVEE_TOLERANCE``; stopping at ``MVEE_MAX_ITERATIONS`` above it warns.
+    Solves the dual of the lifted problem on the whitened points: a
+    Steiner-triple screen, then active-set Newton, both from the largest
+    triangle of the extreme points, certified to a relative duality gap of
+    1e-12 on every point.  If Newton fails, the away-step loop runs to a gap
+    of ``MVEE_TOLERANCE``; stopping at ``MVEE_MAX_ITERATIONS`` above it warns.
     ``Ellipse.fit`` records how the solve ended.  Inputs whose spread
     collapses in some direction are rebuilt from their principal axis
     instead, and every fitted semi-axis is floored at ``MIN_SEMI_AXIS_M`` so
@@ -194,78 +191,66 @@ def _fit_center_form(pts: np.ndarray):
 def _dual_weights(z: np.ndarray):
     """(weights, fit record) of the dual MVEE solve on the points ``z``.
 
-    Only hull vertices can carry weight.  Sets of up to ``_MAX_SUPPORT``
-    points, and larger sets whose hull has at most that many vertices, try
-    the best Steiner triple (``_steiner_triple``) and then go to Newton from
-    uniform weights; larger hulls run the away-step loop to a gap of
-    ``_COARSE_GAP`` first.  Every answer is certified by its gap on every
-    point, so the fit does not rest on qhull's rounding.  If Newton fails,
-    the away-step loop continues on the hull from the same weights to
-    ``MVEE_TOLERANCE``.
+    The core is every point of a set of up to ``_MAX_SUPPORT``, else the
+    points extreme along x, y and the diagonals (the initial core set of
+    Kumar & Yildirim, 2005).  Weights 1/3 on its largest triangle
+    (``_steiner_triple``) are tried first, and Newton starts from them.
+    Every answer is certified by its gap on every point.  If Newton fails,
+    the away-step loop of Todd & Yildirim (2007) runs to ``MVEE_TOLERANCE``.
     """
     n = len(z)
     if n == _LIFT_DIM:
         # three points in general position: the Steiner circumellipse
         return np.full(n, 1.0 / n), _EXACT
     q = np.column_stack([z, np.ones(n)])
-    hull = np.arange(n)
-    if n > _MAX_SUPPORT:
-        try:
-            hull = np.sort(ConvexHull(z).vertices)
-        except QhullError:
-            pass
+    core = np.arange(n) if n <= _MAX_SUPPORT else _extreme_points(z)
     u = np.zeros(n)
-    if len(hull) <= _MAX_SUPPORT and (triple := _steiner_triple(z, hull)) is not None:
+    if (triple := _steiner_triple(z, core)) is None:
+        u[core] = 1.0 / len(core)
+    else:
         # by Welzl's argument, a support's optimum that holds every point is optimal
         u[triple] = 1.0 / _LIFT_DIM
         if (gap := _gap(_leverages(q, u))) <= _CERTIFIED_GAP:
             return u, FitRecord(gap, 0, 0, False)
-    u[hull] = 1.0 / len(hull)
-    iterations = 0
-    if len(hull) > _MAX_SUPPORT:
-        u[hull], iterations, gap = _away_steps(q[hull], u[hull], _COARSE_GAP, MVEE_MAX_ITERATIONS)
-        # a cocircular hull is optimal at uniform weights, out of Newton's six-point reach
-        if gap <= _CERTIFIED_GAP and (gap := _gap(_leverages(q, u))) <= _CERTIFIED_GAP:
-            return u, FitRecord(gap, 0, iterations, False)
     polished, steps, gap = _newton(q, u)
     if polished is not None:
-        return polished, FitRecord(gap, steps, iterations, False)
-    u[hull], more, _ = _away_steps(q[hull], u[hull], MVEE_TOLERANCE, MVEE_MAX_ITERATIONS - iterations)
-    gap = _gap(_leverages(q, u))
+        return polished, FitRecord(gap, steps, 0, False)
+    u, iterations, gap = _away_steps(q)
     if gap > MVEE_TOLERANCE:
         warnings.warn(
             f"mvee: the dual solve on {n} points ended with a gap of {gap:.3g} "
-            f"after {iterations + more} first-order iterations",
+            f"after {iterations} first-order iterations",
             RuntimeWarning,
             stacklevel=4,
         )
-    return u, FitRecord(gap, steps, iterations + more, True)
+    return u, FitRecord(max(gap, 0.0), steps, iterations, True)
 
 
-def _steiner_triple(z: np.ndarray, hull: np.ndarray):
-    """The hull triple whose Steiner ellipse holds every point with the most room.
+def _extreme_points(z: np.ndarray) -> np.ndarray:
+    """Sorted indices of the points extreme along +-x, +-y, +-(x+y) and +-(x-y),
+    and of the point farthest from their line if they are only two (a thin kite's tips)."""
+    proj = z @ _DIRECTIONS
+    extremes = np.unique(np.concatenate([proj.argmax(axis=0), proj.argmin(axis=0)]))
+    if len(extremes) < _LIFT_DIM:
+        a, b = z[extremes]
+        cross = (z - a) @ [b[1] - a[1], a[0] - b[0]]
+        extremes = np.union1d(extremes, [np.abs(cross).argmax()])
+    return extremes
 
-    Point p lies in the Steiner ellipse of (a, b, c), whose dual weights are
-    1/3 each, iff its barycentric coordinates l satisfy ||l||^2 <= 1, since its
-    leverage there is 3 ||l||^2.  All triples are scored at once; collinear
-    ones are skipped.  Returns the triple's indices into ``z``, or None when
-    no triple comes within 1e-9 of holding every point.
+
+def _steiner_triple(z: np.ndarray, core: np.ndarray):
+    """The core triple that spans the largest triangle, or None if there is none.
+
+    If some triple's Steiner ellipse holds every point, it is the minimum
+    ellipse, so no triangle of the set is larger: only the largest is worth certifying.
     """
-    triples = hull[_triples(len(hull))]
+    triples = core[_triples(len(core))]
     a, b, c = z[triples]  # (triples, 2) each
     ab, ac = b - a, c - a
-    det = ab[:, 0] * ac[:, 1] - ab[:, 1] * ac[:, 0]
-    d = z - a[:, None, :]  # (triples, n, 2)
-    nb = d[..., 0] * ac[:, 1, None] - d[..., 1] * ac[:, 0, None]  # det * l_b
-    nc = ab[:, 0, None] * d[..., 1] - ab[:, 1, None] * d[..., 0]  # det * l_c
-    na = det[:, None] - nb - nc
-    worst = (na * na + nb * nb + nc * nc).max(axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        room = np.where(det != 0.0, worst / (det * det), np.inf)
-    best = int(np.argmin(room))
-    if not room[best] <= 1.0 + 1e-9:
+    area = np.abs(ab[:, 0] * ac[:, 1] - ab[:, 1] * ac[:, 0])
+    if not (area > 0.0).any():  # fewer than three points, or all on one line
         return None
-    return triples[:, best]
+    return triples[:, int(np.argmax(area))]
 
 
 @functools.cache
@@ -292,25 +277,25 @@ def _leverages(q: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.einsum("ij,jk,ik->i", q, vinv, q)
 
 
-def _away_steps(q: np.ndarray, u: np.ndarray, tolerance: float, max_iterations: int):
-    """First-order dual updates with away steps; returns (u, iterations, gap)."""
+def _away_steps(q: np.ndarray):
+    """First-order dual updates with away steps from uniform weights, to
+    ``MVEE_TOLERANCE`` or ``MVEE_MAX_ITERATIONS``; returns (u, iterations, gap)."""
     d = float(_LIFT_DIM)
-    u = u.copy()
+    u = np.full(len(q), 1.0 / len(q))
     it = 0
     while True:
         w = _leverages(q, u)
         j_fw = int(np.argmax(w))
-        gap = w[j_fw] / d - 1.0
+        gap = float(w[j_fw]) / d - 1.0
         # the max-w gap bounds the area suboptimality, so it is the stop test;
         # a weight-change test would quit early on clamped away steps
-        if gap <= tolerance or it == max_iterations:
+        if gap <= MVEE_TOLERANCE or it == MVEE_MAX_ITERATIONS:
             return u, it, gap
         active = np.flatnonzero(u > 0.0)
         j_aw = int(active[np.argmin(w[active])])
         gap_aw = 1.0 - w[j_aw] / d
         if gap >= gap_aw:
-            j = j_fw
-            step = _toward(w[j])
+            j, step = j_fw, _toward(w[j_fw])
         else:
             # away step: shed weight from the least supported active point
             j = j_aw
@@ -326,17 +311,17 @@ def _away_steps(q: np.ndarray, u: np.ndarray, tolerance: float, max_iterations: 
 def _newton(q: np.ndarray, u: np.ndarray):
     """Active-set Newton on the KKT equations w_S(u) = 3 over the support S.
 
-    This is damped Newton on the concave log det V(u) - 3 sum(u), whose
-    Hessian on S is -(K o K) with K = Q_S V^-1 Q_S'.  A weight that reaches
-    zero leaves S; once S has converged, the most violated point joins it
-    with a first-order step.  Returns (weights, steps, gap); the weights are
-    None if S would outgrow ``_MAX_SUPPORT`` (K o K has rank at most 6), a
-    matrix is singular or the step cap is reached.
+    Damped Newton on the concave log det V(u) - 3 sum(u), whose Hessian on S
+    is -(K o K) with K = Q_S V^-1 Q_S'.  A weight that reaches zero leaves S;
+    once S has converged, the most violated point joins it with a first-order
+    step (``_newton_direction`` keeps it on the next).  Returns (weights,
+    steps, gap); the weights are None if S would outgrow ``_MAX_SUPPORT``
+    (K o K has rank at most 6), a matrix is singular or the step cap is reached.
     """
     d = float(_LIFT_DIM)
-    top = np.argsort(-u, kind="stable")[:_MAX_SUPPORT]
-    support = np.sort(top[u[top] > 0.0])
+    support = np.flatnonzero(u)
     us = u[support]
+    joined = None  # position in S of the point that has just joined it
     for step in range(1, _NEWTON_MAX_STEPS + 1):
         if len(support) < _LIFT_DIM:
             break
@@ -361,11 +346,10 @@ def _newton(q: np.ndarray, u: np.ndarray):
             full[j] += t
             support = np.flatnonzero(full > 0.0)
             us = full[support]
+            joined = int(np.searchsorted(support, j))
             continue
-        try:
-            delta = np.linalg.solve(kern * kern, r)
-        except np.linalg.LinAlgError:  # duplicated points make K o K singular
-            delta = np.linalg.lstsq(kern * kern, r, rcond=None)[0]
+        delta = _newton_direction(kern * kern, r, joined)
+        joined = None
         decrement = math.sqrt(max(float(r @ delta), 0.0))
         t = 1.0 if decrement <= 0.25 else 1.0 / (1.0 + decrement)
         shrinking = np.flatnonzero(delta < 0.0)
@@ -378,3 +362,18 @@ def _newton(q: np.ndarray, u: np.ndarray):
         else:
             us = us + t * delta
     return None, step, math.inf
+
+
+def _newton_direction(hessian: np.ndarray, r: np.ndarray, joined: int | None) -> np.ndarray:
+    """delta solving (K o K) delta = r, reversed if K o K is singular to rounding
+    and delta would shrink the point at position ``joined`` in S, which joined
+    it on the step before: six points near a common conic (near-cocircular
+    points) make delta run along the null space of K o K, where V(u) does not
+    change and rounding alone picks the sign."""
+    try:
+        delta = np.linalg.solve(hessian, r)
+    except np.linalg.LinAlgError:  # duplicated points make K o K singular
+        delta = np.linalg.lstsq(hessian, r, rcond=None)[0]
+    if joined is not None and delta[joined] < 0.0 and np.linalg.cond(hessian) > _SINGULAR:
+        return -delta
+    return delta

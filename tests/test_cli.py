@@ -1,11 +1,14 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import uavcell
 from uavcell.baseline import brute_force_optimum
 from uavcell.channel import ENVIRONMENTS, RadioConfig
 from uavcell.cli import _write_csv, main, plan_from_dict, plan_scenario, plan_to_dict
@@ -355,6 +358,15 @@ def test_sweep_generates_runs_and_compares_methods(tmp_path):
     assert float(by_method["ellipse"][2]) < float(by_method["circle"][2])
 
 
+def test_sweep_runs_only_the_scenarios_its_generate_wrote(tmp_path):
+    manifest = tmp_path / "manifest.json"
+    for count in (2, 1):  # the second, smaller run leaves scenario_001.json behind
+        manifest.write_text(json.dumps({"out_dir": "out", "generate": {"count": count}}))
+        assert main(["sweep", str(manifest)]) == 0
+    rows = (tmp_path / "out" / "runs.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[1] for row in rows] == ["scenario_000.json"]
+
+
 def test_sweep_accepts_existing_scenarios(tmp_path):
     write_scenario(tmp_path / "one.json", two_blob_users(seed=1))
     manifest = tmp_path / "manifest.json"
@@ -443,3 +455,14 @@ def test_csv_writes_numpy_scalars_as_plain_numbers(tmp_path):
     path = tmp_path / "t.csv"
     _write_csv(path, ["a", "b"], [[np.float64(0.1), np.int64(3)]])
     assert path.read_bytes() == b"a,b\n0.1,3\n"
+
+
+def test_importing_the_cli_loads_no_scipy():
+    # generate, evaluate and deploy --method circle call no scipy function
+    src = str(Path(uavcell.__file__).resolve().parents[1])
+    code = "import sys, uavcell.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -224,3 +224,78 @@ def test_supports_beyond_three_points_still_reach_newton(shape):
     e = mvee(pts)
     assert e.fit.newton_steps > 0 and e.fit.gap <= 1e-12 and not e.fit.fallback
     assert contains(e, pts).all()
+
+
+@pytest.mark.parametrize("m", [100, 200, 500])
+def test_open_ellipse_arc_is_certified_by_newton(m):
+    # nearly every point of a near-closed arc sits within rounding of the
+    # optimal ellipse, so only the right support of at most six certifies
+    t = np.linspace(0.0, 6.28, m)
+    pts = np.column_stack([150.0 * np.cos(t), 50.0 * np.sin(t)])
+    e = mvee(pts)
+    assert not e.fit.fallback and e.fit.gap <= 1e-12 and e.fit.iterations == 0
+    assert contains(e, pts).all()
+
+
+def test_regular_polygons_are_certified_by_newton():
+    for sides in range(7, 1001):
+        t = 2.0 * math.pi * np.arange(sides) / sides
+        pts = 1e3 + 100.0 * np.column_stack([np.cos(t), np.sin(t)])
+        e = mvee(pts)
+        assert not e.fit.fallback and e.fit.gap <= 1e-12 and e.fit.iterations == 0, sides
+        assert contains(e, pts).all()
+
+
+@pytest.mark.parametrize("sides, phase, radius", [(100, 1.0, 50.0), (300, 0.25, 10.0)])
+def test_noisy_cocircular_points_are_certified_by_newton(sides, phase, radius):
+    # 1e6 m out, rounding moves the vertices off the circle by about 1e-11 of
+    # the radius; six of them then lie near a common conic, where K o K is
+    # singular and only the sign rule on the newest support point lets
+    # Newton swap the support instead of dropping the newcomer again
+    t = phase + 2.0 * math.pi * np.arange(sides) / sides
+    pts = 1e6 + radius * np.column_stack([np.cos(t), np.sin(t)])
+    e = mvee(pts)
+    assert not e.fit.fallback and e.fit.gap <= 1e-12 and e.fit.iterations == 0
+    assert contains(e, pts).all()
+
+
+def test_thin_kite_whose_extremes_are_its_two_tips_is_certified():
+    # a rhombus with half-diagonals 100 m and 30 m, the long one at 22.5
+    # degrees, plus 12 points near each end of the short one that make the
+    # covariance isotropic; x stretched by 1.01 so whitening keeps the frame.
+    # Its tips are the extremes along all eight directions, so the core
+    # needs the point farthest from their line to span a triangle
+    long_axis = np.array([math.cos(math.pi / 8), math.sin(math.pi / 8)])
+    short_axis = 30.0 * np.array([-long_axis[1], long_axis[0]])
+    c = math.sqrt((100.0**2 - 30.0**2) / (12 * 30.0**2))
+    inner = [s * c * short_axis for s in (1.0, -1.0) for _ in range(12)]
+    pts = np.array([100.0 * long_axis, short_axis, -100.0 * long_axis, -short_axis, *inner]) * [1.01, 1.0]
+    e = mvee(pts)
+    assert not e.fit.fallback and e.fit.gap <= 1e-12 and e.fit.iterations == 0
+    assert contains(e, pts).all()
+
+
+@pytest.mark.parametrize("seed, width", [(36, 1e-2), (88, 1e-3), (95, 1e-4)])
+def test_noisy_annulus_needing_many_support_swaps_is_certified(seed, width):
+    # 200 random points in a thin annulus: Newton swaps support points near
+    # a common circle many times and needs more than 50 steps here
+    rng = np.random.default_rng(seed)
+    t = rng.uniform(0.0, 2.0 * math.pi, 200)
+    r = 100.0 * (1.0 + width * rng.uniform(-1.0, 1.0, 200))
+    pts = np.column_stack([r * np.cos(t), r * np.sin(t)])
+    e = mvee(pts)
+    assert not e.fit.fallback and e.fit.gap <= 1e-12 and e.fit.newton_steps > 50
+    assert contains(e, pts).all()
+
+
+def test_newton_direction_is_only_turned_when_k_o_k_is_singular():
+    r = np.array([0.0, 0.0, -1.0])
+    well = np.array([[2.0, 1.0, 0.0], [1.0, 2.0, 0.0], [0.0, 0.0, 1.0]])
+    # a well-conditioned step that shrinks the newcomer is the Newton step
+    np.testing.assert_allclose(geometry._newton_direction(well, r, 2), [0.0, 0.0, -1.0], rtol=1e-12)
+    singular = well.copy()
+    singular[2, 2] = 1e-14
+    np.testing.assert_allclose(geometry._newton_direction(singular, r, 2), [0.0, 0.0, 1e14], rtol=1e-12)
+    # with no newcomer, or one that grows, the step is never turned
+    np.testing.assert_allclose(geometry._newton_direction(singular, r, None), [0.0, 0.0, -1e14], rtol=1e-12)
+    np.testing.assert_allclose(geometry._newton_direction(singular, -r, 2), [0.0, 0.0, 1e14], rtol=1e-12)

@@ -261,6 +261,50 @@ def test_mvee_of_the_hull_vertices_is_the_same_ellipse(pts, offset):
     _assert_same_ellipse(mvee(pts[hull]), _shape(e), e.center, pts)
 
 
+@st.composite
+def regular_polygons(draw):
+    """7 to 1000 vertices on a circle of radius 1 m to 300 m, at any phase."""
+    sides = draw(st.integers(7, 1000))
+    t = draw(st.floats(0.0, 2.0 * math.pi)) + 2.0 * math.pi * np.arange(sides) / sides
+    return draw(st.floats(1.0, 300.0)) * np.column_stack([np.cos(t), np.sin(t)])
+
+
+@st.composite
+def ellipse_arcs(draw):
+    """7 to 500 evenly spaced points on a rotated ellipse arc of 0.3 rad up to
+    a full turn, with semi-axes of 1 m to 300 m."""
+    m = draw(st.integers(7, 500))
+    t = draw(st.floats(0.0, 2.0 * math.pi)) + np.linspace(0.0, draw(st.floats(0.3, 2.0 * math.pi)), m)
+    a, b = draw(st.floats(1.0, 300.0)), draw(st.floats(1.0, 300.0))
+    phi = draw(st.floats(0.0, math.pi))
+    rot = np.array([[math.cos(phi), -math.sin(phi)], [math.sin(phi), math.cos(phi)]])
+    return np.column_stack([a * np.cos(t), b * np.sin(t)]) @ rot.T
+
+
+@st.composite
+def thin_kites(draw):
+    """A rhombus whose long diagonal lies near 22.5 degrees (mod 45), with 2-19
+    points on each half of the short one that make the covariance isotropic,
+    and x stretched a little so whitening keeps the frame: the extremes along
+    x, y and the diagonals are then often just the two long tips."""
+    angle = math.pi / 8 + draw(st.integers(0, 7)) * math.pi / 4 + draw(st.floats(-0.1, 0.1))
+    ratio, per_side = draw(st.floats(0.1, 0.4)), draw(st.integers(2, 19))
+    tip = np.array([math.cos(angle), math.sin(angle)])
+    side = ratio * np.array([-tip[1], tip[0]])
+    c = math.sqrt((1.0 - ratio**2) / (per_side * ratio**2))
+    pts = np.array([tip, side, -tip, -side, *[s * c * side for s in (1.0, -1.0) for _ in range(per_side)]])
+    return draw(st.floats(1.0, 300.0)) * pts * [1.0 + draw(st.floats(0.001, 0.05)), 1.0]
+
+
+@PROPERTY
+@given(st.one_of(fit_sets(), regular_polygons(), ellipse_arcs(), thin_kites()), offsets)
+def test_every_fit_is_certified_without_the_away_step_loop(pts, offset):
+    pts = pts + offset
+    e = mvee(pts)
+    assert e.fit.gap <= 1e-12 and not e.fit.fallback and e.fit.iterations == 0
+    assert contains(e, pts).all()
+
+
 @PROPERTY
 @given(point_sets(4, 6))
 def test_steiner_screen_gives_the_newton_area(pts):
