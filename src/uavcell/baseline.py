@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import combinations
@@ -11,7 +12,7 @@ import numpy as np
 from .channel import Beam, Environment, RadioConfig, dbm_to_mw
 from .clustering import Cluster
 from .deployment import DeploymentPlan, UavDeployment, deploy_cell, required_power_dbm
-from .geometry import Ellipse, contains, mvee
+from .geometry import Ellipse, _radii, contains, mvee
 from .scenario import Region, Scenario
 
 __all__ = [
@@ -24,6 +25,7 @@ __all__ = [
 
 _HARD_MAX_USERS = 10
 _HARD_MAX_UAVS = 3
+_ROOM = 1e-9  # radius margin inside a cell's ellipse within which a user leaves it unchanged
 
 
 class PackingError(ValueError):
@@ -115,12 +117,15 @@ def brute_force_plan(
 ) -> DeploymentPlan:
     """Exhaustive minimum-power deployment over at most ``num_uavs`` cells.
 
-    Enumerates every partition of the users into 1..num_uavs groups
-    (restricted growth strings), rejects groupings whose ellipses share a
-    user, and deploys the rest exactly like the main pipeline, fitting and
-    deploying each distinct cell once.  Returns the first cheapest plan; the
-    one-cell grouping comes first and is always feasible, so there is one.
-    Instance sizes are capped because the partition count grows combinatorially.
+    Scores every partition of the users into 1..num_uavs groups (restricted
+    growth strings, ``_partition_table``), rejects groupings whose ellipses
+    share a user, and deploys the cells of the rest exactly like the main
+    pipeline, each distinct cell once.  Cells are fitted in order of size: a
+    cell that adds a user strictly inside a sub-cell's three-point ellipse
+    has that ellipse (Welzl, 1991), byte for byte, and reuses it without a
+    fit.  Returns the first cheapest plan; the one-cell grouping comes first
+    and is always feasible, so there is one.  Instance sizes are capped
+    because the partition count grows combinatorially.
     """
     pts = np.atleast_2d(np.asarray(users, dtype=float))
     n = len(pts)
@@ -131,32 +136,55 @@ def brute_force_plan(
     if not 1 <= num_uavs <= _HARD_MAX_UAVS:
         raise ValueError(f"num_uavs must be in [1, {_HARD_MAX_UAVS}]")
 
-    # per distinct cell, keyed by the bitmask of its members: one fit, the
-    # bitmask of the users inside its ellipse, and one UAV, deployed when the
-    # cell first appears in a feasible partition
-    clusters: dict[int, Cluster] = {}
-    inside: dict[int, int] = {}
-    uavs: dict[int, UavDeployment] = {}
-    best: DeploymentPlan | None = None
-    for labels in _partitions(n, num_uavs):
-        keys = [0] * (int(labels.max()) + 1)
-        for i, g in enumerate(labels.tolist()):
-            keys[g] |= 1 << i
-        for key in keys:
-            if key not in clusters:
-                members = [i for i in range(n) if key >> i & 1]
-                clusters[key] = Cluster(frozenset(members), mvee(pts[members]))
-                inside[key] = sum(1 << i for i in np.flatnonzero(contains(clusters[key].ellipse, pts)).tolist())
-        # the rule of find_intersections: no user of either cell lies inside both
-        if any(inside[a] & inside[b] & (a | b) for a, b in combinations(keys, 2)):
+    table = _partition_table(n, num_uavs)
+    bits = 1 << np.arange(n)
+    # per distinct cell, indexed by the bitmask of its members: its ellipse,
+    # the users inside it, and the users it can take without changing it (its
+    # triple and the users strictly inside; none unless a triple built it)
+    ellipses: dict[int, Ellipse] = {}
+    inside = np.zeros(1 << n, dtype=np.int64)
+    spare = [0] * (1 << n)
+    for key in sorted(np.unique(table[table > 0]).tolist(), key=int.bit_count):
+        members = [i for i in range(n) if key >> i & 1]
+        sub = next((key ^ 1 << i for i in members if key & ~spare[key ^ 1 << i] == 0), None)
+        if sub is not None:
+            ellipses[key], inside[key], spare[key] = ellipses[sub], inside[sub], spare[sub]
             continue
-        for key in keys:
-            if key not in uavs:
-                uavs[key] = deploy_cell(clusters[key], pts[sorted(clusters[key].members)], env, radio, h_max)
-        total = sum(dbm_to_mw(uavs[key].tx_power_dbm) for key in keys)
-        if best is None or total < best.total_power_mw:
-            best = DeploymentPlan([uavs[key] for key in keys], env, radio, total)
-    return best
+        ellipses[key] = e = mvee(pts[members])
+        radii = _radii(e.A, e.b, pts)  # the test of ``contains``
+        inside[key] = bits[radii <= 1.0].sum()
+        if e.fit.triple is not None:
+            spare[key] = int(bits[radii < 1.0 - _ROOM].sum()) | sum(1 << members[t] for t in e.fit.triple)
+
+    # the rule of find_intersections: no user of either cell lies inside both
+    covers = inside[table]
+    feasible = np.ones(len(table), dtype=bool)
+    for a, b in combinations(range(num_uavs), 2):
+        feasible &= (covers[:, a] & covers[:, b] & (table[:, a] | table[:, b])) == 0
+    uavs: dict[int, UavDeployment] = {}
+    power_mw = np.zeros(1 << n)
+    for key in np.unique(table[feasible]).tolist():
+        if key:
+            members = [i for i in range(n) if key >> i & 1]
+            uavs[key] = deploy_cell(Cluster(frozenset(members), ellipses[key]), pts[members], env, radio, h_max)
+            power_mw[key] = dbm_to_mw(uavs[key].tx_power_dbm)
+    # summed in group order, as the plan's own total is
+    total = power_mw[table[:, 0]]
+    for g in range(1, num_uavs):
+        total = total + power_mw[table[:, g]]
+    total[~feasible] = np.inf
+    best = int(np.argmin(total))
+    return DeploymentPlan([uavs[key] for key in table[best].tolist() if key], env, radio, float(total[best]))
+
+
+@functools.cache
+def _partition_table(n: int, num_uavs: int) -> np.ndarray:
+    """(partitions, num_uavs) member bitmasks of the groups of each partition
+    from ``_partitions``, in its order; groups a partition lacks are 0."""
+    labels = np.array([row.tolist() for row in _partitions(n, num_uavs)]).reshape(-1, 1, n)
+    table = np.where(labels == np.arange(num_uavs)[:, None], 1 << np.arange(n), 0).sum(axis=2)
+    table.flags.writeable = False  # shared by every caller through the cache
+    return table
 
 
 def _partitions(n: int, max_blocks: int):

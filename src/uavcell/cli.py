@@ -10,7 +10,6 @@ import argparse
 import csv
 import functools
 import io
-import json
 import logging
 import math
 import statistics
@@ -34,6 +33,7 @@ from .scenario import (
     dump_canonical_json,
     generate_pcp,
     load_scenario,
+    read_json,
     save_scenario,
 )
 
@@ -63,7 +63,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (ScenarioFormatError, OSError, json.JSONDecodeError, ValueError, NoConvergenceError) as exc:
+    except (ScenarioFormatError, OSError, ValueError, NoConvergenceError) as exc:
         code = _exit_code(exc)
         log.error("infeasible baseline: %s" if code == EXIT_INFEASIBLE else "%s", exc)
         return code
@@ -287,7 +287,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_sweep(args) -> int:
     manifest_path = Path(args.manifest)
-    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    manifest = read_json(manifest_path)
     if not isinstance(manifest, dict):
         raise ValueError(f"{manifest_path}: manifest must be a JSON object")
     known = {"scenarios", "generate", "methods", "out_dir", "overrides", "circle", "brute"}
@@ -492,10 +492,7 @@ def _finite(value, name: str, where: str) -> float:
 
 
 def _load_plan(path) -> DeploymentPlan:
-    try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ScenarioFormatError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    payload = read_json(path)
     try:
         return plan_from_dict(payload)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:

@@ -85,9 +85,12 @@ def optimal_altitude(edge_distance_m: float, env: Environment, bounds: AltitudeB
 
 def beam_from_footprint(altitude_m: float, footprint: Ellipse) -> Beam:
     """Half-power half-widths that project the footprint from ``altitude_m``."""
+    return _beam(altitude_m, *footprint.semi_axes)
+
+
+def _beam(altitude_m: float, major: float, minor: float) -> Beam:
     if altitude_m <= 0.0:
         raise ValueError("altitude must be positive")
-    major, minor = footprint.semi_axes
     return Beam(
         theta1_deg=math.degrees(math.atan(major / altitude_m)),
         theta2_deg=math.degrees(math.atan(minor / altitude_m)),
@@ -134,11 +137,11 @@ def deploy_cell(
     """
     footprint = cluster.ellipse
     center = footprint.center
-    major, _ = footprint.semi_axes
-    cell_edge = edge_distance(footprint, points)
+    major, minor = footprint.semi_axes
+    cell_edge = edge_distance(footprint, points, center)
     bounds = AltitudeBounds.for_footprint(major, h_max)
     height = optimal_altitude(cell_edge, env, bounds)
-    beam = beam_from_footprint(height, footprint)
+    beam = _beam(height, major, minor)
     return UavDeployment(
         x=float(center[0]),
         y=float(center[1]),

@@ -9,7 +9,7 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import combinations
 
 import numpy as np
@@ -36,6 +36,9 @@ class FitRecord:
     newton_steps: int
     iterations: int  # first-order (away-step loop) updates
     fallback: bool  # Newton failed and the away-step loop finished the solve
+    # input indices of a certified three-point support, from which alone the
+    # ellipse was built; None for any other fit, or when an axis is floored
+    triple: tuple[int, int, int] | None = None
 
 
 _EXACT = FitRecord(0.0, 0, 0, False)  # closed-form fits: a point, a line, a triangle
@@ -97,7 +100,10 @@ def mvee(points) -> Ellipse:
     triangle of the extreme points, certified to a relative duality gap of
     1e-12 on every point.  If Newton fails, the away-step loop runs to a gap
     of ``MVEE_TOLERANCE``; stopping at ``MVEE_MAX_ITERATIONS`` above it warns.
-    ``Ellipse.fit`` records how the solve ended.  Inputs whose spread
+    ``Ellipse.fit`` records how the solve ended.  A fit certified on three
+    support points is built from those points alone, so it has the bytes of
+    ``mvee(points[fit.triple])``, and so do its supersets by points strictly
+    inside it (Welzl, 1991).  Inputs whose spread
     collapses in some direction are rebuilt from their principal axis
     instead, and every fitted semi-axis is floored at ``MIN_SEMI_AXIS_M`` so
     downstream beam math never sees a zero extent.  The result is inflated by
@@ -113,6 +119,8 @@ def mvee(points) -> Ellipse:
         raise ValueError("invalid point: coordinates must be finite")
 
     center, axes, basis, fit = _fit_center_form(pts)
+    if fit.triple is not None and axes.min() < MIN_SEMI_AXIS_M:
+        fit = replace(fit, triple=None)  # the floor, not the triple, sets this ellipse
     axes = np.maximum(axes, MIN_SEMI_AXIS_M)
     A = basis @ np.diag(1.0 / axes) @ basis.T
     A = 0.5 * (A + A.T)
@@ -146,12 +154,13 @@ def _radii(A: np.ndarray, b: np.ndarray, p: np.ndarray):
     return np.sqrt(r0 * r0 + r1 * r1)
 
 
-def edge_distance(e: Ellipse, members) -> float:
-    """Distance from the ellipse center to the farthest member."""
+def edge_distance(e: Ellipse, members, center=None) -> float:
+    """Distance from the ellipse center to the farthest member; a caller
+    that has read ``e.center`` already passes it as ``center``."""
     pts = np.atleast_2d(np.asarray(members, dtype=float))
     if pts.size == 0:
         raise ValueError("no members")
-    return float(np.linalg.norm(pts - e.center, axis=1).max())
+    return float(np.linalg.norm(pts - (e.center if center is None else center), axis=1).max())
 
 
 def _fit_center_form(pts: np.ndarray):
@@ -162,6 +171,11 @@ def _fit_center_form(pts: np.ndarray):
 
     mean = pts.mean(axis=0)
     centered = pts - mean
+    # far from the origin the rounded mean sits up to eps * |mean| off the
+    # line of collinear points (two distinct points, say), which the thin
+    # test would take for width; a second pass removes that error
+    shift = centered.mean(axis=0)
+    centered -= shift
     left, svals, vt = np.linalg.svd(centered, full_matrices=False)
     thin = len(svals) < 2 or svals[1] <= 1e-9 * max(svals[0], 1.0)
     if thin:
@@ -169,7 +183,7 @@ def _fit_center_form(pts: np.ndarray):
         direction = vt[0]
         proj = centered @ direction
         lo, hi = float(proj.min()), float(proj.max())
-        center = mean + direction * (0.5 * (lo + hi))
+        center = mean + (shift + direction * (0.5 * (lo + hi)))
         basis = np.column_stack([direction, [-direction[1], direction[0]]])
         return center, np.array([0.5 * (hi - lo), 0.0]), basis, _EXACT
 
@@ -179,9 +193,17 @@ def _fit_center_form(pts: np.ndarray):
     scale = svals / math.sqrt(n)
     z = left * math.sqrt(n)
     u, fit = _dual_weights(z)
+    support = np.flatnonzero(u)
+    if len(support) == _LIFT_DIM and not fit.fallback:
+        # the ellipse depends only on its support: fit the three points alone,
+        # in input order, so every superset certified on them gets these bytes
+        fit = replace(fit, triple=tuple(support.tolist()))
+        if n > _LIFT_DIM:
+            center, axes, basis, _ = _fit_center_form(pts[support])
+            return center, axes, basis, fit
     zc = u @ z
     cov = (z * u[:, None]).T @ z - np.outer(zc, zc)
-    center = mean + (zc * scale) @ vt
+    center = mean + (shift + (zc * scale) @ vt)
     sigma = vt.T @ (cov * np.outer(scale, scale)) @ vt
     lams, vecs = np.linalg.eigh(0.5 * (sigma + sigma.T))
     axes = np.sqrt(2.0 * np.clip(lams, 0.0, None))

@@ -31,6 +31,7 @@ __all__ = [
     "config_from_dict",
     "generate_pcp",
     "load_scenario",
+    "read_json",
     "save_scenario",
 ]
 
@@ -111,12 +112,19 @@ def save_scenario(scenario: Scenario, path) -> None:
 
 
 def load_scenario(path) -> Scenario:
+    return scenario_from_dict(read_json(path), source=str(path))
+
+
+def read_json(path):
+    """The JSON value in the file at ``path``; text that is not JSON, or that
+    nests deeper than the parser can recurse, raises ScenarioFormatError."""
     text = Path(path).read_text(encoding="utf-8")
     try:
-        payload = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ScenarioFormatError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
-    return scenario_from_dict(payload, source=str(path))
+    except RecursionError as exc:
+        raise ScenarioFormatError(f"{path}: JSON nested too deeply to parse") from exc
 
 
 def dump_canonical_json(payload) -> str:
@@ -223,7 +231,7 @@ def scenario_from_dict(payload: dict, source: str = "scenario") -> Scenario:
             _require(payload, f.name, source)
     try:
         users = np.asarray(payload["users"], dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ScenarioFormatError(f"{source}: malformed scenario: {exc}", "users") from exc
     if users.size == 0 or users.ndim != 2 or users.shape[1] != 2:
         raise ScenarioFormatError(f"{source}: 'users' must be a non-empty list of [x, y] pairs", "users")

@@ -174,6 +174,20 @@ def test_deploy_malformed_scenario(tmp_path):
         assert main(["deploy", str(bad), "--out-dir", str(tmp_path / "o")]) == 2
 
 
+def test_deploy_user_coordinate_too_large_for_a_float_exits_2(tmp_path):
+    scen = write_scenario(tmp_path / "s.json", two_blob_users())
+    payload = json.loads(scen.read_text())
+    payload["users"][0][0] = "HUGE"
+    scen.write_text(json.dumps(payload).replace('"HUGE"', str(10**400)))
+    assert main(["deploy", str(scen), "--out-dir", str(tmp_path / "o")]) == 2
+
+
+def test_deploy_scenario_nested_too_deeply_exits_2(tmp_path):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
+    assert main(["deploy", str(deep), "--out-dir", str(tmp_path / "o")]) == 2
+
+
 @pytest.mark.parametrize("block, key, value", [
     ("radio", "bandwidth_hz", None),  # None: delete the key
     ("environment", "sigmoid_a", "x"),
@@ -274,6 +288,13 @@ def test_deploy_and_evaluate_on_a_directory_exit_2(tmp_path):
     out = str(tmp_path / "o")
     assert main(["deploy", str(tmp_path), "--out-dir", out]) == 2
     assert main(["evaluate", str(tmp_path), str(scen), "--out-dir", out]) == 2
+
+
+def test_evaluate_plan_nested_too_deeply_exits_2(tmp_path):
+    scen = write_scenario(tmp_path / "s.json", two_blob_users())
+    plan = tmp_path / "plan.json"
+    plan.write_text("[" * 100_000)
+    assert main(["evaluate", str(plan), str(scen), "--out-dir", str(tmp_path / "o")]) == 2
 
 
 @pytest.mark.parametrize("field, literal, message", [
@@ -425,6 +446,12 @@ def test_sweep_rejects_unknown_keys(tmp_path):
     assert main(["sweep", str(manifest)]) == 2
 
 
+def test_sweep_manifest_nested_too_deeply_exits_2(tmp_path):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text("[" * 100_000)
+    assert main(["sweep", str(manifest)]) == 2
+
+
 def test_sweep_needs_scenarios(tmp_path):
     manifest = tmp_path / "manifest.json"
     manifest.write_text(json.dumps({"out_dir": "x"}))
@@ -442,9 +469,10 @@ def test_bad_sweep_manifest_exits_2_before_writing(tmp_path, extra):
 
 
 def test_console_entry_point_help():
+    src = str(Path(uavcell.__file__).resolve().parents[1])
     proc = subprocess.run(
         [sys.executable, "-m", "uavcell.cli", "--help"],
-        capture_output=True, text=True, timeout=60,
+        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": src},
     )
     assert proc.returncode == 0
     for sub in ("generate", "deploy", "evaluate", "sweep"):

@@ -35,6 +35,17 @@ def test_two_points_get_floored_minor_axis():
     assert contains(e, (0.0, 0.0)) and contains(e, (10.0, 0.0))
 
 
+def test_two_distinct_points_far_out_take_the_line_path():
+    # the mean of 19 copies of two points 1e6 m out rounds off their line by
+    # about 1e-10 m, which a one-pass centering took for width: the lifted
+    # moment matrix of two distinct points is singular, and Newton raised
+    rng = np.random.default_rng(0)
+    pts = rng.uniform(0.0, 1e-3, (2, 2))[rng.integers(0, 2, 19)] + [1e6, -5e5]
+    e = mvee(pts)
+    assert e.fit.newton_steps == 0 and e.semi_axes == pytest.approx((1.0, 1.0), abs=1e-6)
+    assert contains(e, pts).all()
+
+
 def test_collinear_points_lie_along_major_axis():
     pts = [(0.0, 0.0), (3.0, 3.0), (6.0, 6.0)]
     e = mvee(pts)

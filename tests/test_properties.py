@@ -315,6 +315,110 @@ def test_steiner_screen_gives_the_newton_area(pts):
     assert contains(screened, pts).all()
 
 
+# acceptance seed 4, users 0, 1, 3, 4, 6, 7 and 8 of the first ten.  The
+# screen certifies their support triple on the six without user 3 (row 2);
+# on all seven the extreme points miss one of its vertices, so Newton does
+NEWTON_TRIPLE = np.array([
+    [775.0050098516745, 908.7969103195874], [857.3877369554568, 965.2510727251934],
+    [736.0211805825718, 963.2579292143216], [813.5609040583729, 921.9059062351272],
+    [800.567822109382, 918.011513244593], [742.8747082094403, 979.2075015436585],
+    [768.8812900135658, 985.8874134763763],
+])
+
+
+def _bytes(e: Ellipse) -> tuple[bytes, bytes]:
+    return e.A.tobytes(), e.b.tobytes()
+
+
+def _points_inside(e: Ellipse, count: int, rng) -> np.ndarray:
+    """``count`` points at radius below 0.999 in ``e``, uniform in angle."""
+    phase = rng.uniform(0.0, 2.0 * math.pi, count)
+    polar = rng.uniform(0.0, 0.999, count)[:, None] * np.column_stack([np.cos(phase), np.sin(phase)])
+    return np.linalg.solve(e.A, (e.b + polar).T).T
+
+
+@st.composite
+def triangles_with_inner_points(draw):
+    """A triangle 1 m to 1 km across with up to six points strictly inside
+    its Steiner ellipse, in random order: the cells brute force sees most."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    corners = rng.uniform(-1.0, 1.0, (3, 2)) * draw(st.sampled_from([1.0, 30.0, 1000.0]))
+    pts = np.vstack([corners, _points_inside(mvee(corners), draw(st.integers(0, 6)), rng)])
+    return pts[rng.permutation(len(pts))]
+
+
+fits_with_triples = st.one_of(fit_sets(), point_sets(3, 18), triangles_with_inner_points())
+
+
+@PROPERTY
+@given(fits_with_triples, offsets)
+@example(NEWTON_TRIPLE, np.zeros(2))
+def test_a_fit_on_three_support_points_is_the_fit_of_those_points(pts, offset):
+    pts = pts + offset
+    e = mvee(pts)
+    if e.fit.triple is None:
+        return  # a larger support, or an axis on the floor
+    assert _bytes(e) == _bytes(mvee(pts[list(e.fit.triple)]))
+
+
+@PROPERTY
+@given(fits_with_triples, offsets, st.integers(1, 8), st.integers(0, 2**32 - 1))
+@example(np.delete(NEWTON_TRIPLE, 2, axis=0), np.zeros(2), 1, 0)
+def test_points_strictly_inside_a_three_point_fit_leave_its_bytes(pts, offset, extra, seed):
+    # Welzl (1991): a point inside a set's minimum ellipse leaves it minimum
+    pts = pts + offset
+    e = mvee(pts)
+    if e.fit.triple is None:
+        return
+    room = 1.0 - 1e-9
+    rest = np.delete(np.arange(len(pts)), list(e.fit.triple))
+    if not (geometry._radii(e.A, e.b, pts[rest]) < room).all():
+        return  # a fourth point on the boundary may change the certified triple
+    rng = np.random.default_rng(seed)
+    added = _points_inside(e, extra, rng)
+    added = added[geometry._radii(e.A, e.b, added) < room]
+    grown = pts
+    for p in added:
+        grown = np.insert(grown, rng.integers(len(grown) + 1), p, axis=0)
+    assert _bytes(mvee(grown)) == _bytes(e)
+
+
+@st.composite
+def clustering_fields(draw):
+    """20-80 users: uniform, duplicated, collinear, on a lattice or on a
+    circle, at a 1e-3 m, 1 m, 1 km or 1e6 m scale, possibly 1e6 m out."""
+    kind = draw(st.sampled_from(["uniform", "duplicates", "collinear", "lattice", "circle"]))
+    n = draw(st.integers(20, 80))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "uniform":
+        pts = rng.uniform(0.0, 1.0, (n, 2))
+    elif kind == "duplicates":
+        pts = rng.uniform(0.0, 1.0, (draw(st.integers(1, 4)), 2))
+        pts = pts[rng.integers(0, len(pts), n)]
+    elif kind == "collinear":
+        pts = rng.uniform(0.0, 1.0, n)[:, None] * rng.uniform(-1.0, 1.0, 2)
+    elif kind == "lattice":
+        side = draw(st.integers(2, 9))
+        pts = np.array([(i % side, i // side) for i in range(n)], dtype=float) / side
+    else:
+        t = 2.0 * math.pi * np.arange(n) / n
+        pts = 0.5 + 0.5 * np.column_stack([np.cos(t), np.sin(t)])
+    return pts * draw(st.sampled_from([1e-3, 1.0, 1e3, 1e6])) + draw(offsets)
+
+
+@PROPERTY
+@given(clustering_fields())
+def test_clustering_gives_disjoint_covering_cells_or_says_it_did_not_converge(pts):
+    try:
+        m, cs, trace = clustering.ellipse_clustering(pts)
+    except clustering.NoConvergenceError:
+        return
+    assert trace.converged and m == len(cs.clusters)
+    members = sorted(i for c in cs.clusters for i in c.members)
+    assert members == list(range(len(pts)))  # every user in exactly one cell
+    assert not find_intersections(cs)  # and inside no other cell's ellipse
+
+
 @st.composite
 def tiny_instances(draw):
     """Up to six users in a 1 km square; duplicates, collinear users and
