@@ -49,8 +49,10 @@ class CirclePackingConfig:
     def __post_init__(self) -> None:
         if self.num_uavs < 1:
             raise ValueError("num_uavs must be at least 1")
-        if self.fixed_altitude_m <= 0.0:
-            raise ValueError("fixed altitude must be positive")
+        if not (math.isfinite(self.fixed_altitude_m) and self.fixed_altitude_m > 0.0):
+            raise ValueError(f"fixed altitude must be positive and finite, got {self.fixed_altitude_m}")
+        if self.fixed_power_dbm is not None and not math.isfinite(self.fixed_power_dbm):
+            raise ValueError(f"fixed power must be finite, got {self.fixed_power_dbm}")
         if self.beam is not None and self.beam.theta1_deg != self.beam.theta2_deg:
             raise ValueError("packed cells are circular: beam must have theta1 == theta2")
 

@@ -134,13 +134,18 @@ def _flag_overrides(args) -> dict:
 
 def cmd_generate(args) -> int:
     region = Region(width_m=args.width, height_m=args.height)
+    base = PcpConfig(
+        parent_intensity_per_m2=args.parent_intensity_per_km2 / 1e6,
+        cluster_radius_m=args.cluster_radius,
+        mean_daughters=args.mean_daughters,
+    )
     template = _override_scenario(_default_scenario(region), _flag_overrides(args))
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(args.master_seed)
     seeds = rng.integers(0, 2**62, size=max(args.count, 0))
     for i in range(args.count):
-        pcp, users = _nonempty_realization(region, int(seeds[i]), args)
+        pcp, users = _nonempty_realization(region, replace(base, seed=int(seeds[i])))
         scenario = replace(template, users=users, pcp=pcp)
         path = _scenario_path(out_dir, i)
         save_scenario(scenario, path)
@@ -158,20 +163,14 @@ def _default_scenario(region: Region) -> Scenario:
     return Scenario(region, np.empty((0, 2)), ENVIRONMENTS["urban"], RadioConfig(), ClusteringConfig())
 
 
-def _nonempty_realization(region: Region, seed: int, args) -> tuple[PcpConfig, np.ndarray]:
-    base = PcpConfig(
-        parent_intensity_per_m2=args.parent_intensity_per_km2 / 1e6,
-        cluster_radius_m=args.cluster_radius,
-        mean_daughters=args.mean_daughters,
-        seed=seed,
-    )
+def _nonempty_realization(region: Region, base: PcpConfig) -> tuple[PcpConfig, np.ndarray]:
     cfg = base
     for attempt in range(1, 1001):
         users = generate_pcp(region, cfg)
         if len(users):
             return cfg, users
         # empty draw: reseed deterministically and try again
-        cfg = replace(base, seed=(seed + attempt * 0x9E3779B97F4A7C15) % 2**62)
+        cfg = replace(base, seed=(base.seed + attempt * 0x9E3779B97F4A7C15) % 2**62)
     raise ValueError("could not draw a non-empty scenario; intensity too low")
 
 
@@ -314,6 +313,8 @@ def cmd_sweep(args) -> int:
     except (TypeError, OverflowError) as exc:
         raise ValueError(f"'h_max' override must be a number: {exc}") from exc
     _override_scenario(_default_scenario(Region()), overrides)  # every override is checked before any file is written
+    for method in ("circle", "brute"):
+        _check_method_block(manifest.get(method, {}), f"{manifest_path}: '{method}'")
     out_dir = Path(manifest["out_dir"])
     if not out_dir.is_absolute():
         out_dir = manifest_path.parent / out_dir
@@ -411,6 +412,21 @@ def _run_sweep(manifest, methods, scenario_paths, overrides, h_max):
     return rows, aggregates, code
 
 
+def _check_method_block(spec: dict, where: str) -> None:
+    """Raise ValueError naming the first bad value of a ``circle`` or ``brute`` block."""
+    for key in ("beam_deg", "fixed_altitude_m", "fixed_power_dbm"):
+        value = spec.get(key)
+        try:
+            finite = value is None or type(value) in (int, float) and math.isfinite(value)
+        except OverflowError:  # an int beyond the float range
+            finite = False
+        if not finite:
+            raise ValueError(f"{where}: '{key}' must be a finite number, got {value!r}")
+    num = spec.get("num_uavs")
+    if num is not None and num != "match" and not (type(num) is int and num >= 1):
+        raise ValueError(f"{where}: 'num_uavs' must be an integer of at least 1 or \"match\", got {num!r}")
+
+
 def _sweep_options(method: str, spec: dict, ellipse_m: int | None) -> dict:
     """``plan_scenario`` keywords from the manifest block of ``method``.
 
@@ -424,7 +440,7 @@ def _sweep_options(method: str, spec: dict, ellipse_m: int | None) -> dict:
             raise ValueError("num_uavs 'match' needs a converged ellipse run first")
         num = ellipse_m
     if num is not None:
-        options["num_uavs"] = int(num)
+        options["num_uavs"] = num
     return options
 
 

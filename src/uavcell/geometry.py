@@ -17,8 +17,6 @@ import numpy as np
 __all__ = ["Ellipse", "mvee", "contains", "edge_distance"]
 
 _LIFT_DIM = 3  # planar points lifted with a homogeneous coordinate
-MVEE_TOLERANCE = 1e-7  # relative duality gap that stops the away-step fallback
-MVEE_MAX_ITERATIONS = 10_000  # away-step updates per fallback fit
 MIN_SEMI_AXIS_M = 1.0  # floor on every fitted semi-axis
 _CERTIFIED_GAP = 1e-12  # gap Newton must certify on every point
 _KKT_TOLERANCE = 3e-13  # |w_i - 3| on the support at Newton convergence
@@ -34,14 +32,12 @@ class FitRecord:
 
     gap: float  # certified relative duality gap, max_i w_i / 3 - 1
     newton_steps: int
-    iterations: int  # first-order (away-step loop) updates
-    fallback: bool  # Newton failed and the away-step loop finished the solve
     # input indices of a certified three-point support, from which alone the
     # ellipse was built; None for any other fit, or when an axis is floored
     triple: tuple[int, int, int] | None = None
 
 
-_EXACT = FitRecord(0.0, 0, 0, False)  # closed-form fits: a point, a line, a triangle
+_EXACT = FitRecord(0.0, 0)  # closed-form fits: a point, a line, a triangle
 
 
 @dataclass
@@ -98,8 +94,8 @@ def mvee(points) -> Ellipse:
     Solves the dual of the lifted problem on the whitened points: a
     Steiner-triple screen, then active-set Newton, both from the largest
     triangle of the extreme points, certified to a relative duality gap of
-    1e-12 on every point.  If Newton fails, the away-step loop runs to a gap
-    of ``MVEE_TOLERANCE``; stopping at ``MVEE_MAX_ITERATIONS`` above it warns.
+    1e-12 on every point.  If Newton fails, the fit is the covariance
+    ellipse (uniform weights on every point), and a gap above 1e-12 warns.
     ``Ellipse.fit`` records how the solve ended.  A fit certified on three
     support points is built from those points alone, so it has the bytes of
     ``mvee(points[fit.triple])``, and so do its supersets by points strictly
@@ -194,7 +190,7 @@ def _fit_center_form(pts: np.ndarray):
     z = left * math.sqrt(n)
     u, fit = _dual_weights(z)
     support = np.flatnonzero(u)
-    if len(support) == _LIFT_DIM and not fit.fallback:
+    if len(support) == _LIFT_DIM:
         # the ellipse depends only on its support: fit the three points alone,
         # in input order, so every superset certified on them gets these bytes
         fit = replace(fit, triple=tuple(support.tolist()))
@@ -217,8 +213,8 @@ def _dual_weights(z: np.ndarray):
     points extreme along x, y and the diagonals (the initial core set of
     Kumar & Yildirim, 2005).  Weights 1/3 on its largest triangle
     (``_steiner_triple``) are tried first, and Newton starts from them.
-    Every answer is certified by its gap on every point.  If Newton fails,
-    the away-step loop of Todd & Yildirim (2007) runs to ``MVEE_TOLERANCE``.
+    Every answer is certified by its gap on every point.  If Newton fails, the
+    weights are uniform (the covariance ellipse); a gap above ``_CERTIFIED_GAP`` warns.
     """
     n = len(z)
     if n == _LIFT_DIM:
@@ -233,19 +229,15 @@ def _dual_weights(z: np.ndarray):
         # by Welzl's argument, a support's optimum that holds every point is optimal
         u[triple] = 1.0 / _LIFT_DIM
         if (gap := _gap(_leverages(q, u))) <= _CERTIFIED_GAP:
-            return u, FitRecord(gap, 0, 0, False)
+            return u, FitRecord(gap, 0)
     polished, steps, gap = _newton(q, u)
     if polished is not None:
-        return polished, FitRecord(gap, steps, 0, False)
-    u, iterations, gap = _away_steps(q)
-    if gap > MVEE_TOLERANCE:
-        warnings.warn(
-            f"mvee: the dual solve on {n} points ended with a gap of {gap:.3g} "
-            f"after {iterations} first-order iterations",
-            RuntimeWarning,
-            stacklevel=4,
-        )
-    return u, FitRecord(max(gap, 0.0), steps, iterations, True)
+        return polished, FitRecord(gap, steps)
+    u = np.full(n, 1.0 / n)
+    if (gap := _gap(_leverages(q, u))) > _CERTIFIED_GAP:
+        message = f"mvee: Newton failed on {n} points after {steps} steps; the covariance ellipse has a gap of {gap:.3g}"
+        warnings.warn(message, RuntimeWarning, stacklevel=4)
+    return u, FitRecord(gap, steps)
 
 
 def _extreme_points(z: np.ndarray) -> np.ndarray:
@@ -297,37 +289,6 @@ def _leverages(q: np.ndarray, u: np.ndarray) -> np.ndarray:
     """w_i = q_i' V(u)^-1 q_i for every lifted point."""
     vinv = np.linalg.inv(q.T @ (q * u[:, None]))
     return np.einsum("ij,jk,ik->i", q, vinv, q)
-
-
-def _away_steps(q: np.ndarray):
-    """First-order dual updates with away steps from uniform weights, to
-    ``MVEE_TOLERANCE`` or ``MVEE_MAX_ITERATIONS``; returns (u, iterations, gap)."""
-    d = float(_LIFT_DIM)
-    u = np.full(len(q), 1.0 / len(q))
-    it = 0
-    while True:
-        w = _leverages(q, u)
-        j_fw = int(np.argmax(w))
-        gap = float(w[j_fw]) / d - 1.0
-        # the max-w gap bounds the area suboptimality, so it is the stop test;
-        # a weight-change test would quit early on clamped away steps
-        if gap <= MVEE_TOLERANCE or it == MVEE_MAX_ITERATIONS:
-            return u, it, gap
-        active = np.flatnonzero(u > 0.0)
-        j_aw = int(active[np.argmin(w[active])])
-        gap_aw = 1.0 - w[j_aw] / d
-        if gap >= gap_aw:
-            j, step = j_fw, _toward(w[j_fw])
-        else:
-            # away step: shed weight from the least supported active point
-            j = j_aw
-            drop = -u[j] / (1.0 - u[j]) if u[j] < 1.0 else 0.0
-            denom = d * (w[j] - 1.0)
-            step = (w[j] - d) / denom if denom > 0.0 else drop
-            step = max(step, drop)
-        u *= 1.0 - step
-        u[j] += step
-        it += 1
 
 
 def _newton(q: np.ndarray, u: np.ndarray):

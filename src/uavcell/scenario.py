@@ -50,6 +50,8 @@ class Region:
     height_m: float = 1000.0
 
     def __post_init__(self) -> None:
+        if bad := [f.name for f in fields(self) if not math.isfinite(getattr(self, f.name))]:
+            raise ValueError(f"{bad[0]} must be finite")
         if self.width_m <= 0.0 or self.height_m <= 0.0:
             raise ValueError("region sides must be positive")
 
@@ -66,6 +68,8 @@ class PcpConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if bad := [f.name for f in fields(self)[:-1] if not math.isfinite(getattr(self, f.name))]:  # all but the seed
+            raise ValueError(f"{bad[0]} must be finite")
         if self.parent_intensity_per_m2 <= 0.0:
             raise ValueError("parent intensity must be positive")
         if self.cluster_radius_m <= 0.0:

@@ -131,6 +131,13 @@ def test_packing_config_validation():
         CirclePackingConfig(num_uavs=2, beam=Beam(40.0, 20.0))
 
 
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+@pytest.mark.parametrize("name, message", [("fixed_altitude_m", "fixed altitude"), ("fixed_power_dbm", "fixed power")])
+def test_packing_config_rejects_non_finite_altitude_and_power(name, message, value):
+    with pytest.raises(ValueError, match=f"^{message} must be"):
+        CirclePackingConfig(num_uavs=2, **{name: value})
+
+
 def test_circle_layouts_are_deterministic():
     a = circle_pack_deploy(pcp_scenario(seed=3), CirclePackingConfig(num_uavs=5))
     b = circle_pack_deploy(pcp_scenario(seed=3), CirclePackingConfig(num_uavs=5))

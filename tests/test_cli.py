@@ -231,6 +231,19 @@ def test_deploy_rejects_non_finite_flag_overrides(tmp_path):
         assert not (out / "plan.json").exists()
 
 
+@pytest.mark.parametrize("flag, message", [
+    ("--fixed-power-dbm=inf", "fixed power must be finite"),
+    ("--fixed-power-dbm=nan", "fixed power must be finite"),
+    ("--fixed-altitude=nan", "fixed altitude must be positive and finite"),
+])
+def test_deploy_circle_rejects_non_finite_altitude_and_power(tmp_path, caplog, flag, message):
+    scen = write_scenario(tmp_path / "s.json", two_blob_users())
+    out = tmp_path / "out"
+    assert main(["deploy", str(scen), "--out-dir", str(out), "--method", "circle", "--num-uavs", "4", flag]) == 2
+    assert message in caplog.text
+    assert not (out / "plan.json").exists()
+
+
 def test_deploy_env_override_changes_power(tmp_path):
     scen = write_scenario(tmp_path / "s.json", two_blob_users())
     out_u, out_h = tmp_path / "u", tmp_path / "h"
@@ -466,6 +479,50 @@ def test_bad_sweep_manifest_exits_2_before_writing(tmp_path, extra):
     manifest.write_text(json.dumps({"out_dir": "out", "generate": {"count": 1}, **extra}))
     assert main(["sweep", str(manifest)]) == 2
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("block, key, value", [
+    ("circle", "num_uavs", 1e400),
+    ("circle", "num_uavs", [2]),
+    ("circle", "fixed_altitude_m", [1]),
+    ("circle", "beam_deg", {}),
+    ("circle", "num_uavs", 2.7),
+    ("circle", "fixed_power_dbm", 1e400),
+    ("circle", "beam_deg", 10**400),
+    ("brute", "num_uavs", 0),
+], ids=["num-1e400", "num-list", "altitude-list", "beam-object", "num-2.7", "power-1e400", "beam-10**400", "brute-num-0"])
+def test_sweep_method_block_is_checked_before_writing(tmp_path, caplog, block, key, value):
+    write_scenario(tmp_path / "one.json", two_blob_users(seed=1))
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"out_dir": "out", "scenarios": ["one.json"], "methods": ["ellipse", block], block: {key: value}}))
+    assert main(["sweep", str(manifest)]) == 2
+    assert f"'{block}': '{key}' must be" in caplog.text
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["generate", "sweep"])
+@pytest.mark.parametrize("key, value, name", [
+    ("width", "1e400", "width_m"),
+    ("width", "nan", "width_m"),
+    ("height", "inf", "height_m"),
+    ("mean_daughters", "inf", "mean_daughters"),
+    ("mean_daughters", "nan", "mean_daughters"),
+    ("parent_intensity_per_km2", "inf", "parent_intensity_per_m2"),
+    ("parent_intensity_per_km2", "nan", "parent_intensity_per_m2"),
+    ("cluster_radius", "inf", "cluster_radius_m"),
+    ("cluster_radius", "nan", "cluster_radius_m"),
+])
+def test_non_finite_scenario_field_exits_2_naming_it_before_writing(tmp_path, caplog, command, key, value, name):
+    out = tmp_path / "out"
+    if command == "generate":
+        argv = ["generate", "--out-dir", str(out), f"--{key.replace('_', '-')}", value]
+    else:
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"out_dir": "out", "generate": {"count": 1, key: float(value)}}))
+        argv = ["sweep", str(manifest)]
+    assert main(argv) == 2
+    assert f"{name} must be finite" in caplog.text
+    assert not out.exists()
 
 
 def test_console_entry_point_help():

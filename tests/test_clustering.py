@@ -382,6 +382,17 @@ def test_unsplittable_blob_collapses_to_one_cell():
     assert_valid_partition(pts, cs)
 
 
+def test_memberships_do_not_change_when_users_are_translated():
+    # the fits whiten their points, so memberships stay put 1e6 m out
+    for seed in range(30):
+        users = generate_pcp(Region(), PcpConfig(seed=seed))
+        _, cs, _ = ellipse_clustering(users)
+        cells = {c.members for c in cs.clusters}
+        for offset in (1e4, 1e5, 1e6):
+            _, moved, _ = ellipse_clustering(users + offset)
+            assert {c.members for c in moved.clusters} == cells, (seed, offset)
+
+
 def test_trace_serialization_round_trip():
     pts = two_blobs(gap=700.0)
     _, _, trace = ellipse_clustering(pts)

@@ -7,7 +7,7 @@ import pytest
 
 from oracles import grid_min_ellipse_area
 from uavcell import geometry
-from uavcell.geometry import MVEE_TOLERANCE, Ellipse, contains, edge_distance, mvee
+from uavcell.geometry import Ellipse, contains, edge_distance, mvee
 from uavcell.scenario import PcpConfig, Region, generate_pcp
 
 
@@ -160,41 +160,40 @@ def test_ellipse_derived_quantities_agree():
     assert e.area == pytest.approx(math.pi * major * minor, rel=1e-9)
 
 
-def test_seed_two_user_set_is_certified_without_fallback():
-    # all 244 users of acceptance seed 2: the first-order loop alone stops at
-    # its 10 000-iteration cap here, with a gap of 1.1e-5
+def test_seed_two_user_set_is_certified_by_newton():
+    # all 244 users of acceptance seed 2, on which 10 000 first-order
+    # (away-step) updates still leave a gap of 1.1e-5
     users = generate_pcp(Region(), PcpConfig(seed=2))
     assert len(users) == 244
     e = mvee(users)
     assert e.fit.gap <= 1e-12
-    assert not e.fit.fallback
     assert contains(e, users).all()
 
 
 @pytest.mark.parametrize("sides", [48, 90, 360])
-def test_cocircular_hulls_are_certified_without_fallback(sides):
+def test_cocircular_hulls_are_certified_by_newton(sides):
     # uniform weights are optimal on a regular polygon, out of reach of
     # Newton's support of at most six points
     t = 2.0 * math.pi * np.arange(sides) / sides
     pts = 1e3 + 100.0 * np.column_stack([np.cos(t), np.sin(t)])
     e = mvee(pts)
-    assert not e.fit.fallback and e.fit.gap <= 1e-12
+    assert e.fit.gap <= 1e-12
     assert contains(e, pts).all()
 
 
-def test_capped_fallback_warns_with_size_and_gap(monkeypatch):
+def test_failed_newton_warns_with_size_and_gap(monkeypatch):
+    # uniform weights give the covariance ellipse, which still holds every point
     monkeypatch.setattr(geometry, "_newton", lambda q, u: (None, 0, math.inf))
-    monkeypatch.setattr(geometry, "MVEE_MAX_ITERATIONS", 5)
     pts = np.random.default_rng(4).uniform(0.0, 100.0, (40, 2))
     with pytest.warns(RuntimeWarning, match=r"on 40 points .* gap of"):
         e = mvee(pts)
-    assert e.fit.fallback and e.fit.iterations == 5 and e.fit.gap > MVEE_TOLERANCE
+    assert e.fit.gap > 1e-12 and e.fit.triple is None
     assert contains(e, pts).all()
 
 
 def test_fit_record_stays_out_of_equality_and_repr():
     e = mvee([(0.0, 0.0), (4.0, 0.0), (0.0, 3.0), (4.0, 3.0)])
-    assert e.fit.gap <= 1e-12 and e.fit.newton_steps > 0 and not e.fit.fallback
+    assert e.fit.gap <= 1e-12 and e.fit.newton_steps > 0
     assert "fit" not in repr(e)
     assert Ellipse(A=e.A, b=e.b).fit is None
     assert [f.name for f in fields(e) if f.compare] == ["A", "b"]
@@ -218,7 +217,7 @@ def test_triangle_with_interior_points_is_certified_without_newton(interior):
     weights = np.random.default_rng(interior).dirichlet(np.ones(3), interior)
     pts = np.vstack([tri, weights @ tri])
     e = mvee(pts)
-    assert e.fit.newton_steps == 0 and e.fit.gap <= 1e-12 and not e.fit.fallback
+    assert e.fit.newton_steps == 0 and e.fit.gap <= 1e-12
     assert contains(e, pts).all()
     (ax, ay), (bx, by) = tri[1] - tri[0], tri[2] - tri[0]
     tri_area = 0.5 * abs(ax * by - ay * bx)
@@ -233,7 +232,7 @@ def test_supports_beyond_three_points_still_reach_newton(shape):
         t = 2.0 * math.pi * np.arange(5) / 5
         pts = 50.0 * np.column_stack([np.cos(t), np.sin(t)])
     e = mvee(pts)
-    assert e.fit.newton_steps > 0 and e.fit.gap <= 1e-12 and not e.fit.fallback
+    assert e.fit.newton_steps > 0 and e.fit.gap <= 1e-12
     assert contains(e, pts).all()
 
 
@@ -244,7 +243,7 @@ def test_open_ellipse_arc_is_certified_by_newton(m):
     t = np.linspace(0.0, 6.28, m)
     pts = np.column_stack([150.0 * np.cos(t), 50.0 * np.sin(t)])
     e = mvee(pts)
-    assert not e.fit.fallback and e.fit.gap <= 1e-12 and e.fit.iterations == 0
+    assert e.fit.gap <= 1e-12
     assert contains(e, pts).all()
 
 
@@ -253,7 +252,7 @@ def test_regular_polygons_are_certified_by_newton():
         t = 2.0 * math.pi * np.arange(sides) / sides
         pts = 1e3 + 100.0 * np.column_stack([np.cos(t), np.sin(t)])
         e = mvee(pts)
-        assert not e.fit.fallback and e.fit.gap <= 1e-12 and e.fit.iterations == 0, sides
+        assert e.fit.gap <= 1e-12, sides
         assert contains(e, pts).all()
 
 
@@ -266,7 +265,7 @@ def test_noisy_cocircular_points_are_certified_by_newton(sides, phase, radius):
     t = phase + 2.0 * math.pi * np.arange(sides) / sides
     pts = 1e6 + radius * np.column_stack([np.cos(t), np.sin(t)])
     e = mvee(pts)
-    assert not e.fit.fallback and e.fit.gap <= 1e-12 and e.fit.iterations == 0
+    assert e.fit.gap <= 1e-12
     assert contains(e, pts).all()
 
 
@@ -282,7 +281,7 @@ def test_thin_kite_whose_extremes_are_its_two_tips_is_certified():
     inner = [s * c * short_axis for s in (1.0, -1.0) for _ in range(12)]
     pts = np.array([100.0 * long_axis, short_axis, -100.0 * long_axis, -short_axis, *inner]) * [1.01, 1.0]
     e = mvee(pts)
-    assert not e.fit.fallback and e.fit.gap <= 1e-12 and e.fit.iterations == 0
+    assert e.fit.gap <= 1e-12
     assert contains(e, pts).all()
 
 
@@ -295,7 +294,7 @@ def test_noisy_annulus_needing_many_support_swaps_is_certified(seed, width):
     r = 100.0 * (1.0 + width * rng.uniform(-1.0, 1.0, 200))
     pts = np.column_stack([r * np.cos(t), r * np.sin(t)])
     e = mvee(pts)
-    assert not e.fit.fallback and e.fit.gap <= 1e-12 and e.fit.newton_steps > 50
+    assert e.fit.gap <= 1e-12 and e.fit.newton_steps > 50
     assert contains(e, pts).all()
 
 

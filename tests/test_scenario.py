@@ -199,3 +199,16 @@ def test_pcp_config_validation():
         PcpConfig(cluster_radius_m=-1.0)
     with pytest.raises(ValueError):
         PcpConfig(mean_daughters=0.0)
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("nan")])
+@pytest.mark.parametrize("cls, name", [
+    (Region, "width_m"),
+    (Region, "height_m"),
+    (PcpConfig, "parent_intensity_per_m2"),
+    (PcpConfig, "cluster_radius_m"),
+    (PcpConfig, "mean_daughters"),
+])
+def test_region_and_pcp_config_reject_non_finite_fields_by_name(cls, name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        cls(**{name: value})
