@@ -26,6 +26,7 @@ __all__ = [
 _HARD_MAX_USERS = 10
 _HARD_MAX_UAVS = 3
 _ROOM = 1e-9  # radius margin inside a cell's ellipse within which a user leaves it unchanged
+_MAX_CIRCLES = 1000  # the lattice search is quadratic in the circle count
 
 
 class PackingError(ValueError):
@@ -47,8 +48,8 @@ class CirclePackingConfig:
     beam: Beam | None = None
 
     def __post_init__(self) -> None:
-        if self.num_uavs < 1:
-            raise ValueError("num_uavs must be at least 1")
+        if not 1 <= self.num_uavs <= _MAX_CIRCLES:
+            raise ValueError(f"num_uavs must be in [1, {_MAX_CIRCLES}], got {self.num_uavs}")
         if not (math.isfinite(self.fixed_altitude_m) and self.fixed_altitude_m > 0.0):
             raise ValueError(f"fixed altitude must be positive and finite, got {self.fixed_altitude_m}")
         if self.fixed_power_dbm is not None and not math.isfinite(self.fixed_power_dbm):

@@ -52,6 +52,7 @@ _CLUSTERING_OVERRIDES = ("k_max", "max_outer_iterations")
 _OVERRIDES = ("env",) + _RADIO_OVERRIDES + _CLUSTERING_OVERRIDES
 # sweep row status per exit code of a failed run
 _STATUS = {EXIT_PARSE_ERROR: "bad_input", EXIT_NO_CONVERGENCE: "no_convergence", EXIT_INFEASIBLE: "infeasible"}
+_MAX_EXPECTED_USERS = 1e8  # generate draws no scenario expected to hold more parents or users
 _RUN_COLUMNS = [
     "method", "scenario", "num_users", "num_uavs", "total_power_mw",
     "coverage_probability", "iterations", "converged", "status", "error",
@@ -139,6 +140,10 @@ def cmd_generate(args) -> int:
         cluster_radius_m=args.cluster_radius,
         mean_daughters=args.mean_daughters,
     )
+    parents = base.parent_intensity_per_m2 * region.area_m2
+    if not parents * max(base.mean_daughters, 1.0) <= _MAX_EXPECTED_USERS:  # also catches an infinite area
+        raise ValueError(f"--width x --height x --parent-intensity-per-km2 x --mean-daughters expect {parents:.3g} parents "
+                         f"and {parents * base.mean_daughters:.3g} users; generate draws at most {_MAX_EXPECTED_USERS:.0e} of each")
     template = _override_scenario(_default_scenario(region), _flag_overrides(args))
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

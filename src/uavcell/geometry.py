@@ -37,7 +37,7 @@ class FitRecord:
     triple: tuple[int, int, int] | None = None
 
 
-_EXACT = FitRecord(0.0, 0)  # closed-form fits: a point, a line, a triangle
+_EXACT = FitRecord(0.0, 0)  # closed-form fits of a point or a line
 
 
 @dataclass
@@ -53,12 +53,13 @@ class Ellipse:
         self.b = np.asarray(self.b, dtype=float)
         if self.A.shape != (2, 2) or self.b.shape != (2,):
             raise ValueError("ellipse is planar: A must be 2x2 and b length 2")
-        if not np.all(np.isfinite(self.A)) or not np.all(np.isfinite(self.b)):
+        (a, b), (c, d) = self.A.tolist()
+        if not all(map(math.isfinite, (a, b, c, d, *self.b.tolist()))):
             raise ValueError("ellipse parameters must be finite")
-        if abs(self.A[0, 1] - self.A[1, 0]) > 1e-9 * (1.0 + abs(self.A).max()):
+        if abs(b - c) > 1e-9 * (1.0 + max(abs(a), abs(b), abs(c), abs(d))):
             raise ValueError("A must be symmetric")
         # a symmetric 2x2 matrix is positive definite iff A[0,0] > 0 and det(A) > 0
-        if not (self.A[0, 0] > 0.0 and self.A[0, 0] * self.A[1, 1] - self.A[0, 1] * self.A[1, 0] > 0.0):
+        if not (a > 0.0 and a * d - b * c > 0.0):
             raise ValueError("A must be positive definite")
 
     def __eq__(self, other) -> bool:
@@ -68,43 +69,56 @@ class Ellipse:
 
     @property
     def center(self) -> np.ndarray:
-        return np.linalg.solve(self.A, self.b)
+        (a, b), (_, d) = self.A.tolist()  # Cramer's rule
+        b0, b1 = self.b.tolist()
+        det = a * d - b * b
+        return np.array([(d * b0 - b * b1) / det, (a * b1 - b * b0) / det])
 
     @property
     def semi_axes(self) -> tuple[float, float]:
         """(major, minor) semi-axis lengths in meters."""
-        w = np.linalg.eigvalsh(self.A)
-        return 1.0 / float(w[0]), 1.0 / float(w[1])
+        (a, b), (_, d) = self.A.tolist()
+        high, low = _eigenvalues(a, b, d)
+        return 1.0 / low, 1.0 / high
 
     @property
     def orientation(self) -> float:
-        """Angle of the major axis against the x axis, in [0, pi)."""
-        w, v = np.linalg.eigh(self.A)
-        major = v[:, 0]  # smallest eigenvalue of A spans the longest axis
-        return math.atan2(float(major[1]), float(major[0])) % math.pi
+        """Angle of the major axis against the x axis, in [0, pi): 0 for a circle,
+        and for b == 0, 0 if a <= d and pi/2 if a > d (A = [[a, b], [b, d]])."""
+        (a, b), (_, d) = self.A.tolist()
+        # adj(A)'s larger eigenvector is A's smaller; the second % maps a tiny negative angle, rounded up to pi, to 0
+        return (0.5 * math.atan2(-2.0 * b, d - a)) % math.pi % math.pi
 
     @property
     def area(self) -> float:
-        return math.pi / float(np.linalg.det(self.A))
+        (a, b), (_, d) = self.A.tolist()
+        return math.pi / (a * d - b * b)
+
+
+def _eigenvalues(a: float, b: float, d: float) -> tuple[float, float]:
+    """(larger, smaller) eigenvalue of [[a, b], [b, d]]; the smaller as det / larger, which does not cancel."""
+    high = 0.5 * (a + d) + math.hypot(0.5 * (a - d), b)
+    return high, min((a * d - b * b) / high, high)
 
 
 def mvee(points) -> Ellipse:
     """Fit a minimum-area ellipse enclosing ``points``.
 
-    Solves the dual of the lifted problem on the whitened points: a
-    Steiner-triple screen, then active-set Newton, both from the largest
+    A point, a segment and a triangle (its Steiner ellipse) are closed forms.
+    Larger sets solve the dual of the lifted problem on the whitened points:
+    a Steiner-triple screen, then active-set Newton, both from the largest
     triangle of the extreme points, certified to a relative duality gap of
-    1e-12 on every point.  If Newton fails, the fit is the covariance
-    ellipse (uniform weights on every point), and a gap above 1e-12 warns.
+    1e-12 on every point.  If Newton fails, the fit is the covariance ellipse
+    (uniform weights on every point), and a gap above 1e-12 warns.
     ``Ellipse.fit`` records how the solve ended.  A fit certified on three
-    support points is built from those points alone, so it has the bytes of
-    ``mvee(points[fit.triple])``, and so do its supersets by points strictly
-    inside it (Welzl, 1991).  Inputs whose spread
-    collapses in some direction are rebuilt from their principal axis
-    instead, and every fitted semi-axis is floored at ``MIN_SEMI_AXIS_M`` so
-    downstream beam math never sees a zero extent.  The result is inflated by
-    a relative 1e-12 so that ``contains`` holds for every input point despite
-    rounding, and again while it does not (far from the origin).
+    support points is built from those points alone, and ``fit.triple``
+    names them unless an axis is floored or a point off them sets an
+    inflation step; so it has the bytes of ``mvee(points[fit.triple])``, and
+    so do its supersets by points strictly inside it (Welzl, 1991).  Thin
+    inputs are rebuilt from their principal axis, and every semi-axis is
+    floored at ``MIN_SEMI_AXIS_M``.  The result is inflated by a relative
+    1e-12 so that ``contains`` holds for every input point despite rounding,
+    and again while it does not.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.size == 0:
@@ -114,21 +128,23 @@ def mvee(points) -> Ellipse:
     if not np.all(np.isfinite(pts)):
         raise ValueError("invalid point: coordinates must be finite")
 
-    center, axes, basis, fit = _fit_center_form(pts)
-    if fit.triple is not None and axes.min() < MIN_SEMI_AXIS_M:
+    (x, y), axes, (c, s), fit = _fit_center_form(pts)
+    if fit.triple is not None and min(axes) < MIN_SEMI_AXIS_M:
         fit = replace(fit, triple=None)  # the floor, not the triple, sets this ellipse
-    axes = np.maximum(axes, MIN_SEMI_AXIS_M)
-    A = basis @ np.diag(1.0 / axes) @ basis.T
-    A = 0.5 * (A + A.T)
-    b = A @ center
+    # A = R diag(1 / axes) R' for the rotation R whose first column is (c, s)
+    w0, w1 = (1.0 / max(axis, MIN_SEMI_AXIS_M) for axis in axes)
+    a00, a01, a11 = c * c * w0 + s * s * w1, c * s * (w0 - w1), s * s * w0 + c * c * w1
+    A = np.array([[a00, a01], [a01, a11]])
+    b = np.array([a00 * x + a01 * y, a01 * x + a11 * y])
 
     # far from the origin the rounding of ``contains`` can exceed the margin,
     # so inflate again while its own arithmetic leaves a point outside
     limit = 1.0 - 1e-12
-    while (residual := float(_radii(A, b, pts).max())) > limit:
+    while (residual := float((radii := _radii(A, b, pts)).max())) > limit:
+        if fit.triple is not None and residual > radii[list(fit.triple)].max():
+            fit = replace(fit, triple=None)  # a point off the triple scales this step
         scale = residual * (1.0 + 1e-12)
-        A = A / scale
-        b = b / scale
+        A, b = A / scale, b / scale
         limit = 1.0
     return Ellipse(A=A, b=b, fit=fit)
 
@@ -156,54 +172,61 @@ def edge_distance(e: Ellipse, members, center=None) -> float:
     pts = np.atleast_2d(np.asarray(members, dtype=float))
     if pts.size == 0:
         raise ValueError("no members")
-    return float(np.linalg.norm(pts - (e.center if center is None else center), axis=1).max())
+    # sqrt is monotone and correctly rounded, so one sqrt of the largest square gives the same bits
+    return math.sqrt(float(np.square(pts - (e.center if center is None else center)).sum(axis=1).max()))
 
 
 def _fit_center_form(pts: np.ndarray):
-    """(center, semi_axes, basis, fit record) of the optimal ellipse, unclamped."""
+    """(center, semi-axes, unit direction of the first axis, fit record) of
+    the optimal ellipse, unclamped, as Python floats."""
     n = len(pts)
-    if n == 1:
-        return pts[0].copy(), np.zeros(2), np.eye(2), _EXACT
+    if n <= 2:
+        (x0, y0), (x1, y1) = pts[0].tolist(), pts[-1].tolist()
+        length = math.hypot(x1 - x0, y1 - y0)
+        if length == 0.0:  # one point, or two equal ones
+            return (x0, y0), (0.0, 0.0), (1.0, 0.0), _EXACT
+        return (0.5 * (x0 + x1), 0.5 * (y0 + y1)), (0.5 * length, 0.0), ((x1 - x0) / length, (y1 - y0) / length), _EXACT
 
     mean = pts.mean(axis=0)
     centered = pts - mean
     # far from the origin the rounded mean sits up to eps * |mean| off the
-    # line of collinear points (two distinct points, say), which the thin
-    # test would take for width; a second pass removes that error
+    # line of collinear points, which the thin test would take for width; a
+    # second pass removes that error
     shift = centered.mean(axis=0)
     centered -= shift
     left, svals, vt = np.linalg.svd(centered, full_matrices=False)
-    thin = len(svals) < 2 or svals[1] <= 1e-9 * max(svals[0], 1.0)
-    if thin:
+    if svals[1] <= 1e-9 * max(svals[0], 1.0):
         # all points are (numerically) on one line; cover its extent only
-        direction = vt[0]
-        proj = centered @ direction
+        proj = centered @ vt[0]
         lo, hi = float(proj.min()), float(proj.max())
-        center = mean + (shift + direction * (0.5 * (lo + hi)))
-        basis = np.column_stack([direction, [-direction[1], direction[0]]])
-        return center, np.array([0.5 * (hi - lo), 0.0]), basis, _EXACT
+        center = mean + (shift + vt[0] * (0.5 * (lo + hi)))
+        return tuple(center.tolist()), (0.5 * (hi - lo), 0.0), tuple(vt[0].tolist()), _EXACT
+
+    scale = svals / math.sqrt(n)
+    if n == _LIFT_DIM:
+        # its Steiner ellipse: the centroid, and sqrt(2) times the covariance ellipse
+        axes = tuple((math.sqrt(2.0) * scale).tolist())
+        return tuple((mean + shift).tolist()), axes, tuple(vt[0].tolist()), FitRecord(0.0, 0, (0, 1, 2))
 
     # the weights do not change under affine maps, so solve on the whitened
     # points (zero mean, unit covariance) and map the moments back; in raw
     # metres Newton's KKT residual stalls above its tolerance
-    scale = svals / math.sqrt(n)
     z = left * math.sqrt(n)
     u, fit = _dual_weights(z)
     support = np.flatnonzero(u)
     if len(support) == _LIFT_DIM:
         # the ellipse depends only on its support: fit the three points alone,
         # in input order, so every superset certified on them gets these bytes
-        fit = replace(fit, triple=tuple(support.tolist()))
-        if n > _LIFT_DIM:
-            center, axes, basis, _ = _fit_center_form(pts[support])
-            return center, axes, basis, fit
+        center, axes, direction, _ = _fit_center_form(pts[support])
+        return center, axes, direction, replace(fit, triple=tuple(support.tolist()))
     zc = u @ z
     cov = (z * u[:, None]).T @ z - np.outer(zc, zc)
     center = mean + (shift + (zc * scale) @ vt)
-    sigma = vt.T @ (cov * np.outer(scale, scale)) @ vt
-    lams, vecs = np.linalg.eigh(0.5 * (sigma + sigma.T))
-    axes = np.sqrt(2.0 * np.clip(lams, 0.0, None))
-    return center, axes, vecs, fit
+    # the moments in the frame of the singular vectors, where slivers keep their width
+    (p, q), (_, r) = (cov * np.outer(scale, scale)).tolist()
+    angle = 0.5 * math.atan2(2.0 * q, p - r)  # of the major axis, the larger eigenvalue's
+    axes = tuple(math.sqrt(2.0 * max(lam, 0.0)) for lam in _eigenvalues(p, q, r))
+    return tuple(center.tolist()), axes, tuple((np.array([math.cos(angle), math.sin(angle)]) @ vt).tolist()), fit
 
 
 def _dual_weights(z: np.ndarray):
@@ -217,9 +240,6 @@ def _dual_weights(z: np.ndarray):
     weights are uniform (the covariance ellipse); a gap above ``_CERTIFIED_GAP`` warns.
     """
     n = len(z)
-    if n == _LIFT_DIM:
-        # three points in general position: the Steiner circumellipse
-        return np.full(n, 1.0 / n), _EXACT
     q = np.column_stack([z, np.ones(n)])
     core = np.arange(n) if n <= _MAX_SUPPORT else _extreme_points(z)
     u = np.zeros(n)

@@ -125,6 +125,9 @@ def test_fixed_power_is_kept():
 def test_packing_config_validation():
     with pytest.raises(ValueError):
         CirclePackingConfig(num_uavs=0)
+    for num in (1001, 10**20):  # the lattice search is quadratic in the count
+        with pytest.raises(ValueError, match=r"num_uavs must be in \[1, 1000\]"):
+            CirclePackingConfig(num_uavs=num)
     with pytest.raises(ValueError):
         CirclePackingConfig(num_uavs=2, fixed_altitude_m=0.0)
     with pytest.raises(ValueError):

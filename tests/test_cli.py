@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import uavcell
+from uavcell import baseline
 from uavcell.baseline import brute_force_optimum
 from uavcell.channel import ENVIRONMENTS, RadioConfig
 from uavcell.cli import _write_csv, main, plan_from_dict, plan_scenario, plan_to_dict
@@ -118,6 +119,23 @@ def test_deploy_infeasible_packing_exit_code(tmp_path):
         "--method", "circle", "--num-uavs", "9", "--beam-deg", "80",
     ])
     assert code == 4
+
+
+def test_circle_count_above_the_cap_exits_2_before_the_lattice_search(tmp_path, caplog, monkeypatch):
+    # the search tries every column count up to the circle count, so 1e20 circles never finished
+    def search(num, region):
+        raise AssertionError(f"lattice search for {num} circles")
+
+    monkeypatch.setattr(baseline, "_best_lattice", search)
+    scen = write_scenario(tmp_path / "s.json", two_blob_users())
+    huge = "100000000000000000000"
+    assert main(["deploy", str(scen), "--out-dir", str(tmp_path / "o"), "--method", "circle", "--num-uavs", huge]) == 2
+    assert f"num_uavs must be in [1, 1000], got {huge}" in caplog.text
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"out_dir": "res", "scenarios": ["s.json"], "methods": ["circle"], "circle": {"num_uavs": int(huge)}}))
+    assert main(["sweep", str(manifest)]) == 2
+    row = (tmp_path / "res" / "runs.csv").read_text().splitlines()[1].split(",", 9)
+    assert row[8] == "bad_input" and "num_uavs must be in [1, 1000]" in row[9]
 
 
 def test_deploy_brute_small_instance(tmp_path):
@@ -522,6 +540,27 @@ def test_non_finite_scenario_field_exits_2_naming_it_before_writing(tmp_path, ca
         argv = ["sweep", str(manifest)]
     assert main(argv) == 2
     assert f"{name} must be finite" in caplog.text
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["generate", "sweep"])
+@pytest.mark.parametrize("flags", [
+    {"mean_daughters": 1e300},  # 9e300 users
+    {"width": 1e200, "height": 1e200},  # the area overflows to inf
+    {"parent_intensity_per_km2": 1e300, "mean_daughters": 1e-300},  # 1e300 parents, about one user
+], ids=["daughters-1e300", "area-inf", "parents-1e300"])
+def test_huge_expected_draw_exits_2_naming_the_flags_before_writing(tmp_path, caplog, command, flags):
+    out = tmp_path / "out"
+    if command == "generate":
+        argv = ["generate", "--out-dir", str(out)]
+        for key, value in flags.items():
+            argv += [f"--{key.replace('_', '-')}", str(value)]
+    else:
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"out_dir": "out", "generate": {"count": 1, **flags}}))
+        argv = ["sweep", str(manifest)]
+    assert main(argv) == 2
+    assert "--width x --height x --parent-intensity-per-km2 x --mean-daughters expect" in caplog.text
     assert not out.exists()
 
 

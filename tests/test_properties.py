@@ -8,6 +8,7 @@ Examples are derandomized so that every run checks the same cases.
 
 import json
 import math
+from fractions import Fraction
 from functools import partial
 from unittest.mock import patch
 
@@ -353,6 +354,9 @@ fits_with_triples = st.one_of(fit_sets(), point_sets(3, 18), triangles_with_inne
 @PROPERTY
 @given(fits_with_triples, offsets)
 @example(NEWTON_TRIPLE, np.zeros(2))
+# the fourth point lies on the Steiner ellipse of the other three, and far
+# out its rounded radius sets the containment inflation
+@example(np.array([[1.0, 4.0], [-4.0, 0.0], [3.0, 2.0], [-1.0, 0.0]]), np.array([1000.0, -500000.0]))
 def test_a_fit_on_three_support_points_is_the_fit_of_those_points(pts, offset):
     pts = pts + offset
     e = mvee(pts)
@@ -381,6 +385,85 @@ def test_points_strictly_inside_a_three_point_fit_leave_its_bytes(pts, offset, e
     for p in added:
         grown = np.insert(grown, rng.integers(len(grown) + 1), p, axis=0)
     assert _bytes(mvee(grown)) == _bytes(e)
+
+
+EPS = np.finfo(float).eps
+log_lengths = st.integers(0, 60).map(lambda k: 10.0 ** (k / 10.0))  # 1 m to 1e6 m
+
+
+@st.composite
+def accessor_ellipses(draw):
+    """Fitted ellipses, circles, axis-aligned and rotated A, and 1 m x 1e6 m
+    slivers, centred on a 1 m grid within 500 m of the origin or 1e6 m out."""
+    kind = draw(st.sampled_from(["fitted", "circle", "axis-aligned", "rotated", "sliver"]))
+    offset = draw(offsets)
+    if kind == "fitted":
+        return mvee(draw(fit_sets()) + offset)
+    if kind == "circle":
+        radius = draw(log_lengths)
+        axes = [radius, radius]
+    else:
+        axes = [1e6, 1.0] if kind == "sliver" else [draw(log_lengths), draw(log_lengths)]
+    a = np.diag(1.0 / np.array(axes))
+    if kind in ("rotated", "sliver"):
+        angle = draw(st.floats(0.0, math.pi))
+        rot = np.array([[math.cos(angle), -math.sin(angle)], [math.sin(angle), math.cos(angle)]])
+        a = rot @ a @ rot.T
+        a[1, 0] = a[0, 1]
+    metres = st.integers(-500, 500).map(float)
+    return Ellipse(A=a, b=a @ (np.array([draw(metres), draw(metres)]) + offset))
+
+
+@PROPERTY
+@given(accessor_ellipses())
+@example(Ellipse(A=np.array([[1.0, 1e-20], [1e-20, 2.0]]), b=np.zeros(2)))  # -1e-20 rad, which % pi rounds up to pi
+def test_closed_form_accessors_match_lapack(e):
+    # Rounding in a*d - b*b, in Cramer's numerators and in LAPACK's LU and
+    # eigensolvers is each a few eps times the largest term, about
+    # lambda_max**2 (times |x| in the numerators), against a result of
+    # lambda_max * lambda_min: so both sides of each comparison are within a
+    # few eps * kappa (kappa = lambda_max / lambda_min) of the exact value.
+    # The major axis's direction moves by eps * lambda_max over the gap
+    # between the eigenvalues; 8 covers the constants of both sides.
+    w, v = np.linalg.eigh(e.A)
+    kappa = w[1] / w[0]
+    x = np.linalg.solve(e.A, e.b)
+    np.testing.assert_allclose(e.center, x, rtol=0.0, atol=8.0 * EPS * kappa * np.abs(x).max())
+    major, minor = e.semi_axes
+    assert major >= minor
+    assert math.isclose(major, 1.0 / w[0], rel_tol=8.0 * EPS * kappa)
+    assert math.isclose(minor, 1.0 / w[1], rel_tol=8.0 * EPS)
+    assert math.isclose(e.area, math.pi / np.linalg.det(e.A), rel_tol=8.0 * EPS * kappa)
+    reference = math.atan2(v[1, 0], v[0, 0]) % math.pi
+    gap = float(w[1] - w[0])
+    assert 0.0 <= e.orientation < math.pi
+    if e.A[0, 1] == 0.0:  # eigh's conventions: 0 for a circle, else the axis of the smaller diagonal entry
+        assert e.orientation == reference
+    elif gap > 0.0:  # a rounded circle has no major axis
+        turn = abs(e.orientation - reference)
+        assert min(turn, math.pi - turn) <= 8.0 * EPS * w[1] / gap
+
+
+@PROPERTY
+@given(st.integers(0, 2**32 - 1), st.sampled_from([1.0, 30.0, 1000.0]))
+def test_a_triangle_fit_is_its_steiner_ellipse(seed, scale):
+    # corners about a third of a turn apart keep the triangle well shaped, so
+    # the SVD resolves its width to full precision
+    rng = np.random.default_rng(seed)
+    turn = rng.uniform(0.0, 2.0 * math.pi) + 2.0 * math.pi / 3.0 * np.arange(3) + rng.uniform(-0.5, 0.5, 3)
+    corners = scale * rng.uniform(0.3, 1.0, 3)[:, None] * np.column_stack([np.cos(turn), np.sin(turn)])
+    (p0x, p0y), (p1x, p1y), (p2x, p2y) = ([Fraction(c) for c in p] for p in corners.tolist())
+    centroid = [float((p0x + p1x + p2x) / 3), float((p0y + p1y + p2y) / 3)]
+    steiner = 4.0 * math.pi / (3.0 * math.sqrt(3.0)) * float(abs((p1x - p0x) * (p2y - p0y) - (p2x - p0x) * (p1y - p0y)) / 2)
+    # the fit before the 1 m floor and the containment inflation
+    center, axes, _, fit = geometry._fit_center_form(corners)
+    assert fit.triple == (0, 1, 2)
+    assert math.dist(center, centroid) <= 1e-12 * scale
+    assert math.isclose(math.pi * axes[0] * axes[1], steiner, rel_tol=1e-12)
+    e = mvee(corners)
+    assert math.dist(e.center, centroid) <= 1e-12 * scale
+    if min(axes) >= MIN_SEMI_AXIS_M:  # inflated by a relative 1e-12 on each axis
+        assert math.isclose(e.area, steiner * (1.0 + 1e-12) ** 2, rel_tol=1e-12)
 
 
 @st.composite
