@@ -124,11 +124,12 @@ def brute_force_plan(
     growth strings, ``_partition_table``), rejects groupings whose ellipses
     share a user, and deploys the cells of the rest exactly like the main
     pipeline, each distinct cell once.  Cells are fitted in order of size: a
-    cell that adds a user strictly inside a sub-cell's three-point ellipse
-    has that ellipse (Welzl, 1991), byte for byte, and reuses it without a
-    fit.  Returns the first cheapest plan; the one-cell grouping comes first
-    and is always feasible, so there is one.  Instance sizes are capped
-    because the partition count grows combinatorially.
+    cell that adds a user strictly inside a sub-cell's ellipse built on a
+    three- or four-point support (``fit.support``) has that ellipse (Welzl,
+    1991), byte for byte, and reuses it without a fit.  Returns the first
+    cheapest plan; the one-cell grouping comes first and is always
+    feasible, so there is one.  Instance sizes are capped because the
+    partition count grows combinatorially.
     """
     pts = np.atleast_2d(np.asarray(users, dtype=float))
     n = len(pts)
@@ -143,7 +144,7 @@ def brute_force_plan(
     bits = 1 << np.arange(n)
     # per distinct cell, indexed by the bitmask of its members: its ellipse,
     # the users inside it, and the users it can take without changing it (its
-    # triple and the users strictly inside; none unless a triple built it)
+    # support and the users strictly inside; none unless a support built it)
     ellipses: dict[int, Ellipse] = {}
     inside = np.zeros(1 << n, dtype=np.int64)
     spare = [0] * (1 << n)
@@ -156,8 +157,8 @@ def brute_force_plan(
         ellipses[key] = e = mvee(pts[members])
         radii = _radii(e.A, e.b, pts)  # the test of ``contains``
         inside[key] = bits[radii <= 1.0].sum()
-        if e.fit.triple is not None:
-            spare[key] = int(bits[radii < 1.0 - _ROOM].sum()) | sum(1 << members[t] for t in e.fit.triple)
+        if e.fit.support is not None:
+            spare[key] = int(bits[radii < 1.0 - _ROOM].sum()) | sum(1 << members[t] for t in e.fit.support)
 
     # the rule of find_intersections: no user of either cell lies inside both
     covers = inside[table]

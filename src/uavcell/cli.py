@@ -236,7 +236,6 @@ def _override_scenario(scenario: Scenario, overrides: dict) -> Scenario:
 def cmd_deploy(args) -> int:
     scenario = _override_scenario(load_scenario(args.scenario), _flag_overrides(args))
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     try:
         plan, trace = plan_scenario(
             scenario,
@@ -248,8 +247,11 @@ def cmd_deploy(args) -> int:
             fixed_power_dbm=args.fixed_power_dbm,
         )
     except NoConvergenceError as exc:
+        out_dir.mkdir(parents=True, exist_ok=True)
         _write_json(out_dir / "trace.json", exc.trace.to_dict())
         raise
+    # made only once there is something to write, so a failed plan leaves no directory
+    out_dir.mkdir(parents=True, exist_ok=True)
     if trace is not None:
         _write_json(out_dir / "trace.json", trace.to_dict())
         log.info("%d cells after %d iterations", len(plan.uavs), len(trace.iterations))

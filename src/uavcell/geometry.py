@@ -21,6 +21,7 @@ MIN_SEMI_AXIS_M = 1.0  # floor on every fitted semi-axis
 _CERTIFIED_GAP = 1e-12  # gap Newton must certify on every point
 _KKT_TOLERANCE = 3e-13  # |w_i - 3| on the support at Newton convergence
 _NEWTON_MAX_STEPS = 100
+_QUAD = 4  # the largest support built from its own points
 _MAX_SUPPORT = 6  # rank bound of K o K for planar points lifted to 3-D
 _SINGULAR = 1e12  # condition number of K o K past which rounding picks the sign of a Newton step
 _DIRECTIONS = np.array([[1.0, 0.0, 1.0, 1.0], [0.0, 1.0, 1.0, -1.0]])  # x, y, x+y, x-y
@@ -32,12 +33,13 @@ class FitRecord:
 
     gap: float  # certified relative duality gap, max_i w_i / 3 - 1
     newton_steps: int
-    # input indices of a certified three-point support, from which alone the
-    # ellipse was built; None for any other fit, or when an axis is floored
-    triple: tuple[int, int, int] | None = None
+    ending: str  # "closed-form", "triangle", "quad", "newton" or "failed-newton"
+    # input indices of a certified support of three or four points, from which
+    # alone the ellipse was built; None for any other fit, or when an axis is floored
+    support: tuple[int, ...] | None = None
 
 
-_EXACT = FitRecord(0.0, 0)  # closed-form fits of a point or a line
+_EXACT = FitRecord(0.0, 0, "closed-form")  # fits of a point or a line
 
 
 @dataclass
@@ -105,16 +107,18 @@ def mvee(points) -> Ellipse:
     """Fit a minimum-area ellipse enclosing ``points``.
 
     A point, a segment and a triangle (its Steiner ellipse) are closed forms.
-    Larger sets solve the dual of the lifted problem on the whitened points:
-    a Steiner-triple screen, then active-set Newton, both from the largest
-    triangle of the extreme points, certified to a relative duality gap of
-    1e-12 on every point.  If Newton fails, the fit is the covariance ellipse
-    (uniform weights on every point), and a gap above 1e-12 warns.
-    ``Ellipse.fit`` records how the solve ended.  A fit certified on three
-    support points is built from those points alone, and ``fit.triple``
-    names them unless an axis is floored or a point off them sets an
-    inflation step; so it has the bytes of ``mvee(points[fit.triple])``, and
-    so do its supersets by points strictly inside it (Welzl, 1991).  Thin
+    Larger sets solve the dual of the lifted problem on the whitened points,
+    certified to a relative duality gap of 1e-12 on every point: the Steiner
+    ellipse of the largest triangle of the extreme points, then the minimum
+    ellipse through that triangle and the point it leaves farthest out (the
+    quad), then active-set Newton from the triangle.  If Newton fails, the
+    fit is the covariance ellipse (uniform weights on every point), and a
+    gap above 1e-12 warns.  ``Ellipse.fit`` records how the solve ended.  A
+    fit certified on three or four support points is built from those
+    points alone, and ``fit.support`` names them unless an axis is floored
+    or a point off them sets an inflation step; so it has the bytes of
+    ``mvee(points[list(fit.support)])``, and so do its supersets by points
+    strictly inside it (Welzl, 1991).  Thin
     inputs are rebuilt from their principal axis, and every semi-axis is
     floored at ``MIN_SEMI_AXIS_M``.  The result is inflated by a relative
     1e-12 so that ``contains`` holds for every input point despite rounding,
@@ -129,8 +133,8 @@ def mvee(points) -> Ellipse:
         raise ValueError("invalid point: coordinates must be finite")
 
     (x, y), axes, (c, s), fit = _fit_center_form(pts)
-    if fit.triple is not None and min(axes) < MIN_SEMI_AXIS_M:
-        fit = replace(fit, triple=None)  # the floor, not the triple, sets this ellipse
+    if fit.support is not None and min(axes) < MIN_SEMI_AXIS_M:
+        fit = replace(fit, support=None)  # the floor, not the support, sets this ellipse
     # A = R diag(1 / axes) R' for the rotation R whose first column is (c, s)
     w0, w1 = (1.0 / max(axis, MIN_SEMI_AXIS_M) for axis in axes)
     a00, a01, a11 = c * c * w0 + s * s * w1, c * s * (w0 - w1), s * s * w0 + c * c * w1
@@ -141,8 +145,8 @@ def mvee(points) -> Ellipse:
     # so inflate again while its own arithmetic leaves a point outside
     limit = 1.0 - 1e-12
     while (residual := float((radii := _radii(A, b, pts)).max())) > limit:
-        if fit.triple is not None and residual > radii[list(fit.triple)].max():
-            fit = replace(fit, triple=None)  # a point off the triple scales this step
+        if fit.support is not None and residual > radii[list(fit.support)].max():
+            fit = replace(fit, support=None)  # a point off the support scales this step
         scale = residual * (1.0 + 1e-12)
         A, b = A / scale, b / scale
         limit = 1.0
@@ -206,7 +210,7 @@ def _fit_center_form(pts: np.ndarray):
     if n == _LIFT_DIM:
         # its Steiner ellipse: the centroid, and sqrt(2) times the covariance ellipse
         axes = tuple((math.sqrt(2.0) * scale).tolist())
-        return tuple((mean + shift).tolist()), axes, tuple(vt[0].tolist()), FitRecord(0.0, 0, (0, 1, 2))
+        return tuple((mean + shift).tolist()), axes, tuple(vt[0].tolist()), FitRecord(0.0, 0, "closed-form", (0, 1, 2))
 
     # the weights do not change under affine maps, so solve on the whitened
     # points (zero mean, unit covariance) and map the moments back; in raw
@@ -214,11 +218,13 @@ def _fit_center_form(pts: np.ndarray):
     z = left * math.sqrt(n)
     u, fit = _dual_weights(z)
     support = np.flatnonzero(u)
-    if len(support) == _LIFT_DIM:
-        # the ellipse depends only on its support: fit the three points alone,
-        # in input order, so every superset certified on them gets these bytes
-        center, axes, direction, _ = _fit_center_form(pts[support])
-        return center, axes, direction, replace(fit, triple=tuple(support.tolist()))
+    if fit.ending != "failed-newton" and len(support) <= _QUAD:
+        if len(support) < n:
+            # the ellipse depends only on its support: fit those points alone,
+            # in input order, so every superset certified on them gets these bytes
+            center, axes, direction, _ = _fit_center_form(pts[support])
+            return center, axes, direction, replace(fit, support=tuple(support.tolist()))
+        fit = replace(fit, support=tuple(range(n)))
     zc = u @ z
     cov = (z * u[:, None]).T @ z - np.outer(zc, zc)
     center = mean + (shift + (zc * scale) @ vt)
@@ -235,9 +241,11 @@ def _dual_weights(z: np.ndarray):
     The core is every point of a set of up to ``_MAX_SUPPORT``, else the
     points extreme along x, y and the diagonals (the initial core set of
     Kumar & Yildirim, 2005).  Weights 1/3 on its largest triangle
-    (``_steiner_triple``) are tried first, and Newton starts from them.
-    Every answer is certified by its gap on every point.  If Newton fails, the
-    weights are uniform (the covariance ellipse); a gap above ``_CERTIFIED_GAP`` warns.
+    (``_steiner_triple``) are tried first, then the weights of the quad of
+    that triangle and the point of largest leverage (``_quad_weights``), and
+    Newton starts from the triangle.  Every answer is certified by its gap on
+    every point.  If Newton fails, the weights are uniform (the covariance
+    ellipse); a gap above ``_CERTIFIED_GAP`` warns.
     """
     n = len(z)
     q = np.column_stack([z, np.ones(n)])
@@ -248,16 +256,22 @@ def _dual_weights(z: np.ndarray):
     else:
         # by Welzl's argument, a support's optimum that holds every point is optimal
         u[triple] = 1.0 / _LIFT_DIM
-        if (gap := _gap(_leverages(q, u))) <= _CERTIFIED_GAP:
-            return u, FitRecord(gap, 0)
+        if (gap := _gap(w := _leverages(q, u))) <= _CERTIFIED_GAP:
+            return u, FitRecord(gap, 0, "triangle")
+        quad = np.append(triple, np.argmax(w))
+        if (weights := _quad_weights(z[quad])) is not None:
+            v = np.zeros(n)
+            v[quad] = weights
+            if (gap := _gap(_leverages(q, v))) <= _CERTIFIED_GAP:
+                return v, FitRecord(gap, 0, "quad")
     polished, steps, gap = _newton(q, u)
     if polished is not None:
-        return polished, FitRecord(gap, steps)
+        return polished, FitRecord(gap, steps, "newton")
     u = np.full(n, 1.0 / n)
     if (gap := _gap(_leverages(q, u))) > _CERTIFIED_GAP:
         message = f"mvee: Newton failed on {n} points after {steps} steps; the covariance ellipse has a gap of {gap:.3g}"
         warnings.warn(message, RuntimeWarning, stacklevel=4)
-    return u, FitRecord(gap, steps)
+    return u, FitRecord(gap, steps, "failed-newton")
 
 
 def _extreme_points(z: np.ndarray) -> np.ndarray:
@@ -293,6 +307,119 @@ def _triples(m: int) -> np.ndarray:
     triples = np.array(list(combinations(range(m), 3)), dtype=np.intp).reshape(-1, 3).T
     triples.flags.writeable = False  # shared by every caller through the cache
     return triples
+
+
+def _quad_weights(z: np.ndarray):
+    """Dual weights, in input order, of the minimum ellipse through four
+    points in convex position (Gärtner & Schönherr, 1997); None if the points
+    are not in convex position or a weight is not positive.
+
+    The conics through the points are the pencil C1 + t (C2 - C1) of the two
+    pairs of opposite sides, scaled to unit norm; the ellipses are those with
+    det(C[:2, :2]) > 0, an interval within (0, 1).  Area squared is
+    det(C)^2 / det(C[:2, :2])^3 up to a constant, and its derivative vanishes
+    at a root of a cubic, because the quartic terms cancel; the area falls
+    from the interval's ends, so bisection finds the root down to adjacent
+    floats.  The weights then give the ellipse's center and half its inverse
+    shape as their first and second moments.
+    """
+    # centred and scaled, so the conic's coefficients are of order one
+    raw = z.tolist()
+    mx, my = (0.25 * sum(col) for col in zip(*raw))
+    p = [(x - mx, y - my) for x, y in raw]
+    size = max(max(abs(x), abs(y)) for x, y in p)
+    p = [(x / size, y / size) for x, y in p]
+    # the affine dependence of the points (sum n = 0, sum n p = 0): in convex
+    # position two are positive and two negative, and each sign pair is a diagonal
+    n = [_cross(p[1], p[2], p[3]), -_cross(p[0], p[2], p[3]), _cross(p[0], p[1], p[3]), -_cross(p[0], p[1], p[2])]
+    plus, minus = [k for k in range(4) if n[k] > 0.0], [k for k in range(4) if n[k] < 0.0]
+    if len(plus) != 2 or len(minus) != 2:
+        return None
+    a, b, c, d = (p[k] for k in (plus[0], minus[0], plus[1], minus[1]))  # in cyclic order
+    c1 = _line_pair(a, b, c, d)
+    dc = [v2 - v1 for v1, v2 in zip(c1, _line_pair(b, c, d, a))]
+    # det C(t) = d0 + d1 t + d2 t^2 + d3 t^3 and det C(t)[:2, :2] = e0 + e1 t + e2 t^2
+    d0, d1, d2, d3 = _det(c1), _dot(_adjugate(c1), dc), _dot(c1, _adjugate(dc)), _det(dc)
+    e0 = c1[0] * c1[2] - c1[1] * c1[1]
+    e1 = c1[0] * dc[2] + dc[0] * c1[2] - 2.0 * c1[1] * dc[1]
+    e2 = dc[0] * dc[2] - dc[1] * dc[1]
+    if not e2 < 0.0:  # no ellipse between the two parabolas: a quad degenerate to rounding
+        return None
+    peak, half = -0.5 * e1 / e2, math.sqrt(max(e1 * e1 - 4.0 * e0 * e2, 0.0)) / (-2.0 * e2)
+    lo, hi = max(peak - half, 0.0), min(peak + half, 1.0)
+    # d(area^2)/dt has the sign of det C times 2 det' e - 3 det e', a cubic
+    t = 0.5 * (lo + hi)
+    sign = math.copysign(1.0, d0 + t * (d1 + t * (d2 + t * d3)))
+    g0 = sign * (2.0 * d1 * e0 - 3.0 * d0 * e1)
+    g1 = sign * (4.0 * d2 * e0 - d1 * e1 - 6.0 * d0 * e2)
+    g2 = sign * (d2 * e1 - 4.0 * d1 * e2 + 6.0 * d3 * e0)
+    g3 = sign * (3.0 * d3 * e1 - 2.0 * d2 * e2)
+    while lo < (t := 0.5 * (lo + hi)) < hi:
+        if g0 + t * (g1 + t * (g2 + t * g3)) < 0.0:  # the area still falls
+            lo = t
+        else:
+            hi = t
+    ca, cb, cc, cd, ce, cf = conic = [v1 + t * dv for v1, dv in zip(c1, dc)]
+    # center -C[:2, :2]^-1 C[:2, 2], and (x - center)' C[:2, :2] (x - center) = -det C / det C[:2, :2]
+    det2 = ca * cc - cb * cb
+    if not det2 > 0.0:  # the interval was empty to rounding
+        return None
+    center = ((cb * ce - cc * cd) / det2, (cb * cd - ca * ce) / det2)
+    # the moments the weights must have: sum u = 1, sum u p = center, and the
+    # covariance half the inverse shape, det C / (2 det2^2) times -adj(C[:2, :2])
+    half_inverse = _det(conic) / (2.0 * det2 * det2)
+    txx, txy, tyy = -half_inverse * cc, half_inverse * cb, -half_inverse * ca
+    # the first two hold on the line u = beta + s n, where beta is the
+    # barycentric coordinates of the center in the largest of the four
+    # triangles (the one without the point of largest |n|); s fits the
+    # covariance by least squares
+    far = max(range(4), key=lambda k: abs(n[k]))
+    i, j, k = (m for m in range(4) if m != far)
+    beta = [0.0] * 4
+    area = _cross(p[i], p[j], p[k])
+    beta[i], beta[j], beta[k] = (_cross(center, p[j], p[k]) / area, _cross(p[i], center, p[k]) / area,
+                                 _cross(p[i], p[j], center) / area)
+    sxx = sxy = syy = nxx = nxy = nyy = 0.0
+    for (x, y), bk, nk in zip(p, beta, n):
+        dx, dy = x - center[0], y - center[1]
+        sxx, sxy, syy = sxx + bk * dx * dx, sxy + bk * dx * dy, syy + bk * dy * dy
+        nxx, nxy, nyy = nxx + nk * dx * dx, nxy + nk * dx * dy, nyy + nk * dy * dy
+    if not (norm := nxx * nxx + 2.0 * nxy * nxy + nyy * nyy) > 0.0:  # two points equal to rounding
+        return None
+    s = ((txx - sxx) * nxx + 2.0 * (txy - sxy) * nxy + (tyy - syy) * nyy) / norm
+    u = [bk + s * nk for bk, nk in zip(beta, n)]
+    return u if min(u) > 0.0 else None
+
+
+def _cross(o, a, b) -> float:
+    """(a - o) x (b - o), twice the signed area of the triangle o, a, b."""
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
+# a symmetric 3x3 conic [[a, b, d], [b, c, e], [d, e, f]] as (a, b, c, d, e, f)
+
+def _line_pair(a, b, c, d) -> list[float]:
+    """The conic of the line through a and b times the line through c and d, scaled to unit norm."""
+    l0, l1, l2 = a[1] - b[1], b[0] - a[0], a[0] * b[1] - a[1] * b[0]
+    m0, m1, m2 = c[1] - d[1], d[0] - c[0], c[0] * d[1] - c[1] * d[0]
+    conic = [l0 * m0, 0.5 * (l0 * m1 + l1 * m0), l1 * m1, 0.5 * (l0 * m2 + l2 * m0), 0.5 * (l1 * m2 + l2 * m1), l2 * m2]
+    norm = math.sqrt(_dot(conic, conic))
+    return [v / norm for v in conic]
+
+
+def _det(m) -> float:
+    a, b, c, d, e, f = m
+    return a * (c * f - e * e) - b * (b * f - d * e) + d * (b * e - c * d)
+
+
+def _adjugate(m) -> tuple[float, ...]:
+    a, b, c, d, e, f = m
+    return c * f - e * e, d * e - b * f, a * f - d * d, b * e - c * d, b * d - a * e, a * c - b * b
+
+
+def _dot(m, n) -> float:
+    """trace(M N) of two symmetric conics."""
+    return m[0] * n[0] + m[2] * n[2] + m[5] * n[5] + 2.0 * (m[1] * n[1] + m[3] * n[3] + m[4] * n[4])
 
 
 def _gap(w: np.ndarray) -> float:

@@ -7,12 +7,24 @@ seven users of each seed, at most three UAVs).  Each line is
     <kind> seed=<n> power_mw=<repr of total_power_mw> cells=<sorted memberships>
 
 so two checkouts can be compared with ``diff``, and their memberships alone
-with ``cut -d' ' -f1,2,4``.  pytest does not collect this file.  Run it from
-the repository root against the checkout on ``PYTHONPATH``:
+with ``cut -d' ' -f1,2,4``.  After the plans come five lines
+
+    fits <kind> <count>
+
+that count the brute-force fits by how they ended: ``closed-form``,
+``triangle``, ``quad``, ``newton`` and ``failed-newton``.  They are counted
+by wrapping ``mvee`` where ``baseline`` calls it, so they can be rerun on a
+checkout whose ``FitRecord`` has no ``ending`` (before the quad screen),
+where the kind is read from the Newton step count and the point count.
+pytest does not collect this file.  Run it from the repository root against
+the checkout on ``PYTHONPATH``:
 
     PYTHONPATH=src python tests/plan_digests.py > digests.txt
 """
 
+from collections import Counter
+
+from uavcell import baseline, geometry
 from uavcell.baseline import brute_force_plan
 from uavcell.channel import ENVIRONMENTS, RadioConfig
 from uavcell.clustering import ellipse_clustering
@@ -24,6 +36,7 @@ RADIO = RadioConfig()
 SEEDS = range(100)
 BRUTE_USERS = 7
 BRUTE_UAVS = 3
+KINDS = ("closed-form", "triangle", "quad", "newton", "failed-newton")
 
 
 def _line(kind: str, seed: int, plan) -> str:
@@ -31,14 +44,36 @@ def _line(kind: str, seed: int, plan) -> str:
     return f"{kind} seed={seed} power_mw={plan.total_power_mw!r} cells={cells}".replace(", ", ",")
 
 
+def _ending(fit, n: int) -> str:
+    if hasattr(fit, "ending"):
+        return fit.ending
+    if fit.newton_steps:
+        return "newton" if fit.gap <= 1e-12 else "failed-newton"
+    return "closed-form" if n <= 3 or fit is geometry._EXACT else "triangle"
+
+
 def main() -> None:
     for seed in SEEDS:
         users = generate_pcp(Region(), PcpConfig(seed=seed))
         _, cells, _ = ellipse_clustering(users)
         print(_line("ellipse", seed, deploy(cells, URBAN, RADIO)))
-    for seed in SEEDS:
-        users = generate_pcp(Region(), PcpConfig(seed=seed))[:BRUTE_USERS]
-        print(_line("brute", seed, brute_force_plan(users, BRUTE_UAVS, URBAN, RADIO)))
+    fits = Counter()
+    mvee = baseline.mvee
+
+    def counted(points):
+        e = mvee(points)
+        fits[_ending(e.fit, len(points))] += 1
+        return e
+
+    baseline.mvee = counted
+    try:
+        for seed in SEEDS:
+            users = generate_pcp(Region(), PcpConfig(seed=seed))[:BRUTE_USERS]
+            print(_line("brute", seed, brute_force_plan(users, BRUTE_UAVS, URBAN, RADIO)))
+    finally:
+        baseline.mvee = mvee
+    for kind in KINDS:
+        print(f"fits {kind} {fits[kind]}")
 
 
 if __name__ == "__main__":

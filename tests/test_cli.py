@@ -100,6 +100,14 @@ def test_deploy_circle_needs_cell_count(tmp_path):
     assert main(["deploy", str(scen), "--out-dir", str(tmp_path / "o"), "--method", "circle"]) == 2
 
 
+def test_a_deploy_that_fails_to_plan_makes_no_out_dir(tmp_path):
+    scen = write_scenario(tmp_path / "s.json", two_blob_users())
+    out = tmp_path / "d"
+    assert main(["deploy", str(scen), "--out-dir", str(out), "--method", "circle", "--num-uavs", "5000"]) == 2
+    assert main(["deploy", str(scen), "--out-dir", str(out), "--method", "circle"]) == 2
+    assert not out.exists()
+
+
 def test_deploy_circle_plan(tmp_path):
     scen = write_scenario(tmp_path / "s.json", two_blob_users())
     out = tmp_path / "out"

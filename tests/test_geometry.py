@@ -187,13 +187,13 @@ def test_failed_newton_warns_with_size_and_gap(monkeypatch):
     pts = np.random.default_rng(4).uniform(0.0, 100.0, (40, 2))
     with pytest.warns(RuntimeWarning, match=r"on 40 points .* gap of"):
         e = mvee(pts)
-    assert e.fit.gap > 1e-12 and e.fit.triple is None
+    assert e.fit.gap > 1e-12 and e.fit.support is None
     assert contains(e, pts).all()
 
 
 def test_fit_record_stays_out_of_equality_and_repr():
     e = mvee([(0.0, 0.0), (4.0, 0.0), (0.0, 3.0), (4.0, 3.0)])
-    assert e.fit.gap <= 1e-12 and e.fit.newton_steps > 0
+    assert e.fit.gap <= 1e-12 and e.fit.ending == "quad"
     assert "fit" not in repr(e)
     assert Ellipse(A=e.A, b=e.b).fit is None
     assert [f.name for f in fields(e) if f.compare] == ["A", "b"]
@@ -225,15 +225,32 @@ def test_triangle_with_interior_points_is_certified_without_newton(interior):
 
 
 @pytest.mark.parametrize("shape", ["rectangle", "pentagon"])
-def test_supports_beyond_three_points_still_reach_newton(shape):
+def test_supports_beyond_three_points_reach_the_quad_or_newton(shape):
+    # a rectangle's minimum ellipse passes through all four corners, so the
+    # quad certifies it; a regular pentagon's needs all five, so Newton does
     if shape == "rectangle":
         pts = np.array([[0.0, 0.0], [40.0, 0.0], [40.0, 30.0], [0.0, 30.0]])
+        want = ("quad", 0, (0, 1, 2, 3))
     else:
         t = 2.0 * math.pi * np.arange(5) / 5
         pts = 50.0 * np.column_stack([np.cos(t), np.sin(t)])
+        want = ("newton", 1, None)
     e = mvee(pts)
-    assert e.fit.newton_steps > 0 and e.fit.gap <= 1e-12
+    assert (e.fit.ending, min(e.fit.newton_steps, 1), e.fit.support) == want and e.fit.gap <= 1e-12
     assert contains(e, pts).all()
+    # the minimum ellipse through a rectangle's corners is sqrt(2) times its inscribed one
+    if shape == "rectangle":
+        assert e.area == pytest.approx(math.pi * 20.0 * 15.0 * 2.0, rel=1e-11)
+
+
+def test_a_quad_degenerate_to_rounding_has_no_weights():
+    # the first and last corners are one ulp apart, so the affine dependence
+    # passes the sign test of convex position by rounding alone
+    z = np.array([
+        [98.67877981295356, 105.96373511208479], [-173.00431592865056, -115.21746743531041],
+        [95.06075228220422, -162.76314736192134], [98.67877981295356, 105.96373511208482],
+    ])
+    assert geometry._quad_weights(z) is None
 
 
 @pytest.mark.parametrize("m", [100, 200, 500])

@@ -25,6 +25,7 @@ from oracles import (
     evaluate_per_user,
     farthest_pair_squareform,
     grid_altitude,
+    grid_min_ellipse_area,
     intersections_pairwise,
     select_k_direct,
     silhouette_per_point,
@@ -348,36 +349,87 @@ def triangles_with_inner_points(draw):
     return pts[rng.permutation(len(pts))]
 
 
-fits_with_triples = st.one_of(fit_sets(), point_sets(3, 18), triangles_with_inner_points())
+def _convex(pts) -> bool:
+    """True if four points, in this order, bound a strictly convex quad."""
+    edges = np.roll(pts, -1, axis=0) - pts
+    turns = edges[:, 0] * np.roll(edges, -1, axis=0)[:, 1] - edges[:, 1] * np.roll(edges, -1, axis=0)[:, 0]
+    return bool((turns > 0.0).all() or (turns < 0.0).all())
+
+
+@st.composite
+def convex_quads(draw):
+    """Four points in convex position, in random order: kites, trapezoids,
+    near-parallelograms and quads of lattice points 1 m to 1 km across, and
+    1 m x 1e6 m slivers at any angle."""
+    kind = draw(st.sampled_from(["kite", "trapezoid", "near-parallelogram", "lattice", "sliver"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "kite":  # symmetric about the x axis, tips at -a and b
+        (a, b), height = rng.uniform(0.3, 1.0, 2), rng.uniform(0.1, 1.0)
+        chord = rng.uniform(-0.9 * a, 0.9 * b)
+        pts = np.array([[-a, 0.0], [chord, -height], [b, 0.0], [chord, height]])
+    elif kind == "trapezoid":  # parallel sides along x, the top one shifted
+        bottom, top, shift, height = rng.uniform(0.2, 1.0, 4)
+        pts = np.array([[0.0, 0.0], [bottom, 0.0], [shift + top, height], [shift, height]])
+    elif kind == "near-parallelogram":  # sides at 0.3 to pi - 0.3 rad, the fourth corner 1e-9 to 1e-3 off
+        angle, turn = rng.uniform(0.0, 2.0 * math.pi), rng.uniform(0.3, math.pi - 0.3)
+        u, v = rng.uniform(0.5, 1.0, 2)[:, None] * [[math.cos(angle), math.sin(angle)], [math.cos(angle + turn), math.sin(angle + turn)]]
+        pts = np.array([np.zeros(2), u, u + v + 10.0 ** rng.uniform(-9.0, -3.0) * rng.normal(size=2), v])
+    elif kind == "lattice":  # drawn until convex
+        pts = rng.integers(-4, 5, (4, 2)).astype(float)
+        while not _convex(pts):
+            pts = rng.integers(-4, 5, (4, 2)).astype(float)
+    else:  # tips at either end, one point on each long side
+        length = 1e6
+        ends, sides = rng.uniform(0.3, 0.7, 2), rng.uniform(0.2, 0.8, 2) * length
+        pts = np.array([[0.0, ends[0]], [sides[0], 0.0], [length, ends[1]], [sides[1], 1.0]])
+    assert _convex(pts)
+    angle = rng.uniform(0.0, math.pi) if kind == "sliver" else 0.0
+    rot = np.array([[math.cos(angle), -math.sin(angle)], [math.sin(angle), math.cos(angle)]])
+    scale = 1.0 if kind == "sliver" else draw(st.sampled_from([1.0, 30.0, 1000.0]))
+    return (scale * pts @ rot.T)[rng.permutation(4)]
+
+
+@st.composite
+def quads_with_inner_points(draw):
+    """A convex quad with up to six points strictly inside its minimum ellipse,
+    in random order: the larger cells brute force sees."""
+    corners = draw(convex_quads())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pts = np.vstack([corners, _points_inside(mvee(corners), draw(st.integers(0, 6)), rng)])
+    return pts[rng.permutation(len(pts))]
+
+
+fits_with_supports = st.one_of(fit_sets(), point_sets(3, 18), triangles_with_inner_points(), quads_with_inner_points())
 
 
 @PROPERTY
-@given(fits_with_triples, offsets)
+@given(fits_with_supports, offsets)
 @example(NEWTON_TRIPLE, np.zeros(2))
 # the fourth point lies on the Steiner ellipse of the other three, and far
 # out its rounded radius sets the containment inflation
 @example(np.array([[1.0, 4.0], [-4.0, 0.0], [3.0, 2.0], [-1.0, 0.0]]), np.array([1000.0, -500000.0]))
-def test_a_fit_on_three_support_points_is_the_fit_of_those_points(pts, offset):
+def test_a_fit_on_three_or_four_support_points_is_the_fit_of_those_points(pts, offset):
     pts = pts + offset
     e = mvee(pts)
-    if e.fit.triple is None:
+    if e.fit.support is None:
         return  # a larger support, or an axis on the floor
-    assert _bytes(e) == _bytes(mvee(pts[list(e.fit.triple)]))
+    assert len(e.fit.support) in (3, 4)
+    assert _bytes(e) == _bytes(mvee(pts[list(e.fit.support)]))
 
 
 @PROPERTY
-@given(fits_with_triples, offsets, st.integers(1, 8), st.integers(0, 2**32 - 1))
+@given(fits_with_supports, offsets, st.integers(1, 8), st.integers(0, 2**32 - 1))
 @example(np.delete(NEWTON_TRIPLE, 2, axis=0), np.zeros(2), 1, 0)
-def test_points_strictly_inside_a_three_point_fit_leave_its_bytes(pts, offset, extra, seed):
+def test_points_strictly_inside_a_three_or_four_point_fit_leave_its_bytes(pts, offset, extra, seed):
     # Welzl (1991): a point inside a set's minimum ellipse leaves it minimum
     pts = pts + offset
     e = mvee(pts)
-    if e.fit.triple is None:
+    if e.fit.support is None:
         return
     room = 1.0 - 1e-9
-    rest = np.delete(np.arange(len(pts)), list(e.fit.triple))
+    rest = np.delete(np.arange(len(pts)), list(e.fit.support))
     if not (geometry._radii(e.A, e.b, pts[rest]) < room).all():
-        return  # a fourth point on the boundary may change the certified triple
+        return  # a point off the support on the boundary may change the certified support
     rng = np.random.default_rng(seed)
     added = _points_inside(e, extra, rng)
     added = added[geometry._radii(e.A, e.b, added) < room]
@@ -385,6 +437,50 @@ def test_points_strictly_inside_a_three_point_fit_leave_its_bytes(pts, offset, e
     for p in added:
         grown = np.insert(grown, rng.integers(len(grown) + 1), p, axis=0)
     assert _bytes(mvee(grown)) == _bytes(e)
+
+
+@PROPERTY
+@given(convex_quads(), offsets)
+def test_no_fit_of_four_points_in_convex_position_runs_newton(pts, offset):
+    # the support is the largest triangle, which the first screen certifies,
+    # or all four points, which the quad screen does
+    pts = pts + offset
+    with patch.object(geometry, "_newton", wraps=geometry._newton) as newton:
+        e = mvee(pts)
+    assert newton.call_count == 0
+    assert e.fit.ending in ("triangle", "quad") and e.fit.gap <= 1e-12
+    assert contains(e, pts).all()
+
+
+@settings(PROPERTY, max_examples=25)
+@given(convex_quads(), offsets)
+def test_the_four_point_ellipse_has_the_grid_oracle_area(pts, offset):
+    # the oracle samples the pencil of conics through the points and polishes
+    # the best few ellipses by pattern search: feasible, and within 1e-4 of
+    # the optimum.  Its conics lose their digits 1e6 m out, so it gets the
+    # points about their mean; the area does not change under translation.
+    _, axes, _, fit = geometry._fit_center_form(pts + offset)  # before the 1 m floor and the inflation
+    want = grid_min_ellipse_area(pts + offset - (pts + offset).mean(axis=0))
+    assert fit.gap <= 1e-12
+    assert want * (1.0 - 1e-4) <= math.pi * axes[0] * axes[1] <= want * (1.0 + 1e-8)
+
+
+def test_every_newton_solve_of_a_seven_user_brute_force_ends_on_five_points():
+    # a four-point support is the quad of the largest triangle and the point
+    # it leaves farthest out, or a sub-cell's fit reused
+    ends = []
+    newton = geometry._newton
+
+    def recorded(q, u):
+        weights, steps, gap = newton(q, u)
+        ends.append(None if weights is None else int(np.count_nonzero(weights)))
+        return weights, steps, gap
+
+    with patch.object(geometry, "_newton", recorded):
+        for seed in range(30):
+            users = generate_pcp(Region(), PcpConfig(seed=seed))[:7]
+            brute_force_plan(users, 3, ENVIRONMENTS["urban"], RadioConfig())
+    assert ends and set(ends) == {5}
 
 
 EPS = np.finfo(float).eps
@@ -457,7 +553,7 @@ def test_a_triangle_fit_is_its_steiner_ellipse(seed, scale):
     steiner = 4.0 * math.pi / (3.0 * math.sqrt(3.0)) * float(abs((p1x - p0x) * (p2y - p0y) - (p2x - p0x) * (p1y - p0y)) / 2)
     # the fit before the 1 m floor and the containment inflation
     center, axes, _, fit = geometry._fit_center_form(corners)
-    assert fit.triple == (0, 1, 2)
+    assert fit.support == (0, 1, 2)
     assert math.dist(center, centroid) <= 1e-12 * scale
     assert math.isclose(math.pi * axes[0] * axes[1], steiner, rel_tol=1e-12)
     e = mvee(corners)
