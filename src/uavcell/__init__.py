@@ -13,8 +13,6 @@ from .channel import (
     RadioConfig,
     antenna_gain_db,
     avg_path_loss,
-    fspl_db,
-    los_probability,
 )
 from .clustering import (
     AlgorithmTrace,
@@ -26,14 +24,12 @@ from .clustering import (
     find_intersections,
     grow_to_k,
     select_k,
-    silhouette_index,
 )
 from .deployment import (
     AltitudeBounds,
     DeploymentPlan,
     PlanMetrics,
     UavDeployment,
-    beam_from_footprint,
     deploy,
     evaluate,
     optimal_altitude,

@@ -125,8 +125,8 @@ def brute_force_plan(
     share a user, and deploys the cells of the rest exactly like the main
     pipeline, each distinct cell once.  Cells are fitted in order of size: a
     cell that adds a user strictly inside a sub-cell's ellipse built on a
-    three- or four-point support (``fit.support``) has that ellipse (Welzl,
-    1991), byte for byte, and reuses it without a fit.  Returns the first
+    support of three to five points (``fit.support``) has that ellipse
+    (Welzl, 1991), byte for byte, and reuses it without a fit.  Returns the first
     cheapest plan; the one-cell grouping comes first and is always
     feasible, so there is one.  Instance sizes are capped because the
     partition count grows combinatorially.

@@ -16,8 +16,6 @@ __all__ = [
     "antenna_gain_db",
     "avg_path_loss",
     "dbm_to_mw",
-    "fspl_db",
-    "los_probability",
     "optimal_elevation_rad",
 ]
 
@@ -89,21 +87,6 @@ class Beam:
 def antenna_gain_db(beam: Beam) -> float:
     """Main-lobe gain in dB; outside the lobe callers treat the gain as zero."""
     return 10.0 * math.log10(PEAK_GAIN_NUMERATOR / (beam.theta1_deg * beam.theta2_deg))
-
-
-def fspl_db(distance_m: float, frequency_hz: float) -> float:
-    """Free-space path loss over ``distance_m`` at ``frequency_hz``."""
-    if distance_m <= 0.0:
-        raise ValueError("distance must be positive")
-    if frequency_hz <= 0.0:
-        raise ValueError("frequency must be positive")
-    return _fspl_db(math, distance_m, frequency_hz)
-
-
-def los_probability(altitude_m: float, horizontal_m: float, env: Environment) -> float:
-    """Line-of-sight probability for the elevation angle seen by the user."""
-    _check_link(altitude_m, horizontal_m)
-    return _los_probability(math, altitude_m, horizontal_m, env)
 
 
 def avg_path_loss(

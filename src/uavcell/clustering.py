@@ -25,7 +25,6 @@ __all__ = [
     "find_intersections",
     "grow_to_k",
     "select_k",
-    "silhouette_index",
     "split_cluster",
 ]
 
@@ -109,22 +108,12 @@ class NoConvergenceError(RuntimeError):
         self.trace = trace
 
 
-def silhouette_index(points, labels) -> float:
-    """Mean silhouette over all points.
+def _silhouette(dist: np.ndarray, labels: np.ndarray) -> float:
+    """Mean silhouette from the square distance matrix ``dist``.
 
     Points in singleton clusters contribute 0, as do points whose intra and
     inter distances are both zero (co-located duplicates).
     """
-    from scipy.spatial.distance import pdist, squareform
-
-    labels = np.asarray(labels)
-    if len(np.unique(labels)) < 2:
-        raise ValueError("silhouette needs at least two clusters")
-    return _silhouette(squareform(pdist(np.asarray(points, dtype=float))), labels)
-
-
-def _silhouette(dist: np.ndarray, labels: np.ndarray) -> float:
-    """Mean silhouette from the square distance matrix ``dist``."""
     uniq = np.unique(labels)
     sums = np.stack([dist[:, labels == c].sum(axis=1) for c in uniq], axis=1)
     counts = np.array([(labels == c).sum() for c in uniq])

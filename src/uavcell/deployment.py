@@ -16,7 +16,6 @@ __all__ = [
     "DeploymentPlan",
     "PlanMetrics",
     "UavDeployment",
-    "beam_from_footprint",
     "deploy",
     "deploy_cell",
     "evaluate",
@@ -83,12 +82,8 @@ def optimal_altitude(edge_distance_m: float, env: Environment, bounds: AltitudeB
     return min(max(edge_distance_m * math.tan(optimal_elevation_rad(env)), bounds.h_min), bounds.h_max)
 
 
-def beam_from_footprint(altitude_m: float, footprint: Ellipse) -> Beam:
-    """Half-power half-widths that project the footprint from ``altitude_m``."""
-    return _beam(altitude_m, *footprint.semi_axes)
-
-
 def _beam(altitude_m: float, major: float, minor: float) -> Beam:
+    """Half-power half-widths that project semi-axes ``major`` and ``minor`` from ``altitude_m``."""
     if altitude_m <= 0.0:
         raise ValueError("altitude must be positive")
     return Beam(

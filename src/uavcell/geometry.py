@@ -6,7 +6,6 @@ positive definite, so containment tests and affine bookkeeping stay cheap.
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 from dataclasses import dataclass, field, replace
@@ -21,7 +20,8 @@ MIN_SEMI_AXIS_M = 1.0  # floor on every fitted semi-axis
 _CERTIFIED_GAP = 1e-12  # gap Newton must certify on every point
 _KKT_TOLERANCE = 3e-13  # |w_i - 3| on the support at Newton convergence
 _NEWTON_MAX_STEPS = 100
-_QUAD = 4  # the largest support built from its own points
+_QUAD = 4
+_FIVE = 5  # five points fix a conic: the largest support built from its own points
 _MAX_SUPPORT = 6  # rank bound of K o K for planar points lifted to 3-D
 _SINGULAR = 1e12  # condition number of K o K past which rounding picks the sign of a Newton step
 _DIRECTIONS = np.array([[1.0, 0.0, 1.0, 1.0], [0.0, 1.0, 1.0, -1.0]])  # x, y, x+y, x-y
@@ -33,9 +33,9 @@ class FitRecord:
 
     gap: float  # certified relative duality gap, max_i w_i / 3 - 1
     newton_steps: int
-    ending: str  # "closed-form", "triangle", "quad", "newton" or "failed-newton"
-    # input indices of a certified support of three or four points, from which
-    # alone the ellipse was built; None for any other fit, or when an axis is floored
+    ending: str  # "closed-form", "triangle", "quad", "five", "newton" or "failed-newton"
+    # input indices of a certified support of three to five points, from whose
+    # own fit alone the ellipse was built; None for any other fit, or when an axis is floored
     support: tuple[int, ...] | None = None
 
 
@@ -106,23 +106,18 @@ def _eigenvalues(a: float, b: float, d: float) -> tuple[float, float]:
 def mvee(points) -> Ellipse:
     """Fit a minimum-area ellipse enclosing ``points``.
 
-    A point, a segment and a triangle (its Steiner ellipse) are closed forms.
-    Larger sets solve the dual of the lifted problem on the whitened points,
-    certified to a relative duality gap of 1e-12 on every point: the Steiner
-    ellipse of the largest triangle of the extreme points, then the minimum
-    ellipse through that triangle and the point it leaves farthest out (the
-    quad), then active-set Newton from the triangle.  If Newton fails, the
-    fit is the covariance ellipse (uniform weights on every point), and a
-    gap above 1e-12 warns.  ``Ellipse.fit`` records how the solve ended.  A
-    fit certified on three or four support points is built from those
-    points alone, and ``fit.support`` names them unless an axis is floored
-    or a point off them sets an inflation step; so it has the bytes of
-    ``mvee(points[list(fit.support)])``, and so do its supersets by points
-    strictly inside it (Welzl, 1991).  Thin
-    inputs are rebuilt from their principal axis, and every semi-axis is
-    floored at ``MIN_SEMI_AXIS_M``.  The result is inflated by a relative
-    1e-12 so that ``contains`` holds for every input point despite rounding,
-    and again while it does not.
+    Up to five points are fitted by cases (``_small_fit``), and larger sets,
+    or small ones the cases leave open, by the dual of the lifted problem on
+    the whitened points (``_dual_weights``), certified to a relative duality
+    gap of 1e-12 on every point.  Either way a fit certified on a support of
+    three to five points is that support's own fit, its exact primitive
+    (Gärtner & Schönherr, 1997): ``fit.support`` names it unless an axis is
+    floored or a point off it sets an inflation step, and then the fit has
+    the bytes of ``mvee(points[list(fit.support)])``, and so do its supersets
+    by points strictly inside it (Welzl, 1991).  If Newton fails, the fit is
+    the covariance ellipse and warns.  Thin inputs give their segment,
+    semi-axes are floored at ``MIN_SEMI_AXIS_M``, and the fit is inflated by
+    a relative 1e-12, and again while ``contains`` misses a point.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.size == 0:
@@ -133,6 +128,9 @@ def mvee(points) -> Ellipse:
         raise ValueError("invalid point: coordinates must be finite")
 
     (x, y), axes, (c, s), fit = _fit_center_form(pts)
+    if fit.gap > _CERTIFIED_GAP:
+        message = f"mvee: Newton failed on {len(pts)} points after {fit.newton_steps} steps; the covariance ellipse has a gap of {fit.gap:.3g}"
+        warnings.warn(message, RuntimeWarning, stacklevel=2)
     if fit.support is not None and min(axes) < MIN_SEMI_AXIS_M:
         fit = replace(fit, support=None)  # the floor, not the support, sets this ellipse
     # A = R diag(1 / axes) R' for the rotation R whose first column is (c, s)
@@ -190,6 +188,8 @@ def _fit_center_form(pts: np.ndarray):
         if length == 0.0:  # one point, or two equal ones
             return (x0, y0), (0.0, 0.0), (1.0, 0.0), _EXACT
         return (0.5 * (x0 + x1), 0.5 * (y0 + y1)), (0.5 * length, 0.0), ((x1 - x0) / length, (y1 - y0) / length), _EXACT
+    if n <= _FIVE and (small := _small_fit(pts.tolist())) is not None:
+        return small
 
     mean = pts.mean(axis=0)
     centered = pts - mean
@@ -206,46 +206,127 @@ def _fit_center_form(pts: np.ndarray):
         center = mean + (shift + vt[0] * (0.5 * (lo + hi)))
         return tuple(center.tolist()), (0.5 * (hi - lo), 0.0), tuple(vt[0].tolist()), _EXACT
 
-    scale = svals / math.sqrt(n)
-    if n == _LIFT_DIM:
-        # its Steiner ellipse: the centroid, and sqrt(2) times the covariance ellipse
-        axes = tuple((math.sqrt(2.0) * scale).tolist())
-        return tuple((mean + shift).tolist()), axes, tuple(vt[0].tolist()), FitRecord(0.0, 0, "closed-form", (0, 1, 2))
-
     # the weights do not change under affine maps, so solve on the whitened
-    # points (zero mean, unit covariance) and map the moments back; in raw
-    # metres Newton's KKT residual stalls above its tolerance
+    # points (zero mean, unit covariance); in raw metres Newton's KKT residual
+    # stalls above its tolerance
+    frame = (mean + shift).tolist(), (svals / math.sqrt(n)).tolist(), vt.tolist()
     z = left * math.sqrt(n)
     u, fit = _dual_weights(z)
-    support = np.flatnonzero(u)
-    if fit.ending != "failed-newton" and len(support) <= _QUAD:
-        if len(support) < n:
+    if fit.ending == "failed-newton":
+        u = np.full(n, 1.0 / n)  # the covariance ellipse
+        fit = replace(fit, gap=_gap(_leverages(np.column_stack([z, np.ones(n)]), u)))
+    else:
+        support = np.flatnonzero(u)
+        if len(support) > min(n - 1, _FIVE):  # copies of a point share its weight: keep the first of each
+            support = support[np.sort(np.unique(pts[support], axis=0, return_index=True)[1])]
+        if len(support) < n and len(support) <= _FIVE:
             # the ellipse depends only on its support: fit those points alone,
             # in input order, so every superset certified on them gets these bytes
             center, axes, direction, _ = _fit_center_form(pts[support])
             return center, axes, direction, replace(fit, support=tuple(support.tolist()))
-        fit = replace(fit, support=tuple(range(n)))
+        if n <= _FIVE:
+            fit = replace(fit, support=tuple(range(n)))
+        # all of four or five points, or six on one conic (cocircular ones): the conic through five of them
+        five = support if len(support) <= _FIVE else np.delete(support, np.argmin(u[support]))
+        conic = _quad_conic(z.tolist()) if len(five) == _QUAD else _five_conic(z[five])
+        if conic is not None:
+            return (*_center_form(frame, *conic), fit)
+    # Newton failed, or rounding leaves no ellipse through its support: the moments of the weights
     zc = u @ z
-    cov = (z * u[:, None]).T @ z - np.outer(zc, zc)
-    center = mean + (shift + (zc * scale) @ vt)
-    # the moments in the frame of the singular vectors, where slivers keep their width
-    (p, q), (_, r) = (cov * np.outer(scale, scale)).tolist()
-    angle = 0.5 * math.atan2(2.0 * q, p - r)  # of the major axis, the larger eigenvalue's
-    axes = tuple(math.sqrt(2.0 * max(lam, 0.0)) for lam in _eigenvalues(p, q, r))
-    return tuple(center.tolist()), axes, tuple((np.array([math.cos(angle), math.sin(angle)]) @ vt).tolist()), fit
+    (sxx, sxy), (_, syy) = ((z * u[:, None]).T @ z - np.outer(zc, zc)).tolist()
+    return (*_center_form(frame, zc.tolist(), (sxx, sxy, syy), sxx * syy - sxy * sxy), fit)
+
+
+def _small_fit(p: list):
+    """The fit of three to five points (pairs) by cases, in Python floats but
+    for the five-point conic, or None where these cases do not settle it or
+    rounding leaves them open: a segment for points on a line, the Steiner
+    ellipse of three points, and of more, the first of these that holds every
+    point to a gap of 1e-12: the largest triangle's Steiner ellipse, the
+    minimum ellipse through that triangle and the point it leaves farthest
+    out (``_quad_conic``; they are in convex position), and the conic through
+    five points (``_five_conic``) if its weights are positive.  Determinants
+    come from cross products, and conics from the points whitened here, so
+    1 m x 1e6 m slivers keep their width.
+    """
+    n = len(p)
+    mx, my = (sum(col) / n for col in zip(*p))
+    d = [(x - mx, y - my) for x, y in p]
+    # a second pass, as in the SVD path, so the line test sees no rounded width
+    sx, sy = (sum(col) / n for col in zip(*d))
+    d = [(x - sx, y - sy) for x, y in d]
+    origin = (mx + sx, my + sy)
+    sxx, sxy, syy = sum(x * x for x, _ in d), sum(x * y for x, y in d), sum(y * y for _, y in d)
+    triples = list(combinations(range(n), 3))
+    areas = [_cross(p[i], p[j], p[k]) for i, j, k in triples]  # twice the signed areas
+    det = sum(a * a for a in areas) / n  # of the scatter matrix (Cauchy-Binet)
+    high = 0.5 * (sxx + syy) + math.hypot(0.5 * (sxx - syy), sxy)
+    angle = 0.5 * math.atan2(2.0 * sxy, sxx - syy)
+    c, s = math.cos(angle), math.sin(angle)
+    if det <= 1e-18 * high * max(high, 1.0):  # the SVD path's line test, on the squared singular values
+        proj = [c * x + s * y for x, y in d]
+        mid = 0.5 * (min(proj) + max(proj))
+        return (origin[0] + c * mid, origin[1] + s * mid), (0.5 * (max(proj) - min(proj)), 0.0), (c, s), _EXACT
+    if n == _LIFT_DIM:  # the centroid, and sqrt(2) times the covariance ellipse
+        form = _center_form((origin, (1.0, 1.0), ((1.0, 0.0), (0.0, 1.0))), (0.0, 0.0), (sxx / 3, sxy / 3, syy / 3), det / 9)
+        return (*form, FitRecord(0.0, 0, "closed-form", (0, 1, 2)))
+    # under weights 1/3 on the largest triangle a point of barycentric
+    # coordinates l in it has leverage 3 |l|^2, so a gap of |l|^2 - 1
+    best = max(range(len(triples)), key=lambda t: abs(areas[t]))
+    i, j, k = triple = triples[best]
+    gaps = {m: (_cross(p[m], p[j], p[k]) ** 2 + _cross(p[i], p[m], p[k]) ** 2 + _cross(p[i], p[j], p[m]) ** 2)
+            / (areas[best] * areas[best]) - 1.0 for m in range(n) if m not in triple}
+    if (gap := max(max(gaps.values()), 0.0)) <= _CERTIFIED_GAP:
+        return (*_small_fit([p[m] for m in triple])[:3], FitRecord(gap, 0, "triangle", triple))
+    k0, k1 = math.sqrt(high / n), math.sqrt(det / high / n)
+    frame = origin, (k0, k1), ((c, s), (-s, c))
+    z = [((c * x + s * y) / k0, (c * y - s * x) / k1) for x, y in d]
+    quad = sorted((*triple, max(gaps, key=gaps.get)))
+    if (conic := _quad_conic([z[m] for m in quad])) is not None and (gap := _gap_on(z, *conic)) <= _CERTIFIED_GAP:
+        if n == _QUAD:
+            return (*_center_form(frame, *conic), FitRecord(gap, 0, "quad", (0, 1, 2, 3)))
+        fit = _small_fit([p[m] for m in quad])
+        return None if fit is None else (*fit[:3], FitRecord(gap, 0, "quad", tuple(quad)))
+    if n == _QUAD or (conic := _five_conic(za := np.array(z))) is None or _moment_weights(za, *conic[:2]) is None:
+        return None
+    gap = _gap_on(z, *conic)
+    return None if gap > _CERTIFIED_GAP else (*_center_form(frame, *conic), FitRecord(gap, 0, "five", (0, 1, 2, 3, 4)))
+
+
+def _gap_on(z: list, center, cov, det) -> float:
+    """Gap max_i w_i / 3 - 1 of the points (pairs) under sqrt(2) times the covariance
+    ellipse (``center``, ``cov`` of determinant ``det``): w = 1 + 2 r^2 at radius r."""
+    (cx, cy), (sxx, sxy, syy) = center, cov
+    radii = (((x - cx) ** 2 * syy - 2.0 * (x - cx) * (y - cy) * sxy + (y - cy) ** 2 * sxx) / (3.0 * det) for x, y in z)
+    return max(max(radii) - 2.0 / 3.0, 0.0)
+
+
+def _center_form(frame, center, cov, det):
+    """(center, semi-axes, unit direction of the first axis) in metres of sqrt(2) times the
+    covariance ellipse (``center``, ``cov`` = (sxx, sxy, syy) of determinant ``det``) of
+    points whitened by ``frame``: (origin, scale per axis, rows of the rotation)."""
+    (mx, my), (k0, k1), ((a, b), (c, d)) = frame
+    x, y = k0 * center[0], k1 * center[1]
+    # the eigen-decomposition in the frame of the singular vectors, where slivers keep their width
+    sxx, sxy, syy = k0 * k0 * cov[0], k0 * k1 * cov[1], k1 * k1 * cov[2]
+    high = 0.5 * (sxx + syy) + math.hypot(0.5 * (sxx - syy), sxy)
+    angle = 0.5 * math.atan2(2.0 * sxy, sxx - syy)  # of the major axis, the larger eigenvalue's
+    cos, sin = math.cos(angle), math.sin(angle)
+    axes = math.sqrt(2.0 * high), math.sqrt(2.0 * det * (k0 * k1) ** 2 / high)
+    return (mx + a * x + c * y, my + b * x + d * y), axes, (a * cos + c * sin, b * cos + d * sin)
 
 
 def _dual_weights(z: np.ndarray):
-    """(weights, fit record) of the dual MVEE solve on the points ``z``.
+    """(weights, fit record) of the dual MVEE solve on the points ``z``;
+    the weights are None if Newton fails.
 
     The core is every point of a set of up to ``_MAX_SUPPORT``, else the
     points extreme along x, y and the diagonals (the initial core set of
-    Kumar & Yildirim, 2005).  Weights 1/3 on its largest triangle
-    (``_steiner_triple``) are tried first, then the weights of the quad of
-    that triangle and the point of largest leverage (``_quad_weights``), and
-    Newton starts from the triangle.  Every answer is certified by its gap on
-    every point.  If Newton fails, the weights are uniform (the covariance
-    ellipse); a gap above ``_CERTIFIED_GAP`` warns.
+    Kumar & Yildirim, 2005).  Its largest triangle, the quad (that triangle
+    and the point of largest leverage) and the five (the quad and the point
+    of largest leverage under its weights) are screened in turn, each with
+    the weights of the minimum ellipse through all of its points
+    (``_support_weights``); Newton starts from the last of these.
     """
     n = len(z)
     q = np.column_stack([z, np.ones(n)])
@@ -256,22 +337,51 @@ def _dual_weights(z: np.ndarray):
     else:
         # by Welzl's argument, a support's optimum that holds every point is optimal
         u[triple] = 1.0 / _LIFT_DIM
-        if (gap := _gap(w := _leverages(q, u))) <= _CERTIFIED_GAP:
-            return u, FitRecord(gap, 0, "triangle")
-        quad = np.append(triple, np.argmax(w))
-        if (weights := _quad_weights(z[quad])) is not None:
-            v = np.zeros(n)
-            v[quad] = weights
-            if (gap := _gap(_leverages(q, v))) <= _CERTIFIED_GAP:
-                return v, FitRecord(gap, 0, "quad")
+        w = _leverages(q, u)
+        for ending in ("triangle", "quad", "five"):
+            if (gap := _gap(w)) <= _CERTIFIED_GAP:
+                return u, FitRecord(gap, 0, ending)
+            screened = np.append(np.flatnonzero(u), np.argmax(w))
+            if len(screened) > _FIVE or (weights := _support_weights(z[screened])) is None:
+                break
+            u = np.zeros(n)
+            u[screened] = weights
+            w = _leverages(q, u)
     polished, steps, gap = _newton(q, u)
-    if polished is not None:
-        return polished, FitRecord(gap, steps, "newton")
-    u = np.full(n, 1.0 / n)
-    if (gap := _gap(_leverages(q, u))) > _CERTIFIED_GAP:
-        message = f"mvee: Newton failed on {n} points after {steps} steps; the covariance ellipse has a gap of {gap:.3g}"
-        warnings.warn(message, RuntimeWarning, stacklevel=4)
-    return u, FitRecord(gap, steps, "failed-newton")
+    return polished, FitRecord(gap, steps, "newton" if polished is not None else "failed-newton")
+
+
+def _support_weights(z: np.ndarray):
+    """Dual weights, in input order, of the minimum ellipse through all of
+    four or five points, or None if a weight is not positive."""
+    conic = _quad_conic(z.tolist()) if len(z) == _QUAD else _five_conic(z)
+    return None if conic is None else _moment_weights(z, *conic[:2])
+
+
+def _five_conic(z: np.ndarray):
+    """(center, covariance (sxx, sxy, syy), its determinant) of the conic
+    through five points, the null vector of their 5 x 6 monomials, or None
+    if it is no ellipse; the covariance is half the inverse shape."""
+    x, y = z[:, 0], z[:, 1]
+    monomials = np.column_stack([x * x, 2.0 * x * y, y * y, 2.0 * x, 2.0 * y, np.ones(len(z))])
+    conic = ca, cb, cc, cd, ce, _ = np.linalg.svd(monomials)[2][-1].tolist()
+    det2 = ca * cc - cb * cb
+    half_inverse = _det(conic) / (2.0 * det2 * det2) if det2 > 0.0 else 0.0
+    if not -half_inverse * cc > 0.0:  # a hyperbola, a parabola or an empty ellipse
+        return None
+    center = ((cb * ce - cc * cd) / det2, (cb * cd - ca * ce) / det2)
+    return center, (-half_inverse * cc, half_inverse * cb, -half_inverse * ca), half_inverse * half_inverse * det2
+
+
+def _moment_weights(z: np.ndarray, center, cov):
+    """Weights of the points, in input order, with total 1, mean ``center``
+    and covariance ``cov``, by least squares (for points on the ellipse that
+    these moments give, one of the six equations follows from the others);
+    None unless all are positive, when that ellipse is their minimum one."""
+    dx, dy = z[:, 0] - center[0], z[:, 1] - center[1]
+    moments = np.array([np.ones(len(z)), z[:, 0], z[:, 1], dx * dx, dx * dy, dy * dy])
+    weights = np.linalg.lstsq(moments, np.array([1.0, *center, *cov]), rcond=None)[0]
+    return weights if weights.min() > 0.0 else None
 
 
 def _extreme_points(z: np.ndarray) -> np.ndarray:
@@ -292,27 +402,17 @@ def _steiner_triple(z: np.ndarray, core: np.ndarray):
     If some triple's Steiner ellipse holds every point, it is the minimum
     ellipse, so no triangle of the set is larger: only the largest is worth certifying.
     """
-    triples = core[_triples(len(core))]
-    a, b, c = z[triples]  # (triples, 2) each
-    ab, ac = b - a, c - a
-    area = np.abs(ab[:, 0] * ac[:, 1] - ab[:, 1] * ac[:, 0])
-    if not (area > 0.0).any():  # fewer than three points, or all on one line
-        return None
-    return triples[:, int(np.argmax(area))]
+    p = z[core].tolist()
+    triples = list(combinations(range(len(p)), 3))
+    areas = [abs(_cross(p[i], p[j], p[k])) for i, j, k in triples]
+    best = max(range(len(triples)), key=areas.__getitem__)
+    return core[list(triples[best])] if areas[best] > 0.0 else None
 
 
-@functools.cache
-def _triples(m: int) -> np.ndarray:
-    """(3, C(m, 3)) indices of every 3-subset of range(m), in lexicographic order."""
-    triples = np.array(list(combinations(range(m), 3)), dtype=np.intp).reshape(-1, 3).T
-    triples.flags.writeable = False  # shared by every caller through the cache
-    return triples
-
-
-def _quad_weights(z: np.ndarray):
-    """Dual weights, in input order, of the minimum ellipse through four
-    points in convex position (Gärtner & Schönherr, 1997); None if the points
-    are not in convex position or a weight is not positive.
+def _quad_conic(z):
+    """(center, covariance (sxx, sxy, syy), its determinant) of the minimum
+    ellipse through four points (pairs) in convex position (Gärtner &
+    Schönherr, 1997), or None if the points are not in convex position.
 
     The conics through the points are the pencil C1 + t (C2 - C1) of the two
     pairs of opposite sides, scaled to unit norm; the ellipses are those with
@@ -320,13 +420,11 @@ def _quad_weights(z: np.ndarray):
     det(C)^2 / det(C[:2, :2])^3 up to a constant, and its derivative vanishes
     at a root of a cubic, because the quartic terms cancel; the area falls
     from the interval's ends, so bisection finds the root down to adjacent
-    floats.  The weights then give the ellipse's center and half its inverse
-    shape as their first and second moments.
+    floats.  The covariance is half the inverse shape.
     """
     # centred and scaled, so the conic's coefficients are of order one
-    raw = z.tolist()
-    mx, my = (0.25 * sum(col) for col in zip(*raw))
-    p = [(x - mx, y - my) for x, y in raw]
+    mx, my = (0.25 * sum(col) for col in zip(*z))
+    p = [(x - mx, y - my) for x, y in z]
     size = max(max(abs(x), abs(y)) for x, y in p)
     p = [(x / size, y / size) for x, y in p]
     # the affine dependence of the points (sum n = 0, sum n p = 0): in convex
@@ -364,31 +462,10 @@ def _quad_weights(z: np.ndarray):
     det2 = ca * cc - cb * cb
     if not det2 > 0.0:  # the interval was empty to rounding
         return None
-    center = ((cb * ce - cc * cd) / det2, (cb * cd - ca * ce) / det2)
-    # the moments the weights must have: sum u = 1, sum u p = center, and the
-    # covariance half the inverse shape, det C / (2 det2^2) times -adj(C[:2, :2])
-    half_inverse = _det(conic) / (2.0 * det2 * det2)
-    txx, txy, tyy = -half_inverse * cc, half_inverse * cb, -half_inverse * ca
-    # the first two hold on the line u = beta + s n, where beta is the
-    # barycentric coordinates of the center in the largest of the four
-    # triangles (the one without the point of largest |n|); s fits the
-    # covariance by least squares
-    far = max(range(4), key=lambda k: abs(n[k]))
-    i, j, k = (m for m in range(4) if m != far)
-    beta = [0.0] * 4
-    area = _cross(p[i], p[j], p[k])
-    beta[i], beta[j], beta[k] = (_cross(center, p[j], p[k]) / area, _cross(p[i], center, p[k]) / area,
-                                 _cross(p[i], p[j], center) / area)
-    sxx = sxy = syy = nxx = nxy = nyy = 0.0
-    for (x, y), bk, nk in zip(p, beta, n):
-        dx, dy = x - center[0], y - center[1]
-        sxx, sxy, syy = sxx + bk * dx * dx, sxy + bk * dx * dy, syy + bk * dy * dy
-        nxx, nxy, nyy = nxx + nk * dx * dx, nxy + nk * dx * dy, nyy + nk * dy * dy
-    if not (norm := nxx * nxx + 2.0 * nxy * nxy + nyy * nyy) > 0.0:  # two points equal to rounding
-        return None
-    s = ((txx - sxx) * nxx + 2.0 * (txy - sxy) * nxy + (tyy - syy) * nyy) / norm
-    u = [bk + s * nk for bk, nk in zip(beta, n)]
-    return u if min(u) > 0.0 else None
+    center = (mx + size * (cb * ce - cc * cd) / det2, my + size * (cb * cd - ca * ce) / det2)
+    # half the inverse shape: det C / (2 det2^2) times -adj(C[:2, :2]), in the input's scale
+    half_inverse = size * size * _det(conic) / (2.0 * det2 * det2)
+    return center, (-half_inverse * cc, half_inverse * cb, -half_inverse * ca), half_inverse * half_inverse * det2
 
 
 def _cross(o, a, b) -> float:

@@ -226,7 +226,7 @@ def silhouette_direct(points, labels) -> float:
 def silhouette_per_point(points, labels) -> float:
     """Mean silhouette by a loop over points, from per-cluster distance sums.
 
-    The same arithmetic as ``silhouette_index``, one point at a time, so the
+    The same arithmetic as ``clustering._silhouette``, one point at a time, so the
     two agree bit for bit.
     """
     pts = np.asarray(points, dtype=float)

@@ -7,15 +7,16 @@ seven users of each seed, at most three UAVs).  Each line is
     <kind> seed=<n> power_mw=<repr of total_power_mw> cells=<sorted memberships>
 
 so two checkouts can be compared with ``diff``, and their memberships alone
-with ``cut -d' ' -f1,2,4``.  After the plans come five lines
+with ``cut -d' ' -f1,2,4``.  After the plans come the lines
 
-    fits <kind> <count>
+    fits <ellipse|brute> <kind> <count>
 
-that count the brute-force fits by how they ended: ``closed-form``,
-``triangle``, ``quad``, ``newton`` and ``failed-newton``.  They are counted
-by wrapping ``mvee`` where ``baseline`` calls it, so they can be rerun on a
-checkout whose ``FitRecord`` has no ``ending`` (before the quad screen),
-where the kind is read from the Newton step count and the point count.
+that count the fits of the campaign and of the brute-force instances by how
+they ended: ``closed-form``, ``triangle``, ``quad``, ``five``, ``newton``
+and ``failed-newton``.  They are counted by wrapping ``mvee`` where
+``clustering`` and ``baseline`` call it, so they can be rerun on a checkout
+whose ``FitRecord`` has no ``ending`` (before the quad screen), where the
+kind is read from the Newton step count and the point count.
 pytest does not collect this file.  Run it from the repository root against
 the checkout on ``PYTHONPATH``:
 
@@ -24,7 +25,7 @@ the checkout on ``PYTHONPATH``:
 
 from collections import Counter
 
-from uavcell import baseline, geometry
+from uavcell import baseline, clustering, geometry
 from uavcell.baseline import brute_force_plan
 from uavcell.channel import ENVIRONMENTS, RadioConfig
 from uavcell.clustering import ellipse_clustering
@@ -36,7 +37,7 @@ RADIO = RadioConfig()
 SEEDS = range(100)
 BRUTE_USERS = 7
 BRUTE_UAVS = 3
-KINDS = ("closed-form", "triangle", "quad", "newton", "failed-newton")
+KINDS = ("closed-form", "triangle", "quad", "five", "newton", "failed-newton")
 
 
 def _line(kind: str, seed: int, plan) -> str:
@@ -53,27 +54,30 @@ def _ending(fit, n: int) -> str:
 
 
 def main() -> None:
-    for seed in SEEDS:
-        users = generate_pcp(Region(), PcpConfig(seed=seed))
-        _, cells, _ = ellipse_clustering(users)
-        print(_line("ellipse", seed, deploy(cells, URBAN, RADIO)))
-    fits = Counter()
-    mvee = baseline.mvee
+    fits = {"ellipse": Counter(), "brute": Counter()}
+    mvee = geometry.mvee
 
-    def counted(points):
-        e = mvee(points)
-        fits[_ending(e.fit, len(points))] += 1
-        return e
+    def counted(tally):
+        def fit(points):
+            e = mvee(points)
+            tally[_ending(e.fit, len(points))] += 1
+            return e
+        return fit
 
-    baseline.mvee = counted
+    clustering.mvee, baseline.mvee = counted(fits["ellipse"]), counted(fits["brute"])
     try:
+        for seed in SEEDS:
+            users = generate_pcp(Region(), PcpConfig(seed=seed))
+            _, cells, _ = ellipse_clustering(users)
+            print(_line("ellipse", seed, deploy(cells, URBAN, RADIO)))
         for seed in SEEDS:
             users = generate_pcp(Region(), PcpConfig(seed=seed))[:BRUTE_USERS]
             print(_line("brute", seed, brute_force_plan(users, BRUTE_UAVS, URBAN, RADIO)))
     finally:
-        baseline.mvee = mvee
-    for kind in KINDS:
-        print(f"fits {kind} {fits[kind]}")
+        clustering.mvee, baseline.mvee = mvee, mvee
+    for method, tally in fits.items():
+        for kind in KINDS:
+            print(f"fits {method} {kind} {tally[kind]}")
 
 
 if __name__ == "__main__":

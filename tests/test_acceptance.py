@@ -9,6 +9,7 @@ single ACCEPTANCE line (visible under ``pytest -s``) so a run of this file
 doubles as the release checklist.
 """
 
+import math
 import statistics
 import time
 from collections import Counter
@@ -19,7 +20,7 @@ import pytest
 
 from oracles import grid_best_altitude, grid_min_ellipse_area
 from uavcell.baseline import CirclePackingConfig, brute_force_optimum, circle_pack_deploy
-from uavcell.channel import ENVIRONMENTS, Beam, RadioConfig, antenna_gain_db, avg_path_loss, fspl_db
+from uavcell.channel import ENVIRONMENTS, Beam, RadioConfig, _fspl_db, antenna_gain_db, avg_path_loss
 from uavcell.cli import main
 from uavcell.clustering import ClusteringConfig, ClusterSet, ellipse_clustering, find_intersections
 from uavcell.deployment import AltitudeBounds, DeploymentPlan, deploy, evaluate, optimal_altitude
@@ -169,7 +170,7 @@ def test_acceptance_06_path_loss_non_decreasing_in_horizontal_distance():
 
 
 def test_acceptance_07_link_budget_spot_values():
-    fspl = fspl_db(1000.0, 2.0e9)
+    fspl = _fspl_db(math, 1000.0, 2.0e9)
     gain = antenna_gain_db(Beam(30.0, 30.0))
     assert fspl == pytest.approx(98.46, abs=0.01)
     assert gain == pytest.approx(15.23, abs=0.01)

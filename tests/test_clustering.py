@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.spatial.distance import pdist, squareform
 
 from oracles import best_two_partition_wcss, intersections_pairwise, silhouette_direct
 from uavcell import clustering
@@ -14,7 +15,6 @@ from uavcell.clustering import (
     find_intersections,
     grow_to_k,
     select_k,
-    silhouette_index,
     split_cluster,
 )
 from uavcell.geometry import Ellipse, contains, mvee
@@ -38,6 +38,11 @@ def wcss(points, idx_a, idx_b):
 
 # --- silhouette -------------------------------------------------------------
 
+def silhouette_index(points, labels) -> float:
+    """``_silhouette`` on the points' square distance matrix, as ``select_k`` calls it."""
+    return clustering._silhouette(squareform(pdist(np.asarray(points, dtype=float))), np.asarray(labels))
+
+
 def test_silhouette_matches_direct_formula():
     rng = np.random.default_rng(4)
     for _ in range(20):
@@ -59,11 +64,6 @@ def test_silhouette_far_blobs_score_high():
 def test_silhouette_duplicates_score_zero():
     pts = np.zeros((6, 2))
     assert silhouette_index(pts, [0, 0, 0, 1, 1, 1]) == 0.0
-
-
-def test_silhouette_needs_two_clusters():
-    with pytest.raises(ValueError):
-        silhouette_index(two_blobs(), np.zeros(12))
 
 
 # --- cluster count selection ------------------------------------------------

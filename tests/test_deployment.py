@@ -13,7 +13,7 @@ from uavcell.deployment import (
     SNR_GRACE_DB,
     UavDeployment,
     DeploymentPlan,
-    beam_from_footprint,
+    _beam,
     deploy,
     deploy_cell,
     evaluate,
@@ -105,24 +105,24 @@ def axis_aligned(a_major, a_minor, cx=0.0, cy=0.0):
 
 
 def test_beam_forty_five_degrees_when_axis_equals_altitude():
-    beam = beam_from_footprint(250.0, axis_aligned(250.0, 100.0))
+    beam = _beam(250.0, *axis_aligned(250.0, 100.0).semi_axes)
     assert beam.theta1_deg == pytest.approx(45.0)
 
 
 def test_beam_circle_gives_equal_widths():
-    beam = beam_from_footprint(300.0, axis_aligned(120.0, 120.0))
+    beam = _beam(300.0, *axis_aligned(120.0, 120.0).semi_axes)
     assert beam.theta1_deg == pytest.approx(beam.theta2_deg)
 
 
 def test_beam_reference_values():
-    beam = beam_from_footprint(300.0, axis_aligned(200.0, 100.0))
+    beam = _beam(300.0, *axis_aligned(200.0, 100.0).semi_axes)
     assert beam.theta1_deg == pytest.approx(33.69, abs=0.01)
     assert beam.theta2_deg == pytest.approx(18.43, abs=0.01)
 
 
 def test_beam_requires_positive_altitude():
     with pytest.raises(ValueError):
-        beam_from_footprint(0.0, axis_aligned(100.0, 50.0))
+        _beam(0.0, *axis_aligned(100.0, 50.0).semi_axes)
 
 
 # --- power sizing -----------------------------------------------------------
@@ -235,7 +235,7 @@ def test_evaluate_member_outside_footprint_is_uncovered():
     foot = axis_aligned(50.0, 50.0)
     uav = UavDeployment(
         x=0.0, y=0.0, altitude_m=100.0, orientation_rad=0.0,
-        beam=beam_from_footprint(100.0, foot),
+        beam=_beam(100.0, *foot.semi_axes),
         tx_power_dbm=60.0, footprint=foot, members=frozenset({0, 1}),
     )
     plan = DeploymentPlan(uavs=[uav], environment=URBAN, radio=RADIO, total_power_mw=dbm_to_mw(60.0))

@@ -1,5 +1,6 @@
 import copy
 import math
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -191,6 +192,28 @@ def test_failed_newton_warns_with_size_and_gap(monkeypatch):
     assert contains(e, pts).all()
 
 
+@pytest.mark.parametrize("shape", ["rectangle", "pentagon"])
+@pytest.mark.parametrize("offset", [0.0, 1e6])
+def test_a_certified_support_with_no_conic_keeps_its_record(shape, offset, monkeypatch):
+    # where rounding leaves no ellipse through a certified support of all the
+    # points, the fit comes from the moments of Newton's weights: it keeps
+    # its certified record and support, warns of nothing and is the optimum
+    if shape == "rectangle":
+        pts, primitive = np.array([[0.0, 0.0], [40.0, 0.0], [40.0, 30.0], [0.0, 30.0]]), "_quad_conic"
+    else:
+        t = 2.0 * math.pi * np.arange(5) / 5
+        pts, primitive = 50.0 * np.column_stack([np.cos(t), np.sin(t)]), "_five_conic"
+    pts = pts + offset
+    want = mvee(pts)
+    monkeypatch.setattr(geometry, primitive, lambda *args: None)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        e = mvee(pts)
+    assert e.fit.ending == "newton" and e.fit.gap <= 1e-12 and e.fit.support == tuple(range(len(pts)))
+    assert contains(e, pts).all()
+    assert e.area == pytest.approx(want.area, rel=1e-11)
+
+
 def test_fit_record_stays_out_of_equality_and_repr():
     e = mvee([(0.0, 0.0), (4.0, 0.0), (0.0, 3.0), (4.0, 3.0)])
     assert e.fit.gap <= 1e-12 and e.fit.ending == "quad"
@@ -225,22 +248,53 @@ def test_triangle_with_interior_points_is_certified_without_newton(interior):
 
 
 @pytest.mark.parametrize("shape", ["rectangle", "pentagon"])
-def test_supports_beyond_three_points_reach_the_quad_or_newton(shape):
+def test_supports_beyond_three_points_reach_the_quad_or_the_five(shape):
     # a rectangle's minimum ellipse passes through all four corners, so the
-    # quad certifies it; a regular pentagon's needs all five, so Newton does
+    # quad certifies it; a regular pentagon's needs all five, and the conic
+    # through them, its circumcircle, certifies it without a Newton step
     if shape == "rectangle":
         pts = np.array([[0.0, 0.0], [40.0, 0.0], [40.0, 30.0], [0.0, 30.0]])
         want = ("quad", 0, (0, 1, 2, 3))
     else:
         t = 2.0 * math.pi * np.arange(5) / 5
         pts = 50.0 * np.column_stack([np.cos(t), np.sin(t)])
-        want = ("newton", 1, None)
+        want = ("five", 0, (0, 1, 2, 3, 4))
     e = mvee(pts)
-    assert (e.fit.ending, min(e.fit.newton_steps, 1), e.fit.support) == want and e.fit.gap <= 1e-12
+    assert (e.fit.ending, e.fit.newton_steps, e.fit.support) == want and e.fit.gap <= 1e-12
     assert contains(e, pts).all()
     # the minimum ellipse through a rectangle's corners is sqrt(2) times its inscribed one
-    if shape == "rectangle":
-        assert e.area == pytest.approx(math.pi * 20.0 * 15.0 * 2.0, rel=1e-11)
+    area = math.pi * 20.0 * 15.0 * 2.0 if shape == "rectangle" else math.pi * 50.0**2
+    assert e.area == pytest.approx(area, rel=1e-11)
+
+
+class _NoLinearAlgebra:
+    def __getattr__(self, name):
+        raise AssertionError(f"numpy.linalg.{name} called")
+
+
+def test_small_fits_take_no_linear_algebra(monkeypatch):
+    # triangles, convex and non-convex quads, 1 m x 1e6 m slivers and sets
+    # 1e6 m out are fitted by cases in Python floats, without one call into
+    # numpy.linalg, so what a small fit costs is counted in float operations
+    rng = np.random.default_rng(16)
+    sets = []
+    for _ in range(200):
+        corners = rng.uniform(-500.0, 500.0, (3, 2))
+        inner = rng.dirichlet(np.ones(3)) @ corners  # the fourth point in the hull triangle
+        sets += [corners, np.vstack([corners, inner]), rng.uniform(-500.0, 500.0, (4, 2))]
+    angle = rng.uniform(0.0, math.pi, 50)
+    for a in angle:
+        rot = np.array([[math.cos(a), -math.sin(a)], [math.sin(a), math.cos(a)]])
+        sliver = np.column_stack([rng.uniform(0.0, 1e6, 4), rng.uniform(0.0, 1.0, 4)]) @ rot.T
+        sets += [sliver, sliver[:3]]
+    sets += [s + [1e6, -5e5] for s in list(sets)]
+    endings = set()
+    monkeypatch.setattr(geometry.np, "linalg", _NoLinearAlgebra())
+    for pts in sets:
+        e = mvee(pts)
+        assert e.fit.gap <= 1e-12 and contains(e, pts).all()
+        endings.add(e.fit.ending)
+    assert endings == {"closed-form", "triangle", "quad"}
 
 
 def test_a_quad_degenerate_to_rounding_has_no_weights():
@@ -250,7 +304,7 @@ def test_a_quad_degenerate_to_rounding_has_no_weights():
         [98.67877981295356, 105.96373511208479], [-173.00431592865056, -115.21746743531041],
         [95.06075228220422, -162.76314736192134], [98.67877981295356, 105.96373511208482],
     ])
-    assert geometry._quad_weights(z) is None
+    assert geometry._support_weights(z) is None
 
 
 @pytest.mark.parametrize("m", [100, 200, 500])
@@ -303,16 +357,23 @@ def test_thin_kite_whose_extremes_are_its_two_tips_is_certified():
 
 
 @pytest.mark.parametrize("seed, width", [(36, 1e-2), (88, 1e-3), (95, 1e-4)])
-def test_noisy_annulus_needing_many_support_swaps_is_certified(seed, width):
+def test_noisy_annulus_needing_many_support_swaps_is_certified(seed, width, monkeypatch):
     # 200 random points in a thin annulus: Newton swaps support points near
-    # a common circle many times and needs more than 50 steps here
+    # a common circle many times; started from the largest triangle alone,
+    # with the quad and five screens off, it needs more than 50 steps here
     rng = np.random.default_rng(seed)
     t = rng.uniform(0.0, 2.0 * math.pi, 200)
     r = 100.0 * (1.0 + width * rng.uniform(-1.0, 1.0, 200))
     pts = np.column_stack([r * np.cos(t), r * np.sin(t)])
     e = mvee(pts)
-    assert e.fit.gap <= 1e-12 and e.fit.newton_steps > 50
+    assert e.fit.gap <= 1e-12 and e.fit.ending == "newton"
     assert contains(e, pts).all()
+    monkeypatch.setattr(geometry, "_support_weights", lambda z: None)
+    from_triangle = mvee(pts)
+    assert from_triangle.fit.gap <= 1e-12 and from_triangle.fit.newton_steps > 50
+    assert contains(from_triangle, pts).all()
+    # both end on the same five support points, so the fit is theirs alone
+    assert from_triangle == e and from_triangle.fit.support == e.fit.support
 
 
 def test_newton_direction_is_only_turned_when_k_o_k_is_singular():

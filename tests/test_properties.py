@@ -18,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.cluster.hierarchy import cut_tree, linkage
 from scipy.spatial import ConvexHull, QhullError
-from scipy.spatial.distance import pdist
+from scipy.spatial.distance import pdist, squareform
 
 from oracles import (
     brute_force_per_partition,
@@ -40,7 +40,6 @@ from uavcell.clustering import (
     find_intersections,
     grow_to_k,
     select_k,
-    silhouette_index,
 )
 from uavcell.deployment import SNR_GRACE_DB, AltitudeBounds, DeploymentPlan, UavDeployment, evaluate, required_power_dbm
 from uavcell.geometry import MIN_SEMI_AXIS_M, Ellipse, contains, mvee
@@ -133,7 +132,7 @@ def test_ward_replay_cuts_like_cut_tree_at_campaign_size():
 def test_silhouette_equals_per_point_loop_bit_for_bit(pts, data):
     labels = data.draw(st.lists(st.integers(0, 4), min_size=len(pts), max_size=len(pts)))
     if len(set(labels)) >= 2:
-        assert silhouette_index(pts, labels) == silhouette_per_point(pts, labels)
+        assert clustering._silhouette(squareform(pdist(pts)), np.asarray(labels)) == silhouette_per_point(pts, labels)
 
 
 @PROPERTY
@@ -309,10 +308,17 @@ def test_every_fit_is_certified_without_the_away_step_loop(pts, offset):
 
 @PROPERTY
 @given(point_sets(4, 6))
+# Newton's support holds four copies of one corner, six rows but three points
+@example(np.array([[0.0, 1.0], [0.0, 0.0], [1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]))
 def test_steiner_screen_gives_the_newton_area(pts):
     screened = mvee(pts)
-    with patch.object(geometry, "_steiner_triple", lambda z, hull: None):
+    # Newton alone from equal weights on the core, for every set and every
+    # support: no primitive screens, ends or rebuilds a fit, so each ellipse
+    # comes from the moments of Newton's weights
+    primitives = ("_small_fit", "_steiner_triple", "_support_weights", "_quad_conic", "_five_conic")
+    with patch.multiple(geometry, **dict.fromkeys(primitives, lambda *args: None)):
         newton = mvee(pts)
+    assert newton.fit.ending in ("newton", "closed-form")
     assert math.isclose(screened.area, newton.area, rel_tol=1e-12)
     assert contains(screened, pts).all()
 
@@ -399,7 +405,38 @@ def quads_with_inner_points(draw):
     return pts[rng.permutation(len(pts))]
 
 
-fits_with_supports = st.one_of(fit_sets(), point_sets(3, 18), triangles_with_inner_points(), quads_with_inner_points())
+@st.composite
+def pentagons(draw):
+    """Five points on or near an ellipse 1 m to 1 km across, in random order:
+    a regular pentagon with its angles up to 0.3 rad and its radii up to 20%
+    off, or points at any angles whose radii are 1e-12 to 1e-6 off one
+    circle (near-cocircular), then stretched and rotated."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        t = 2.0 * math.pi * np.arange(5) / 5 + rng.uniform(-0.3, 0.3, 5)
+        r = rng.uniform(0.8, 1.2, 5)
+    else:
+        t = rng.uniform(0.0, 2.0 * math.pi, 5)
+        r = 1.0 + 10.0 ** rng.uniform(-12.0, -6.0, 5) * rng.choice([-1.0, 1.0], 5)
+    angle = rng.uniform(0.0, math.pi)
+    rot = np.array([[math.cos(angle), -math.sin(angle)], [math.sin(angle), math.cos(angle)]])
+    pts = (r[:, None] * np.column_stack([np.cos(t), rng.uniform(0.2, 1.0) * np.sin(t)])) @ rot.T
+    return draw(st.sampled_from([1.0, 30.0, 1000.0])) * pts[rng.permutation(5)]
+
+
+@st.composite
+def pentagons_with_inner_points(draw):
+    """A pentagon with up to six points strictly inside its minimum ellipse,
+    in random order: the cells whose support has five points."""
+    corners = draw(pentagons())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pts = np.vstack([corners, _points_inside(mvee(corners), draw(st.integers(0, 6)), rng)])
+    return pts[rng.permutation(len(pts))]
+
+
+fits_with_supports = st.one_of(
+    fit_sets(), point_sets(3, 18), triangles_with_inner_points(), quads_with_inner_points(), pentagons_with_inner_points()
+)
 
 
 @PROPERTY
@@ -408,19 +445,21 @@ fits_with_supports = st.one_of(fit_sets(), point_sets(3, 18), triangles_with_inn
 # the fourth point lies on the Steiner ellipse of the other three, and far
 # out its rounded radius sets the containment inflation
 @example(np.array([[1.0, 4.0], [-4.0, 0.0], [3.0, 2.0], [-1.0, 0.0]]), np.array([1000.0, -500000.0]))
-def test_a_fit_on_three_or_four_support_points_is_the_fit_of_those_points(pts, offset):
+# lattice points whose support is five of them
+@example(np.array([[3.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [2.0, 1.0], [1.0, -1.0]]), np.zeros(2))
+def test_a_fit_on_three_to_five_support_points_is_the_fit_of_those_points(pts, offset):
     pts = pts + offset
     e = mvee(pts)
     if e.fit.support is None:
-        return  # a larger support, or an axis on the floor
-    assert len(e.fit.support) in (3, 4)
+        return  # six support points, or an axis on the floor
+    assert len(e.fit.support) in (3, 4, 5)
     assert _bytes(e) == _bytes(mvee(pts[list(e.fit.support)]))
 
 
 @PROPERTY
 @given(fits_with_supports, offsets, st.integers(1, 8), st.integers(0, 2**32 - 1))
 @example(np.delete(NEWTON_TRIPLE, 2, axis=0), np.zeros(2), 1, 0)
-def test_points_strictly_inside_a_three_or_four_point_fit_leave_its_bytes(pts, offset, extra, seed):
+def test_points_strictly_inside_a_three_to_five_point_fit_leave_its_bytes(pts, offset, extra, seed):
     # Welzl (1991): a point inside a set's minimum ellipse leaves it minimum
     pts = pts + offset
     e = mvee(pts)
@@ -465,22 +504,32 @@ def test_the_four_point_ellipse_has_the_grid_oracle_area(pts, offset):
     assert want * (1.0 - 1e-4) <= math.pi * axes[0] * axes[1] <= want * (1.0 + 1e-8)
 
 
-def test_every_newton_solve_of_a_seven_user_brute_force_ends_on_five_points():
-    # a four-point support is the quad of the largest triangle and the point
-    # it leaves farthest out, or a sub-cell's fit reused
-    ends = []
-    newton = geometry._newton
+@PROPERTY
+@given(pentagons(), offsets)
+def test_the_five_point_ellipse_has_the_newton_area(pts, offset):
+    # Newton alone from equal weights on the whitened points: its weights'
+    # moments give the optimal ellipse
+    pts = pts + offset
+    _, axes, _, fit = geometry._fit_center_form(pts)  # before the 1 m floor and the inflation
+    assert fit.gap <= 1e-12
+    left, svals, _ = np.linalg.svd(pts - pts.mean(axis=0), full_matrices=False)
+    z = left * math.sqrt(5)
+    u, _, gap = geometry._newton(np.column_stack([z, np.ones(5)]), np.full(5, 0.2))
+    assert u is not None and gap <= 1e-12
+    cov = (z * u[:, None]).T @ z - np.outer(u @ z, u @ z)
+    want = 2.0 * math.pi * math.sqrt(np.linalg.det(cov)) * svals[0] * svals[1] / 5.0
+    assert math.isclose(math.pi * axes[0] * axes[1], want, rel_tol=1e-12)
 
-    def recorded(q, u):
-        weights, steps, gap = newton(q, u)
-        ends.append(None if weights is None else int(np.count_nonzero(weights)))
-        return weights, steps, gap
 
-    with patch.object(geometry, "_newton", recorded):
+def test_no_seven_user_brute_force_runs_newton():
+    # every cell's support is the largest triangle, the quad it makes with
+    # the point it leaves farthest out, or that quad and the point the quad
+    # leaves farthest out; or the cell reuses a sub-cell's fit
+    with patch.object(geometry, "_newton", wraps=geometry._newton) as newton:
         for seed in range(30):
             users = generate_pcp(Region(), PcpConfig(seed=seed))[:7]
             brute_force_plan(users, 3, ENVIRONMENTS["urban"], RadioConfig())
-    assert ends and set(ends) == {5}
+    assert newton.call_count == 0
 
 
 EPS = np.finfo(float).eps
