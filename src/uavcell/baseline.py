@@ -11,8 +11,8 @@ import numpy as np
 
 from .channel import Beam, Environment, RadioConfig, dbm_to_mw
 from .clustering import Cluster
-from .deployment import DeploymentPlan, UavDeployment, deploy_cell, required_power_dbm
-from .geometry import Ellipse, _radii, contains, mvee
+from .deployment import DeploymentPlan, UavDeployment, _beam, deploy_cell, required_power_dbm
+from .geometry import Ellipse, _radius, contains, mvee
 from .scenario import Region, Scenario
 
 __all__ = [
@@ -67,10 +67,7 @@ def circle_pack_deploy(scenario: Scenario, cfg: CirclePackingConfig) -> Deployme
     larger than the lattice can place without overlap.
     """
     pitch_radius, centers = _best_lattice(cfg.num_uavs, scenario.region)
-    if cfg.beam is None:
-        beam = _circular_beam(pitch_radius, cfg.fixed_altitude_m)
-    else:
-        beam = cfg.beam
+    beam = _beam(cfg.fixed_altitude_m, pitch_radius, pitch_radius) if cfg.beam is None else cfg.beam
     cover_radius = cfg.fixed_altitude_m * math.tan(math.radians(beam.theta1_deg))
     if cover_radius > pitch_radius * (1.0 + 1e-9):
         raise PackingError(
@@ -141,7 +138,7 @@ def brute_force_plan(
         raise ValueError(f"num_uavs must be in [1, {_HARD_MAX_UAVS}]")
 
     table = _partition_table(n, num_uavs)
-    bits = 1 << np.arange(n)
+    users = pts.tolist()
     # per distinct cell, indexed by the bitmask of its members: its ellipse,
     # the users inside it, and the users it can take without changing it (its
     # support and the users strictly inside; none unless a support built it)
@@ -155,10 +152,11 @@ def brute_force_plan(
             ellipses[key], inside[key], spare[key] = ellipses[sub], inside[sub], spare[sub]
             continue
         ellipses[key] = e = mvee(pts[members])
-        radii = _radii(e.A, e.b, pts)  # the test of ``contains``
-        inside[key] = bits[radii <= 1.0].sum()
+        A, b = e.A.tolist(), e.b.tolist()
+        radii = [_radius(math, A, b, *user) for user in users]  # the test of ``contains``, in floats
+        inside[key] = sum(1 << i for i, r in enumerate(radii) if r <= 1.0)
         if e.fit.support is not None:
-            spare[key] = int(bits[radii < 1.0 - _ROOM].sum()) | sum(1 << members[t] for t in e.fit.support)
+            spare[key] = sum(1 << i for i, r in enumerate(radii) if r < 1.0 - _ROOM) | sum(1 << members[t] for t in e.fit.support)
 
     # the rule of find_intersections: no user of either cell lies inside both
     covers = inside[table]
@@ -209,11 +207,6 @@ def _partitions(n: int, max_blocks: int):
             yield from advance(i + 1, max(peak, g))
 
     yield from advance(1, 0)
-
-
-def _circular_beam(radius_m: float, altitude_m: float) -> Beam:
-    theta = math.degrees(math.atan(radius_m / altitude_m))
-    return Beam(theta1_deg=theta, theta2_deg=theta)
 
 
 def _best_lattice(num: int, region: Region) -> tuple[float, np.ndarray]:

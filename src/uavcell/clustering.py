@@ -8,7 +8,7 @@ ellipses capture each other's users until every ellipse is user-disjoint.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -86,18 +86,8 @@ class AlgorithmTrace:
     converged: bool = False
 
     def to_dict(self) -> dict:
-        return {
-            "converged": self.converged,
-            "iterations": [
-                {
-                    "u_cond_size": rec.u_cond_size,
-                    "k_origin": rec.k_origin,
-                    "phase": rec.phase,
-                    "intersecting": list(rec.intersecting),
-                }
-                for rec in self.iterations
-            ],
-        }
+        iterations = [{**asdict(rec), "intersecting": list(rec.intersecting)} for rec in self.iterations]
+        return {"converged": self.converged, "iterations": iterations}
 
 
 class NoConvergenceError(RuntimeError):
@@ -108,26 +98,35 @@ class NoConvergenceError(RuntimeError):
         self.trace = trace
 
 
-def _silhouette(dist: np.ndarray, labels: np.ndarray) -> float:
-    """Mean silhouette from the square distance matrix ``dist``.
+def _silhouette(sums: np.ndarray, counts: np.ndarray, own: np.ndarray) -> float:
+    """Mean silhouette from ``sums[i, c]``, the distances from point i to the
+    members of cluster c summed, the cluster sizes ``counts`` and each
+    point's cluster ``own``.
 
     Points in singleton clusters contribute 0, as do points whose intra and
     inter distances are both zero (co-located duplicates).
     """
-    uniq = np.unique(labels)
-    sums = np.stack([dist[:, labels == c].sum(axis=1) for c in uniq], axis=1)
-    counts = np.array([(labels == c).sum() for c in uniq])
-    rows = np.arange(len(labels))
-    own = np.searchsorted(uniq, labels)
+    rows = np.arange(len(own))
     a = sums[rows, own] / np.maximum(counts[own] - 1, 1)
     means = sums / counts
     means[rows, own] = np.inf
     b = means.min(axis=1)
     denom = np.maximum(a, b)
     ok = (counts[own] > 1) & (denom > 0.0)
-    scores = np.zeros(len(labels))
+    scores = np.zeros(len(own))
     scores[ok] = (b[ok] - a[ok]) / denom[ok]
     return float(scores.mean())
+
+
+def _cluster_sums(dist: np.ndarray, labels: np.ndarray, known: dict):
+    """``_silhouette``'s arguments for the cut ``labels`` of the square distance
+    matrix ``dist``; a label's column sums come from ``known``, or are summed
+    and put there, so nested cuts sum each cluster once."""
+    uniq, own = np.unique(labels, return_inverse=True)
+    for c in uniq.tolist():
+        if c not in known:
+            known[c] = dist[:, labels == c].sum(axis=1)
+    return np.stack([known[c] for c in uniq.tolist()], axis=1), np.bincount(own), own
 
 
 def select_k(points, k_limit: int) -> int:
@@ -146,9 +145,10 @@ def select_k(points, k_limit: int) -> int:
     dist = squareform(condensed)
     ks = list(range(2, min(k_limit, n) + 1))
     cuts = _ward_cuts(linkage(condensed, method="ward"), ks)
+    known: dict[int, np.ndarray] = {}  # per Ward node, shared by every cut that holds it
     best_k, best_score = 2, -np.inf
     for labels, k in zip(cuts, ks):
-        score = _silhouette(dist, labels)
+        score = _silhouette(*_cluster_sums(dist, labels, known))
         if score > best_score:
             best_k, best_score = k, score
     return best_k
@@ -158,8 +158,9 @@ def _ward_cuts(z: np.ndarray, ks: list[int]) -> np.ndarray:
     """Leaf labels after the first n - k merges of ``z``, one row per k in ``ks``.
 
     Merges go in ``cut_tree``'s order (by height, ties in reverse breadth-first
-    order from the root, right child first); a leaf's label is its highest
-    ancestor formed by then, found for every k at once by pointer doubling.
+    order from the root, right child first); a leaf's label is the node id of
+    its highest ancestor formed by then, found for every k at once by pointer
+    doubling, so a cluster has one label in every cut that holds it.
     """
     n = len(z) + 1
     kids = z[:, :2].astype(np.intp)
@@ -173,10 +174,9 @@ def _ward_cuts(z: np.ndarray, ks: list[int]) -> np.ndarray:
     parent[kids] = nodes[n:, None]
     step[n + np.lexsort((-np.argsort(np.concatenate(visit)), z[:, 2]))] = nodes[1:n]
     up = np.where(step[parent] <= n - np.array(ks)[:, None], parent, nodes)
-    up = (up + nodes.size * np.arange(len(ks))[:, None]).ravel()  # one id range per k
-    while not np.array_equal(jump := up[up], up):
+    while not np.array_equal(jump := np.take_along_axis(up, up, axis=1), up):
         up = jump
-    return up.reshape(len(ks), -1)[:, :n]
+    return up[:, :n]
 
 
 def split_cluster(points):

@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field, replace
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -117,14 +117,18 @@ def mvee(points) -> Ellipse:
     by points strictly inside it (Welzl, 1991).  If Newton fails, the fit is
     the covariance ellipse and warns.  Thin inputs give their segment,
     semi-axes are floored at ``MIN_SEMI_AXIS_M``, and the fit is inflated by
-    a relative 1e-12, and again while ``contains`` misses a point.
+    a relative 1e-12, and again while ``contains`` misses a point.  Sets of
+    up to five points stay in Python floats from the input check to the
+    returned ``A`` and ``b``, and their radii have the bits of ``contains``.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.size == 0:
         raise ValueError("no points")
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError("points must be an (n, 2) array")
-    if not np.all(np.isfinite(pts)):
+    p = pts.tolist() if len(pts) <= _FIVE else None  # small sets stay in Python floats
+    finite = all(map(math.isfinite, chain.from_iterable(p))) if p is not None else np.all(np.isfinite(pts))
+    if not finite:
         raise ValueError("invalid point: coordinates must be finite")
 
     (x, y), axes, (c, s), fit = _fit_center_form(pts)
@@ -136,19 +140,23 @@ def mvee(points) -> Ellipse:
     # A = R diag(1 / axes) R' for the rotation R whose first column is (c, s)
     w0, w1 = (1.0 / max(axis, MIN_SEMI_AXIS_M) for axis in axes)
     a00, a01, a11 = c * c * w0 + s * s * w1, c * s * (w0 - w1), s * s * w0 + c * c * w1
-    A = np.array([[a00, a01], [a01, a11]])
-    b = np.array([a00 * x + a01 * y, a01 * x + a11 * y])
+    A, b = ((a00, a01), (a01, a11)), (a00 * x + a01 * y, a01 * x + a11 * y)
 
     # far from the origin the rounding of ``contains`` can exceed the margin,
     # so inflate again while its own arithmetic leaves a point outside
     limit = 1.0 - 1e-12
-    while (residual := float((radii := _radii(A, b, pts)).max())) > limit:
-        if fit.support is not None and residual > radii[list(fit.support)].max():
+    while True:
+        if p is not None:
+            residual = max(radii := [_radius(math, A, b, *point) for point in p])
+        else:
+            residual = float((radii := _radii(A, b, pts)).max())
+        if residual <= limit:
+            return Ellipse(A=np.array(A), b=np.array(b), fit=fit)
+        if fit.support is not None and residual > max(radii[t] for t in fit.support):
             fit = replace(fit, support=None)  # a point off the support scales this step
         scale = residual * (1.0 + 1e-12)
-        A, b = A / scale, b / scale
+        A, b = tuple(tuple(v / scale for v in row) for row in A), tuple(v / scale for v in b)
         limit = 1.0
-    return Ellipse(A=A, b=b, fit=fit)
 
 
 def contains(e: Ellipse, points):
@@ -160,12 +168,17 @@ def contains(e: Ellipse, points):
     return _radii(e.A, e.b, np.asarray(points, dtype=float)) <= 1.0
 
 
-def _radii(A: np.ndarray, b: np.ndarray, p: np.ndarray):
-    """||A p - b|| per point, elementwise (no BLAS) so one point and an array agree."""
-    x, y = p[..., 0], p[..., 1]
-    r0 = A[0, 0] * x + A[0, 1] * y - b[0]
-    r1 = A[1, 0] * x + A[1, 1] * y - b[1]
-    return np.sqrt(r0 * r0 + r1 * r1)
+def _radii(A, b, p: np.ndarray):
+    """``_radius`` of every point of an array."""
+    return _radius(np, A, b, p[..., 0], p[..., 1])
+
+
+def _radius(xp, A, b, x, y):
+    """||A p - b|| at p = (x, y), elementwise (no BLAS): ``xp`` is ``math`` for
+    one point in Python floats and ``numpy`` for arrays, which round alike."""
+    r0 = A[0][0] * x + A[0][1] * y - b[0]
+    r1 = A[1][0] * x + A[1][1] * y - b[1]
+    return xp.sqrt(r0 * r0 + r1 * r1)
 
 
 def edge_distance(e: Ellipse, members, center=None) -> float:

@@ -59,6 +59,11 @@ class Region:
     def area_m2(self) -> float:
         return self.width_m * self.height_m
 
+    def holds(self, points: np.ndarray) -> np.ndarray:
+        """True where a point of the (n, 2) array lies in [0, width] x [0, height]."""
+        x, y = points[:, 0], points[:, 1]
+        return (x >= 0.0) & (x <= self.width_m) & (y >= 0.0) & (y <= self.height_m)
+
 
 @dataclass(frozen=True)
 class PcpConfig:
@@ -100,13 +105,7 @@ def generate_pcp(region: Region, cfg: PcpConfig) -> np.ndarray:
     angles = rng.uniform(0.0, 2.0 * math.pi, total)
     offsets = np.column_stack([radii * np.cos(angles), radii * np.sin(angles)])
     pts = np.repeat(parents, counts, axis=0) + offsets
-    keep = (
-        (pts[:, 0] >= 0.0)
-        & (pts[:, 0] <= region.width_m)
-        & (pts[:, 1] >= 0.0)
-        & (pts[:, 1] <= region.height_m)
-    )
-    return pts[keep]
+    return pts[region.holds(pts)]
 
 
 def save_scenario(scenario: Scenario, path) -> None:
@@ -246,12 +245,7 @@ def scenario_from_dict(payload: dict, source: str = "scenario") -> Scenario:
     }
 
     region = blocks["region"]
-    bad = ~(
-        (users[:, 0] >= 0.0)
-        & (users[:, 0] <= region.width_m)
-        & (users[:, 1] >= 0.0)
-        & (users[:, 1] <= region.height_m)
-    )
+    bad = ~region.holds(users)
     if bad.any():
         raise ScenarioFormatError(
             f"{source}: user {int(np.flatnonzero(bad)[0])} lies outside the region", "users"

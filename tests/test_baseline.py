@@ -234,6 +234,29 @@ def test_brute_fits_and_deploys_each_distinct_cell_once(monkeypatch):
             assert len(fitted) == len(placed) == 1
 
 
+@pytest.mark.parametrize("offset", [0.0, 1e6])
+def test_every_brute_force_cell_has_the_bytes_of_a_fresh_fit(monkeypatch, offset):
+    # a cell that reuses a sub-cell's ellipse, because its extra users sit
+    # strictly inside it (the float radii of the reuse bitmasks), must hold
+    # the bytes that fitting its own members gives
+    cells = []
+    deploy_cell = baseline.deploy_cell
+
+    def recording_deploy_cell(cluster, *args):
+        cells.append((sorted(cluster.members), cluster.ellipse))
+        return deploy_cell(cluster, *args)
+
+    monkeypatch.setattr(baseline, "deploy_cell", recording_deploy_cell)
+    for seed in range(30):
+        users = generate_pcp(Region(), PcpConfig(seed=seed))[:7] + [offset, -0.5 * offset]
+        cells.clear()
+        brute_force_plan(users, 3, URBAN, RADIO)
+        assert cells
+        for members, e in cells:
+            fresh = mvee(users[members])
+            assert (e.A.tobytes(), e.b.tobytes()) == (fresh.A.tobytes(), fresh.b.tobytes()), (seed, members)
+
+
 def test_partition_enumeration_counts():
     # Bell(4) = 15 partitions, one of which needs 4 blocks
     assert sum(1 for _ in _partitions(4, 3)) == 14

@@ -40,7 +40,8 @@ def wcss(points, idx_a, idx_b):
 
 def silhouette_index(points, labels) -> float:
     """``_silhouette`` on the points' square distance matrix, as ``select_k`` calls it."""
-    return clustering._silhouette(squareform(pdist(np.asarray(points, dtype=float))), np.asarray(labels))
+    dist = squareform(pdist(np.asarray(points, dtype=float)))
+    return clustering._silhouette(*clustering._cluster_sums(dist, np.asarray(labels), {}))
 
 
 def test_silhouette_matches_direct_formula():

@@ -297,6 +297,27 @@ def test_small_fits_take_no_linear_algebra(monkeypatch):
     assert endings == {"closed-form", "triangle", "quad"}
 
 
+def test_small_fits_take_no_radius_arrays(monkeypatch):
+    # points, segments, triangles, quads and fives, near the origin and 1e6 m
+    # out, are checked and inflated on Python floats: the array path of the
+    # radius formula is never called
+    rng = np.random.default_rng(17)
+    sets = [rng.uniform(-500.0, 500.0, (n, 2)) for n in (1, 2, 3, 4, 5) for _ in range(40)]
+    sets += [np.repeat(s[:1], 2, axis=0) for s in sets[:40]]  # two equal points
+    turn = 2.0 * math.pi * np.arange(5) / 5
+    sets += [np.array([[0.0, 0.0], [1.0, 2.0], [2.0, 4.0]]), 50.0 * np.column_stack([np.cos(turn), np.sin(turn)])]
+    sets += [s + [1e6, -5e5] for s in list(sets)]
+
+    def no_arrays(*args):
+        raise AssertionError("array radii called")
+
+    monkeypatch.setattr(geometry, "_radii", no_arrays)
+    for pts in sets:
+        e = mvee(pts)
+        radii = [geometry._radius(math, e.A.tolist(), e.b.tolist(), x, y) for x, y in pts.tolist()]
+        assert max(radii) <= 1.0
+
+
 def test_a_quad_degenerate_to_rounding_has_no_weights():
     # the first and last corners are one ulp apart, so the affine dependence
     # passes the sign test of convex position by rounding alone
