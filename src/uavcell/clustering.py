@@ -30,9 +30,6 @@ __all__ = [
 
 _UNSPLITTABLE = float("-inf")
 _SPLIT_MAX_ITERATIONS = 100  # 2-means rounds in split_cluster
-# points from which split_cluster's farthest pair is sought on the hull: below
-# it, one qhull call costs more than scanning all pairs
-_HULL_MIN_POINTS = 200
 
 # Pool appearances a user may accumulate before their pool is collapsed into a
 # single ellipse instead of being re-split.
@@ -98,35 +95,30 @@ class NoConvergenceError(RuntimeError):
         self.trace = trace
 
 
-def _silhouette(sums: np.ndarray, counts: np.ndarray, own: np.ndarray) -> float:
-    """Mean silhouette from ``sums[i, c]``, the distances from point i to the
-    members of cluster c summed, the cluster sizes ``counts`` and each
-    point's cluster ``own``.
+def _silhouettes(dist: np.ndarray, cuts: np.ndarray) -> np.ndarray:
+    """Mean silhouette of every cut, one per row of ``cuts``, which label the
+    points of the square distance matrix ``dist``.
 
+    A label must name the same points in every cut that holds it, as
+    ``_ward_cuts``' node ids do, so each label's columns are summed once.
     Points in singleton clusters contribute 0, as do points whose intra and
     inter distances are both zero (co-located duplicates).
     """
-    rows = np.arange(len(own))
-    a = sums[rows, own] / np.maximum(counts[own] - 1, 1)
-    means = sums / counts
-    means[rows, own] = np.inf
-    b = means.min(axis=1)
+    nodes, own = np.unique(cuts, return_inverse=True)
+    own = own.reshape(cuts.shape)
+    points = np.arange(cuts.shape[1])
+    members = np.zeros((len(nodes), len(points)), dtype=bool)
+    members[own, points] = True
+    sums = np.stack([dist[:, m].sum(axis=1) for m in members])  # sums[c, i]: point i to node c
+    counts = members.sum(axis=1)
+    a = sums[own, points] / np.maximum(counts[own] - 1, 1)
+    held = np.zeros((len(cuts), len(nodes)), dtype=bool)
+    held[np.arange(len(cuts))[:, None], own] = True
+    others = held[:, :, None] & (np.arange(len(nodes))[:, None] != own[:, None, :])
+    b = np.where(others, sums / counts[:, None], np.inf).min(axis=1)
     denom = np.maximum(a, b)
     ok = (counts[own] > 1) & (denom > 0.0)
-    scores = np.zeros(len(own))
-    scores[ok] = (b[ok] - a[ok]) / denom[ok]
-    return float(scores.mean())
-
-
-def _cluster_sums(dist: np.ndarray, labels: np.ndarray, known: dict):
-    """``_silhouette``'s arguments for the cut ``labels`` of the square distance
-    matrix ``dist``; a label's column sums come from ``known``, or are summed
-    and put there, so nested cuts sum each cluster once."""
-    uniq, own = np.unique(labels, return_inverse=True)
-    for c in uniq.tolist():
-        if c not in known:
-            known[c] = dist[:, labels == c].sum(axis=1)
-    return np.stack([known[c] for c in uniq.tolist()], axis=1), np.bincount(own), own
+    return np.divide(b - a, denom, out=np.zeros_like(a), where=ok).mean(axis=1)
 
 
 def select_k(points, k_limit: int) -> int:
@@ -142,16 +134,9 @@ def select_k(points, k_limit: int) -> int:
     if n < 2 or k_limit < 2:
         return 1
     condensed = pdist(pts)
-    dist = squareform(condensed)
     ks = list(range(2, min(k_limit, n) + 1))
-    cuts = _ward_cuts(linkage(condensed, method="ward"), ks)
-    known: dict[int, np.ndarray] = {}  # per Ward node, shared by every cut that holds it
-    best_k, best_score = 2, -np.inf
-    for labels, k in zip(cuts, ks):
-        score = _silhouette(*_cluster_sums(dist, labels, known))
-        if score > best_score:
-            best_k, best_score = k, score
-    return best_k
+    scores = _silhouettes(squareform(condensed), _ward_cuts(linkage(condensed, method="ward"), ks))
+    return ks[int(np.argmax(scores))]  # the first best: ties go to the smaller k
 
 
 def _ward_cuts(z: np.ndarray, ks: list[int]) -> np.ndarray:
@@ -191,18 +176,21 @@ def split_cluster(points):
     if n < 2:
         return None
     i, j = _farthest_pair(pts)
-    centers = np.stack([pts[i], pts[j]])
+    centers = pts[[i, j]]
     assign = np.zeros(n, dtype=bool)  # False -> center 0
     for _ in range(_SPLIT_MAX_ITERATIONS):
-        d0 = np.linalg.norm(pts - centers[0], axis=1)
-        d1 = np.linalg.norm(pts - centers[1], axis=1)
-        new_assign = d1 < d0
+        dx = pts[:, 0, None] - centers[:, 0]
+        dy = pts[:, 1, None] - centers[:, 1]
+        dist = np.sqrt(dx * dx + dy * dy)  # the bits of np.linalg.norm per center
+        new_assign = dist[:, 1] < dist[:, 0]
         if new_assign.all() or not new_assign.any():
             break
         if (new_assign == assign).all():
             break
         assign = new_assign
-        centers = np.stack([pts[~assign].mean(axis=0), pts[assign].mean(axis=0)])
+        # bincount adds in index order, as a masked mean(axis=0) does
+        sums = [np.bincount(assign, weights=pts[:, d], minlength=2) for d in (0, 1)]
+        centers = np.stack(sums, axis=1) / np.bincount(assign, minlength=2)[:, None]
     if assign.all() or not assign.any():
         # co-located points collapse onto one center; peel the pair point off
         assign = np.zeros(n, dtype=bool)
@@ -213,24 +201,22 @@ def split_cluster(points):
 def _farthest_pair(pts: np.ndarray) -> tuple[int, int]:
     """First farthest pair (i, j) in row-major order over the indices of ``pts``.
 
-    Only points on the hull boundary can be farthest apart, so larger sets
-    compare only their pairs; qhull's "Qc" keeps the duplicates of a vertex
-    and the points on an edge among them.  Below ``_HULL_MIN_POINTS`` and for
-    sets qhull rejects, every pair is compared.  When all points coincide the
-    pair is (0, 0).
+    With R the largest distance from the centroid, reached at q, and D the
+    largest distance from q, a farthest pair is at least D apart and each of
+    its points lies within R of the centroid, so both lie at least D - R from
+    it.  Only the pairs of that ring are compared, less a relative margin of
+    1e-12 for rounding (which holds while no squared coordinate difference
+    underflows).  When all points coincide all are on the ring and the pair
+    is (0, 0).
     """
-    from scipy.spatial import ConvexHull, QhullError
     from scipy.spatial.distance import pdist, squareform
 
-    rim = np.arange(len(pts))
-    if len(pts) >= _HULL_MIN_POINTS:
-        try:
-            hull = ConvexHull(pts, qhull_options="Qc")
-            rim = np.sort(np.concatenate([hull.vertices, hull.coplanar[:, 0]]))
-        except QhullError:
-            pass
-    a, b = divmod(int(np.argmax(squareform(pdist(pts[rim])))), len(rim))
-    return int(rim[a]), int(rim[b])
+    from_center = np.hypot(*(pts - pts.mean(axis=0)).T)
+    q = int(np.argmax(from_center))
+    reach, far = from_center[q], np.hypot(*(pts - pts[q]).T).max()
+    ring = np.flatnonzero(from_center >= far - reach - 1e-12 * (far + reach))
+    a, b = divmod(int(np.argmax(squareform(pdist(pts[ring])))), len(ring))
+    return int(ring[a]), int(ring[b])
 
 
 def _split_priority(points, ellipse: Ellipse):

@@ -10,7 +10,9 @@ so results must match bit for bit, ``intersections_pairwise`` scans pairs
 with the package's own ``contains``, ``brute_force_per_partition`` fits,
 checks and deploys every partition from scratch with the package's own steps,
 ``farthest_pair_squareform`` scans the full distance matrix for the pair
-the hull-based search in ``split_cluster`` must find, and
+the ring-filtered search in ``split_cluster`` must find,
+``split_cluster_masked`` runs the 2-means split with a norm per center and a
+masked mean per side, and
 ``evaluate_per_user`` scores a plan one user at a time with the scalar
 ``avg_path_loss``, as ``evaluate`` did before it worked per UAV.
 """
@@ -226,8 +228,8 @@ def silhouette_direct(points, labels) -> float:
 def silhouette_per_point(points, labels) -> float:
     """Mean silhouette by a loop over points, from per-cluster distance sums.
 
-    The same arithmetic as ``clustering._silhouette``, one point at a time, so the
-    two agree bit for bit.
+    The same arithmetic as ``clustering._silhouettes``, one cut and one point
+    at a time, so the two agree bit for bit.
     """
     pts = np.asarray(points, dtype=float)
     labels = np.asarray(labels)
@@ -309,6 +311,34 @@ def farthest_pair_squareform(points) -> tuple[int, int]:
     dist = squareform(pdist(np.asarray(points, dtype=float)))
     i, j = np.unravel_index(int(np.argmax(dist)), dist.shape)
     return int(i), int(j)
+
+
+def split_cluster_masked(points):
+    """2-means split from ``farthest_pair_squareform``'s pair, with a
+    ``np.linalg.norm`` per center and a masked mean per side each round, for
+    at most 100 rounds; ``split_cluster`` must return the same index arrays."""
+    pts = np.asarray(points, dtype=float)
+    n = len(pts)
+    if n < 2:
+        return None
+    i, j = farthest_pair_squareform(pts)
+    centers = np.stack([pts[i], pts[j]])
+    assign = np.zeros(n, dtype=bool)  # False -> center 0
+    for _ in range(100):
+        d0 = np.linalg.norm(pts - centers[0], axis=1)
+        d1 = np.linalg.norm(pts - centers[1], axis=1)
+        new_assign = d1 < d0
+        if new_assign.all() or not new_assign.any():
+            break
+        if (new_assign == assign).all():
+            break
+        assign = new_assign
+        centers = np.stack([pts[~assign].mean(axis=0), pts[assign].mean(axis=0)])
+    if assign.all() or not assign.any():
+        # co-located points collapse onto one center; peel the pair point off
+        assign = np.zeros(n, dtype=bool)
+        assign[j] = True
+    return np.flatnonzero(~assign), np.flatnonzero(assign)
 
 
 def best_two_partition_wcss(points):

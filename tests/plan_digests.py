@@ -16,14 +16,26 @@ they ended: ``closed-form``, ``triangle``, ``quad``, ``five``, ``newton``
 and ``failed-newton``.  They are counted by wrapping ``mvee`` where
 ``clustering`` and ``baseline`` call it, so they can be rerun on a checkout
 whose ``FitRecord`` has no ``ending`` (before the quad screen), where the
-kind is read from the Newton step count and the point count.
+kind is read from the Newton step count and the point count.  The last
+three lines
+
+    calls select_k <count>
+    calls split_cluster <count>
+    pairs farthest <count>
+
+count the campaign's calls of the two clustering steps and the point pairs
+that ``split_cluster``'s farthest-pair search hands to ``pdist``, wrapped
+the same way.
 pytest does not collect this file.  Run it from the repository root against
 the checkout on ``PYTHONPATH``:
 
     PYTHONPATH=src python tests/plan_digests.py > digests.txt
 """
 
+import math
 from collections import Counter
+
+from scipy.spatial import distance
 
 from uavcell import baseline, clustering, geometry
 from uavcell.baseline import brute_force_plan
@@ -64,7 +76,32 @@ def main() -> None:
             return e
         return fit
 
+    work = Counter()
+    select_k, split_cluster, farthest_pair, pdist = (
+        clustering.select_k, clustering.split_cluster, clustering._farthest_pair, distance.pdist
+    )
+
+    def called(name, step):
+        def call(*args):
+            work[f"calls {name}"] += 1
+            return step(*args)
+        return call
+
+    def paired(points):
+        work["pairs farthest"] += math.comb(len(points), 2)
+        return pdist(points)
+
+    def farthest(points):  # _farthest_pair imports pdist when called
+        distance.pdist = paired
+        try:
+            return farthest_pair(points)
+        finally:
+            distance.pdist = pdist
+
     clustering.mvee, baseline.mvee = counted(fits["ellipse"]), counted(fits["brute"])
+    clustering.select_k = called("select_k", select_k)
+    clustering.split_cluster = called("split_cluster", split_cluster)
+    clustering._farthest_pair = farthest
     try:
         for seed in SEEDS:
             users = generate_pcp(Region(), PcpConfig(seed=seed))
@@ -75,9 +112,13 @@ def main() -> None:
             print(_line("brute", seed, brute_force_plan(users, BRUTE_UAVS, URBAN, RADIO)))
     finally:
         clustering.mvee, baseline.mvee = mvee, mvee
+        clustering.select_k, clustering.split_cluster = select_k, split_cluster
+        clustering._farthest_pair = farthest_pair
     for method, tally in fits.items():
         for kind in KINDS:
             print(f"fits {method} {kind} {tally[kind]}")
+    for name in ("calls select_k", "calls split_cluster", "pairs farthest"):
+        print(f"{name} {work[name]}")
 
 
 if __name__ == "__main__":

@@ -39,9 +39,9 @@ def wcss(points, idx_a, idx_b):
 # --- silhouette -------------------------------------------------------------
 
 def silhouette_index(points, labels) -> float:
-    """``_silhouette`` on the points' square distance matrix, as ``select_k`` calls it."""
+    """``_silhouettes`` of the one cut ``labels`` on the points' square distance matrix."""
     dist = squareform(pdist(np.asarray(points, dtype=float)))
-    return clustering._silhouette(*clustering._cluster_sums(dist, np.asarray(labels), {}))
+    return float(clustering._silhouettes(dist, np.asarray(labels)[None])[0])
 
 
 def test_silhouette_matches_direct_formula():

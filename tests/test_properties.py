@@ -29,6 +29,7 @@ from oracles import (
     intersections_pairwise,
     select_k_direct,
     silhouette_per_point,
+    split_cluster_masked,
 )
 from uavcell import clustering, deployment, geometry
 from uavcell.baseline import brute_force_plan
@@ -40,6 +41,7 @@ from uavcell.clustering import (
     find_intersections,
     grow_to_k,
     select_k,
+    split_cluster,
 )
 from uavcell.deployment import SNR_GRACE_DB, AltitudeBounds, DeploymentPlan, UavDeployment, evaluate, required_power_dbm
 from uavcell.geometry import MIN_SEMI_AXIS_M, Ellipse, contains, mvee
@@ -132,8 +134,26 @@ def test_ward_replay_cuts_like_cut_tree_at_campaign_size():
 def test_silhouette_equals_per_point_loop_bit_for_bit(pts, data):
     labels = data.draw(st.lists(st.integers(0, 4), min_size=len(pts), max_size=len(pts)))
     if len(set(labels)) >= 2:
-        args = clustering._cluster_sums(squareform(pdist(pts)), np.asarray(labels), {})
-        assert clustering._silhouette(*args) == silhouette_per_point(pts, labels)
+        (score,) = clustering._silhouettes(squareform(pdist(pts)), np.asarray(labels)[None])
+        assert score == silhouette_per_point(pts, labels)
+
+
+@PROPERTY
+@given(point_sets(min_size=2, max_size=25), st.integers(2, 12))
+def test_select_k_scores_every_cut_as_the_per_point_loop_bit_for_bit(pts, k_limit):
+    seen = []
+    silhouettes = clustering._silhouettes
+
+    def scored(dist, cuts):
+        seen.append((cuts, silhouettes(dist, cuts)))
+        return seen[-1][1]
+
+    with patch.object(clustering, "_silhouettes", scored):
+        select_k(pts, k_limit)
+    ((cuts, scores),) = seen
+    assert len(scores) == min(k_limit, len(pts)) - 1
+    for labels, score in zip(cuts, scores):
+        assert score == silhouette_per_point(pts, labels)
 
 
 @PROPERTY
@@ -166,14 +186,51 @@ def test_contains_on_an_array_equals_per_point_results(e, pts):
             assert not hit
 
 
+def polygon(sides: int, radius: float = 1.0, phase: float = 0.0) -> np.ndarray:
+    t = phase + 2.0 * math.pi * np.arange(sides) / sides
+    return radius * np.column_stack([np.cos(t), np.sin(t)])
+
+
 @PROPERTY
 @given(point_sets(min_size=2, max_size=40))
 @example(np.zeros((5, 2)))  # every pair ties at distance 0
+@example(np.full((7, 2), 1e6 + 0.3))
 @example(np.array([[0.0, 0.0], [2.0, 2.0], [0.0, 0.0], [2.0, 0.0], [0.0, 2.0], [2.0, 2.0], [1.0, 1.0]]))
+# regular polygons tie on every diameter, to rounding
+@example(polygon(3))
+@example(polygon(4))
+@example(polygon(6, 50.0))
+@example(polygon(360, 300.0, 0.1))
+@example(np.vstack([polygon(8, 2.0), polygon(8, 1.0, math.pi / 8)]))
+@example(np.vstack([polygon(6, 5.0), polygon(6, 5.0, math.pi / 6)]))
+# a 1 m x 1e6 m sliver 1e7 m out
+@example(np.column_stack([np.linspace(0.0, 1e6, 41), np.resize([0.0, 1.0, 0.5], 41)]) + 1e7)
 def test_farthest_pair_from_hull_matches_full_distance_matrix(pts):
-    with patch.object(clustering, "_HULL_MIN_POINTS", 3):  # take the hull at every size
-        assert _farthest_pair(pts) == farthest_pair_squareform(pts)
     assert _farthest_pair(pts) == farthest_pair_squareform(pts)
+
+
+def test_farthest_pair_compares_only_the_rim_of_a_disk():
+    rng = np.random.default_rng(0)
+    r, t = 100.0 * np.sqrt(rng.uniform(0.0, 1.0, 2000)), rng.uniform(0.0, 2.0 * math.pi, 2000)
+    pts = np.column_stack([r * np.cos(t), r * np.sin(t)])
+    compared = []
+
+    def counted(points):
+        compared.append(len(points))
+        return pdist(points)
+
+    with patch("scipy.spatial.distance.pdist", counted):
+        pair = _farthest_pair(pts)
+    assert pair == farthest_pair_squareform(pts)
+    assert len(compared) == 1 and compared[0] < len(pts) // 2
+
+
+@PROPERTY
+@given(point_sets(min_size=2, max_size=60), st.sampled_from([1e-6, 1e-3, 1.0, 1e3]), st.sampled_from([0.0, 1e6]))
+def test_split_cluster_matches_the_masked_mean_loop(pts, scale, offset):
+    pts = pts * scale + offset  # 1e-3 m to 1e6 m across, at 0 or 1e6 m
+    got, want = split_cluster(pts), split_cluster_masked(pts)
+    assert [part.tolist() for part in got] == [part.tolist() for part in want]
 
 
 @st.composite
