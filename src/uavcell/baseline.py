@@ -236,36 +236,23 @@ def _aligned_rows(num: int, cols: int, w: float, h: float):
     radius = min(w / (2.0 * cols), h / (2.0 * rows))
     if radius <= 0.0:
         return None
-    centers = []
-    for r in range(rows):
-        for c in range(cols):
-            if len(centers) == num:
-                break
-            centers.append((radius * (2.0 * c + 1.0), radius * (2.0 * r + 1.0)))
-    return radius, np.asarray(centers)
+    centers = [(radius * (2.0 * c + 1.0), radius * (2.0 * r + 1.0)) for r in range(rows) for c in range(cols)]
+    return radius, np.asarray(centers[:num])
 
 
 def _hex_rows(num: int, cols: int, w: float, h: float, odd_cols: int, width_units: float):
     """Shared layout for hex variants; odd rows hold ``odd_cols`` circles."""
-    if odd_cols < 0:
-        return None
     rows, count = 0, 0
-    while count < num:
+    while count < num:  # ends: every two rows add cols >= 1 circles
         count += cols if rows % 2 == 0 else odd_cols
         rows += 1
-        if rows > 4 * num:
-            return None
     radius = min(w / width_units, h / (2.0 + (rows - 1) * math.sqrt(3.0)))
-    centers = []
-    for r in range(rows):
-        row_n = cols if r % 2 == 0 else odd_cols
-        x0 = radius if r % 2 == 0 else 2.0 * radius
-        y = radius + r * math.sqrt(3.0) * radius
-        for c in range(row_n):
-            if len(centers) == num:
-                break
-            centers.append((x0 + 2.0 * radius * c, y))
-    return radius, np.asarray(centers)
+    centers = [
+        ((2.0 * radius if r % 2 else radius) + 2.0 * radius * c, radius + r * math.sqrt(3.0) * radius)
+        for r in range(rows)
+        for c in range(odd_cols if r % 2 else cols)
+    ]
+    return radius, np.asarray(centers[:num])
 
 
 def _hex_alternating(num: int, cols: int, w: float, h: float):

@@ -127,7 +127,7 @@ def optimal_elevation_rad(env: Environment) -> float:
     al., IEEE WCL 2014).  In theta the loss falls at 0 and rises at pi/2, so
     bisection finds its minimum down to adjacent floats, which always ends.
     """
-    los, nlos = 10.0 ** (env.excess_los_db / 10.0), 10.0 ** (env.excess_nlos_db / 10.0)
+    los, nlos = _ratio(env.excess_los_db, "excess_los_db"), _ratio(env.excess_nlos_db, "excess_nlos_db")
     rise = (nlos - los) * env.sigmoid_b * math.degrees(1.0)  # -d(mix)/d(theta) = rise p (1 - p)
 
     lo, hi = 0.0, math.pi / 2.0
@@ -155,7 +155,10 @@ def _fspl_db(xp, distance_m, frequency_hz):
 def _los_probability(xp, altitude_m, horizontal_m, env: Environment):
     atan2 = math.atan2 if xp is math else xp.arctan2  # numpy spells it atan2 only from 2.0
     elevation_deg = xp.degrees(atan2(altitude_m, horizontal_m))
-    return 1.0 / (1.0 + env.sigmoid_a * xp.exp(-env.sigmoid_b * (elevation_deg - env.sigmoid_a)))
+    try:
+        return 1.0 / (1.0 + env.sigmoid_a * xp.exp(-env.sigmoid_b * (elevation_deg - env.sigmoid_a)))
+    except (OverflowError, FloatingPointError):  # from math.exp, or numpy's under np.errstate(over="raise")
+        raise ValueError(f"the LoS sigmoid of {env} is beyond the float range") from None
 
 
 def _avg_path_loss(xp, altitude_m, horizontal_m, env: Environment, radio: RadioConfig, beam: Beam | None):
@@ -163,11 +166,24 @@ def _avg_path_loss(xp, altitude_m, horizontal_m, env: Environment, radio: RadioC
     if beam is not None:
         base_db -= antenna_gain_db(beam)
     p_los = _los_probability(xp, altitude_m, horizontal_m, env)
-    mix = p_los * 10.0 ** (env.excess_los_db / 10.0) + (1.0 - p_los) * 10.0 ** (
-        env.excess_nlos_db / 10.0
-    )
-    return 10.0 ** (base_db / 10.0) * mix
+    try:
+        mix = p_los * 10.0 ** (env.excess_los_db / 10.0) + (1.0 - p_los) * 10.0 ** (env.excess_nlos_db / 10.0)
+        return 10.0 ** (base_db / 10.0) * mix
+    except OverflowError:  # only a float's ratio raises; excess_los_db <= excess_nlos_db, so one of these does
+        _ratio(env.excess_nlos_db, "excess_nlos_db")
+        _ratio(base_db, "path loss (dB)")
+        raise
 
 
 def dbm_to_mw(power_dbm: float) -> float:
-    return 10.0 ** (power_dbm / 10.0)
+    return _ratio(power_dbm, "transmit power (dBm)")
+
+
+def _ratio(db: float, name: str) -> float:
+    """10^(db / 10); a ratio beyond the float range, or an infinite one, raises ValueError naming ``name``."""
+    try:
+        if (ratio := 10.0 ** (db / 10.0)) != math.inf:
+            return ratio
+    except OverflowError:
+        pass
+    raise ValueError(f"{name} = {db!r} gives a power ratio beyond the float range")

@@ -15,6 +15,7 @@ import math
 import statistics
 import sys
 from dataclasses import asdict, replace
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -62,9 +63,10 @@ _RUN_COLUMNS = [
 def main(argv=None) -> int:
     logging.basicConfig(stream=sys.stderr, level=logging.INFO, format="%(levelname)s %(message)s")
     args = _build_parser().parse_args(argv)
-    try:
-        return args.handler(args)
-    except (ScenarioFormatError, OSError, ValueError, NoConvergenceError) as exc:
+    try:  # a numpy overflow, division by zero or NaN is bad input too
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return args.handler(args)
+    except (ScenarioFormatError, OSError, ValueError, FloatingPointError, NoConvergenceError) as exc:
         code = _exit_code(exc)
         log.error("infeasible baseline: %s" if code == EXIT_INFEASIBLE else "%s", exc)
         return code
@@ -282,11 +284,8 @@ def cmd_evaluate(args) -> int:
     )
     ordered = sorted(metrics.per_user_throughput_bps)
     n = len(ordered)
-    _write_csv(
-        out_dir / "throughput_cdf.csv",
-        ["throughput_bps", "cdf"],
-        [[value, (i + 1) / n] for i, value in enumerate(ordered)],
-    )
+    cdf = (np.arange(1, n + 1) / n).tolist()  # the bits of (i + 1) / n: both are correctly rounded quotients
+    _write_csv(out_dir / "throughput_cdf.csv", ["throughput_bps", "cdf"], zip(ordered, cdf))
     log.info("coverage %.4f, total power %.6g mW", metrics.coverage_probability, metrics.total_power_mw)
     return EXIT_OK
 
@@ -382,18 +381,15 @@ def _run_sweep(manifest, methods, scenario_paths, overrides, h_max):
             try:
                 options = _sweep_options(method, manifest.get(method, {}), ellipse_m)
                 plan, trace = plan_scenario(scenario, method, h_max=h_max, **options)
-            except (ValueError, NoConvergenceError) as exc:
+                coverage = evaluate(plan, scenario.users).coverage_probability
+            except (ValueError, FloatingPointError, NoConvergenceError) as exc:
                 failure = _exit_code(exc)
                 code = code or failure
                 row.update(status=_STATUS[failure], error=str(exc))
                 if isinstance(exc, NoConvergenceError):
                     row.update(converged=False, iterations=len(exc.trace.iterations))
             else:
-                row.update(
-                    num_uavs=len(plan.uavs),
-                    total_power_mw=plan.total_power_mw,
-                    coverage_probability=evaluate(plan, scenario.users).coverage_probability,
-                )
+                row.update(num_uavs=len(plan.uavs), total_power_mw=plan.total_power_mw, coverage_probability=coverage)
                 if trace is not None:
                     row["iterations"] = len(trace.iterations)
                 if method == "ellipse":
@@ -467,7 +463,7 @@ def plan_to_dict(plan: DeploymentPlan, method: str) -> dict:
                     "A": u.footprint.A.tolist(),
                     "b": u.footprint.b.tolist(),
                 },
-                "members": sorted(int(i) for i in u.members),
+                "members": sorted(map(int, u.members)),
             }
             for u in plan.uavs
         ],
@@ -530,21 +526,22 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
     """Write ``header`` and ``rows`` byte for byte as ``csv.writer`` would.
 
     Lines end in ``\\n``, floats (numpy's too) with ``float.__repr__`` and
-    bools as true/false.  A row of plain ints and floats, which never needs
-    quotes, is joined in one step; any other row goes through ``csv.writer``,
-    which quotes a cell holding a comma, a quote or a line break.
+    bools as true/false.  A table of plain ints and floats in rows of the
+    header's width never needs quotes and is formatted in one pass over all
+    its cells; any other goes row by row through ``csv.writer``, which quotes
+    a cell holding a comma, a quote or a line break.
     """
-    lines = [
-        ",".join(map(repr, row)) if set(map(type, row)) <= {int, float} else _csv_line(row)
-        for row in [header, *rows]
-    ]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="")
-
-
-def _csv_line(row) -> str:
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow([_csv_cell(v) for v in row])
-    return buf.getvalue()[:-1]
+    rows = list(rows)
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(map(_csv_cell, header))
+    width = len(header)
+    if width and set(map(len, rows)) == {width} and set(map(type, chain.from_iterable(rows))) <= {int, float}:
+        cells = map(repr, chain.from_iterable(rows))
+        text.write("\n".join(map(",".join, zip(*[cells] * width))) + "\n")
+    else:
+        writer.writerows(map(_csv_cell, row) for row in rows)
+    path.write_text(text.getvalue(), encoding="utf-8", newline="")
 
 
 def _csv_cell(value):

@@ -14,6 +14,7 @@ import math
 import warnings
 from dataclasses import asdict, dataclass, field, fields
 from functools import cache
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import get_type_hints
@@ -194,14 +195,13 @@ def _flat_rows(items, newline: str, inner: str) -> str | None:
     if not kinds <= {list, tuple} or set(map(len, items)) != {2}:
         return None
     deeper = inner + "  "
+    numbers = map(float.__repr__, chain.from_iterable(items))
     try:  # float.__repr__ takes nothing but floats
-        text = ("," + inner).join(
-            [f"[{deeper}{float.__repr__(x)},{deeper}{float.__repr__(y)}{inner}]" for x, y in items]
-        )
+        text = (inner + "]," + inner + "[" + deeper).join(map(("," + deeper).join, zip(numbers, numbers)))
     except TypeError:
         return None
     # finite reprs hold no "n"; nan and inf are spelled NaN and Infinity in JSON
-    return None if "n" in text else "[" + inner + text + newline + "]"
+    return None if "n" in text else "[" + inner + "[" + deeper + text + inner + "]" + newline + "]"
 
 
 _field_types = cache(get_type_hints)  # string annotations compile again on every uncached call

@@ -14,11 +14,15 @@ the ring-filtered search in ``split_cluster`` must find,
 ``split_cluster_masked`` runs the 2-means split with a norm per center and a
 masked mean per side, and
 ``evaluate_per_user`` scores a plan one user at a time with the scalar
-``avg_path_loss``, as ``evaluate`` did before it worked per UAV.
+``avg_path_loss``, as ``evaluate`` did before it worked per UAV, and
+``write_csv_per_row`` writes a CSV table one row at a time, as ``_write_csv``
+did before it formatted an all-number table in one pass.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 import warnings
 from itertools import combinations
@@ -408,3 +412,24 @@ def evaluate_per_user(plan, users):
         share = radio.bandwidth_hz / len(uav.members)
         throughput.append(share * math.log2(1.0 + 10.0 ** (snr[-1] / 10.0)))
     return snr, throughput, covered / n
+
+
+def write_csv_per_row(path, header, rows) -> None:
+    """Write a CSV table row by row: a row of plain ints and floats joined
+    with ``repr``, any other row through ``csv.writer`` with floats written by
+    ``float.__repr__`` and bools as true/false."""
+
+    def cell(value):
+        if isinstance(value, bool):
+            return "true" if value else "false"
+        return float.__repr__(value) if isinstance(value, float) else value
+
+    lines = []
+    for row in [header, *rows]:
+        if set(map(type, row)) <= {int, float}:
+            lines.append(",".join(map(repr, row)))
+        else:
+            buf = io.StringIO()
+            csv.writer(buf, lineterminator="\n").writerow([cell(v) for v in row])
+            lines.append(buf.getvalue()[:-1])
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="")

@@ -25,21 +25,31 @@ three lines
 
 count the campaign's calls of the two clustering steps and the point pairs
 that ``split_cluster``'s farthest-pair search hands to ``pdist``, wrapped
-the same way.
+the same way.  Last come the lines
+
+    files cli seed=<master seed> <file> <sha256>
+
+with the digests of the four files of a ``generate --mean-daughters 360``,
+``deploy --method circle --num-uavs 9``, ``evaluate`` round trip through the
+command line, for master seeds 0-19.
 pytest does not collect this file.  Run it from the repository root against
 the checkout on ``PYTHONPATH``:
 
     PYTHONPATH=src python tests/plan_digests.py > digests.txt
 """
 
+import hashlib
 import math
+import tempfile
 from collections import Counter
+from pathlib import Path
 
 from scipy.spatial import distance
 
 from uavcell import baseline, clustering, geometry
 from uavcell.baseline import brute_force_plan
 from uavcell.channel import ENVIRONMENTS, RadioConfig
+from uavcell.cli import main as cli_main
 from uavcell.clustering import ellipse_clustering
 from uavcell.deployment import deploy
 from uavcell.scenario import PcpConfig, Region, generate_pcp
@@ -49,6 +59,7 @@ RADIO = RadioConfig()
 SEEDS = range(100)
 BRUTE_USERS = 7
 BRUTE_UAVS = 3
+CLI_SEEDS = range(20)
 KINDS = ("closed-form", "triangle", "quad", "five", "newton", "failed-newton")
 
 
@@ -119,6 +130,19 @@ def main() -> None:
             print(f"fits {method} {kind} {tally[kind]}")
     for name in ("calls select_k", "calls split_cluster", "pairs farthest"):
         print(f"{name} {work[name]}")
+    for seed in CLI_SEEDS:
+        with tempfile.TemporaryDirectory() as tmp:
+            scen, plan, ev = Path(tmp) / "scenarios", Path(tmp) / "plan", Path(tmp) / "eval"
+            scen_file = scen / "scenario_000.json"
+            for argv in (
+                ["generate", "--out-dir", str(scen), "--master-seed", str(seed), "--mean-daughters", "360"],
+                ["deploy", str(scen_file), "--out-dir", str(plan), "--method", "circle", "--num-uavs", "9"],
+                ["evaluate", str(plan / "plan.json"), str(scen_file), "--out-dir", str(ev)],
+            ):
+                if cli_main(argv) != 0:
+                    raise SystemExit(f"uavcell {argv[0]} failed for master seed {seed}")
+            for path in (scen_file, plan / "plan.json", ev / "metrics.csv", ev / "throughput_cdf.csv"):
+                print(f"files cli seed={seed} {path.name} {hashlib.sha256(path.read_bytes()).hexdigest()}")
 
 
 if __name__ == "__main__":

@@ -1,12 +1,17 @@
+import copy
+import functools
 import hashlib
 import json
 import os
+import statistics
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import uavcell
 from uavcell import baseline
@@ -14,7 +19,12 @@ from uavcell.baseline import brute_force_optimum
 from uavcell.channel import ENVIRONMENTS, RadioConfig
 from uavcell.cli import _write_csv, main, plan_from_dict, plan_scenario, plan_to_dict
 from uavcell.clustering import ClusteringConfig
-from uavcell.scenario import Region, Scenario, dump_canonical_json, load_scenario, save_scenario
+from uavcell.deployment import evaluate
+from uavcell.scenario import (
+    PcpConfig, Region, Scenario, dump_canonical_json, generate_pcp, load_scenario, save_scenario, scenario_to_dict,
+)
+
+from oracles import write_csv_per_row
 
 URBAN = ENVIRONMENTS["urban"]
 
@@ -317,6 +327,25 @@ def test_evaluate_is_byte_deterministic(tmp_path):
     assert (ev_a / "throughput_cdf.csv").read_bytes() == (ev_b / "throughput_cdf.csv").read_bytes()
 
 
+def test_evaluate_tables_have_the_bytes_of_the_per_row_writer(tmp_path):
+    scen_dir, plan_dir, ev = tmp_path / "s", tmp_path / "p", tmp_path / "ev"
+    main(["generate", "--out-dir", str(scen_dir), "--master-seed", "7", "--mean-daughters", "360"])
+    scen = scen_dir / "scenario_000.json"
+    main(["deploy", str(scen), "--out-dir", str(plan_dir), "--method", "circle", "--num-uavs", "9"])
+    assert main(["evaluate", str(plan_dir / "plan.json"), str(scen), "--out-dir", str(ev)]) == 0
+    users = load_scenario(scen).users
+    metrics = evaluate(plan_from_dict(json.loads((plan_dir / "plan.json").read_text())), users)
+    ordered = sorted(metrics.per_user_throughput_bps)
+    n = len(ordered)
+    write_csv_per_row(tmp_path / "cdf.csv", ["throughput_bps", "cdf"], [[v, (i + 1) / n] for i, v in enumerate(ordered)])
+    assert (ev / "throughput_cdf.csv").read_bytes() == (tmp_path / "cdf.csv").read_bytes()
+    header = ["scenario", "num_users", "num_uavs", "coverage_probability", "total_power_mw", "min_snr_db", "mean_throughput_bps"]
+    row = ["scenario_000.json", len(users), metrics.num_uavs, metrics.coverage_probability, metrics.total_power_mw,
+           min(metrics.per_user_snr_db), statistics.fmean(metrics.per_user_throughput_bps)]
+    write_csv_per_row(tmp_path / "metrics.csv", header, [row])
+    assert (ev / "metrics.csv").read_bytes() == (tmp_path / "metrics.csv").read_bytes()
+
+
 def test_evaluate_missing_plan(tmp_path):
     scen = write_scenario(tmp_path / "s.json", two_blob_users())
     assert main(["evaluate", str(tmp_path / "missing.json"), str(scen), "--out-dir", str(tmp_path / "o")]) == 2
@@ -388,6 +417,159 @@ def test_generated_and_deployed_files_keep_their_bytes(tmp_path):
         "scenario_000.json": "a5c18e797601c8f87f21c192dfcbd5f0de4d439353893cb7cbef2524f67f18fc",
         "plan.json": "d3fb8f955f4f83c03ab6dd48e781f05cb85cee474d6313c7a8d3b4f1fc7f849e",
     }
+
+
+# --- values whose power ratio is beyond the float range ----------------------
+
+@pytest.mark.parametrize("command, block, key, value, message", [
+    ("deploy", "radio", "snr_threshold_db", 1e308, "transmit power (dBm) = 1e+308 gives a power ratio beyond the float range"),
+    ("deploy", "radio", "noise_psd_dbm_hz", 2**70, "transmit power (dBm) = 1.1805916207174113e+21 gives a power ratio"),
+    ("deploy", "environment", "excess_nlos_db", 1e308, "excess_nlos_db = 1e+308 gives a power ratio beyond the float range"),
+    ("deploy", "environment", "sigmoid_a", 2**70, "the LoS sigmoid of Environment(name='urban', sigmoid_a=1.1805916207174113e+21"),
+    # the free-space term overflows to inf, which once gave a plan of infinite power
+    ("deploy", "radio", "carrier_frequency_hz", 1e308, "transmit power (dBm) = inf gives a power ratio beyond the float range"),
+    ("deploy", "radio", "carrier_frequency_hz", 1e300, "path loss (dB) = 5"),
+    ("evaluate", "environment", "excess_nlos_db", 2**70, "excess_nlos_db = 1.1805916207174113e+21 gives a power ratio"),
+], ids=["scenario-snr_threshold_db", "scenario-noise_psd_dbm_hz", "scenario-excess_nlos_db", "scenario-sigmoid_a",
+        "scenario-carrier_frequency_hz-1e308", "scenario-carrier_frequency_hz-1e300", "plan-excess_nlos_db"])
+def test_huge_finite_db_field_exits_2_naming_the_failure(tmp_path, caplog, command, block, key, value, message):
+    scen = write_scenario(tmp_path / "s.json", two_blob_users())
+    plan = tmp_path / "plan" / "plan.json"
+    main(["deploy", str(scen), "--out-dir", str(plan.parent), "--method", "circle", "--num-uavs", "2"])
+    edited = scen if command == "deploy" else plan
+    payload = json.loads(edited.read_text())
+    payload[block][key] = value
+    edited.write_text(json.dumps(payload))
+    if command == "deploy":
+        for method in ("circle", "ellipse"):
+            out = tmp_path / method
+            assert main(["deploy", str(scen), "--out-dir", str(out), "--method", method, "--num-uavs", "2"]) == 2
+            assert not out.exists()
+    else:
+        assert main(["evaluate", str(plan), str(scen), "--out-dir", str(tmp_path / "ev")]) == 2
+        assert not (tmp_path / "ev").exists()
+    assert message in caplog.text
+
+
+@pytest.mark.parametrize("flag", ["--snr-threshold-db=1e308", "--noise-psd-dbm-hz=1e308", "--fixed-power-dbm=1e308"])
+def test_huge_finite_db_flag_exits_2(tmp_path, caplog, flag):
+    scen = write_scenario(tmp_path / "s.json", two_blob_users())
+    out = tmp_path / "out"
+    assert main(["deploy", str(scen), "--out-dir", str(out), "--method", "circle", "--num-uavs", "2", flag]) == 2
+    assert "transmit power (dBm) = 1e+308 gives a power ratio beyond the float range" in caplog.text
+    assert not out.exists()
+
+
+def test_sweep_records_a_huge_finite_db_field_as_bad_input_and_keeps_going(tmp_path):
+    write_scenario(tmp_path / "one.json", two_blob_users(seed=1))
+    two = write_scenario(tmp_path / "two.json", two_blob_users(seed=2))
+    payload = json.loads(two.read_text())
+    payload["environment"]["excess_nlos_db"] = 1e308
+    two.write_text(json.dumps(payload))
+    manifest = tmp_path / "manifest.json"
+    for overrides, statuses in (({}, ["ok", "ok", "bad_input", "bad_input"]), ({"snr_threshold_db": 1e308}, ["bad_input"] * 4)):
+        manifest.write_text(json.dumps({
+            "out_dir": "res", "scenarios": ["one.json", "two.json"], "methods": ["ellipse", "circle"],
+            "circle": {"num_uavs": 2}, "overrides": overrides,
+        }))
+        assert main(["sweep", str(manifest)]) == 2
+        rows = [line.split(",", 9) for line in (tmp_path / "res" / "runs.csv").read_text().splitlines()[1:]]
+        assert [r[8] for r in rows] == statuses
+        assert all("gives a power ratio beyond the float range" in r[9] for r in rows if r[8] != "ok")
+
+
+def test_sweep_records_a_numpy_overflow_as_bad_input(tmp_path):
+    write_scenario(tmp_path / "one.json", two_blob_users(seed=1))
+    manifest = tmp_path / "manifest.json"
+    # 0 dBm over a noise floor near -4900 dBm: evaluate's SNR ratio overflows in numpy
+    manifest.write_text(json.dumps({
+        "out_dir": "res", "scenarios": ["one.json"], "methods": ["ellipse", "circle"],
+        "circle": {"num_uavs": 2, "fixed_power_dbm": 0}, "overrides": {"noise_psd_dbm_hz": -5000},
+    }))
+    assert main(["sweep", str(manifest)]) == 2
+    rows = [line.split(",", 9) for line in (tmp_path / "res" / "runs.csv").read_text().splitlines()[1:]]
+    assert [(r[0], r[8], r[9]) for r in rows] == [("ellipse", "ok", ""), ("circle", "bad_input", "overflow encountered in power")]
+
+
+# --- generated file fuzzer --------------------------------------------------
+
+FUZZ_VALUES = ["NaN", "Infinity", "-Infinity", str(10**400), str(2**70), "1e308", "-1e308",
+               '"x"', "null", "true", "[]", "[1]", "{}", "0", "-1", "0.5", "drop"]
+
+
+@functools.cache
+def fuzz_base() -> dict:
+    """A generated scenario and its circle plan, as JSON values."""
+    scenario = Scenario(Region(), generate_pcp(Region(), PcpConfig(seed=11, mean_daughters=5.0)), URBAN, RadioConfig(),
+                        ClusteringConfig(k_max=6), PcpConfig(seed=11, mean_daughters=5.0))
+    plan, _ = plan_scenario(scenario, "circle", num_uavs=4)
+    return {"scenario": scenario_to_dict(scenario), "plan": json.loads(dump_canonical_json(plan_to_dict(plan, "circle")))}
+
+
+def json_paths(node, path=()):
+    """Every path into ``node``, through the first, second and last item of each list."""
+    yield path
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from json_paths(value, (*path, key))
+    elif isinstance(node, list):
+        for i in sorted({0, 1, len(node) - 1} & set(range(len(node)))):
+            yield from json_paths(node[i], (*path, i))
+
+
+def mutated_text(payload, edits) -> str:
+    """``payload`` as JSON text with each (path, value) edit applied in turn.
+
+    A value is JSON text put in as written, or "drop" to delete the key or
+    item; an edit whose path an earlier edit removed is skipped.
+    """
+    doc = {"root": copy.deepcopy(payload)}
+    literals = {}
+    for path, value in edits:
+        parent, key = doc, "root"
+        try:
+            for step in path:
+                parent, key = parent[key], step
+            if not isinstance(parent, (dict, list)):  # an earlier edit put a literal there
+                raise TypeError
+            parent[key]
+        except (KeyError, IndexError, TypeError):
+            continue
+        if value == "drop":
+            del parent[key]
+        else:
+            parent[key] = f"@@{len(literals)}@@"
+            literals[f'"@@{len(literals)}@@"'] = value
+    text = json.dumps(doc.get("root", {}))
+    for placeholder, value in literals.items():
+        text = text.replace(placeholder, value)
+    return text
+
+
+fuzz_edits = st.lists(
+    st.deferred(lambda: st.sampled_from([(name, path) for name, payload in fuzz_base().items() for path in json_paths(payload)]))
+    .flatmap(lambda target: st.tuples(st.just(target[0]), st.just(target[1]), st.sampled_from(FUZZ_VALUES))),
+    min_size=1, max_size=3,
+)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(fuzz_edits, st.sampled_from(["circle", "ellipse"]))
+@example([("scenario", ("radio", "snr_threshold_db"), "1e308")], "circle")
+@example([("scenario", ("radio", "noise_psd_dbm_hz"), str(2**70))], "circle")
+@example([("scenario", ("environment", "excess_nlos_db"), "1e308")], "ellipse")
+@example([("scenario", ("environment", "sigmoid_a"), str(2**70))], "circle")
+@example([("plan", ("environment", "excess_nlos_db"), "1e308")], "circle")
+@example([("plan", ("environment", "sigmoid_a"), str(2**70))], "circle")
+def test_mutated_scenario_and_plan_files_exit_0_or_2(tmp_path_factory, edits, method):
+    work = tmp_path_factory.mktemp("fuzz")
+    files = {}
+    for name, payload in fuzz_base().items():
+        files[name] = work / f"{name}.json"
+        files[name].write_text(mutated_text(payload, [(path, value) for target, path, value in edits if target == name]))
+    argv = ["deploy", str(files["scenario"]), "--out-dir", str(work / "out"), "--method", method, "--num-uavs", "4"]
+    assert main(argv) in (0, 2)
+    assert main(["evaluate", str(files["plan"]), str(files["scenario"]), "--out-dir", str(work / "ev")]) in (0, 2)
 
 
 # --- sweep ------------------------------------------------------------------

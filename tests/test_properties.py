@@ -1,11 +1,14 @@
 """Property tests of the ellipse fit and the clustering steps, the vectorized
 steps against per-item oracles, the Ward-merge replay against ``cut_tree``,
-the JSON writer against ``json``, the per-UAV ``evaluate`` against the
-per-user scalar link budget and the closed-form altitude against a grid.
+the JSON writer against ``json``, the CSV writer against ``csv``, the
+per-UAV ``evaluate`` against the per-user scalar link budget and the
+closed-form altitude against a grid.
 
 Examples are derandomized so that every run checks the same cases.
 """
 
+import csv
+import io
 import json
 import math
 from fractions import Fraction
@@ -34,6 +37,7 @@ from oracles import (
 from uavcell import clustering, deployment, geometry
 from uavcell.baseline import brute_force_plan
 from uavcell.channel import ENVIRONMENTS, Beam, RadioConfig, avg_path_loss
+from uavcell.cli import _csv_cell, _write_csv
 from uavcell.clustering import (
     Cluster,
     ClusterSet,
@@ -811,6 +815,14 @@ def test_closed_form_altitude_is_no_worse_than_a_grid(edge, env, h_min, span, ca
     assert avg_path_loss(got, edge, env, radio) <= (1.0 + 1e-12) * best
 
 
+def long_pairs(plant=None):
+    """3000 [x, y] pairs of floats; ``plant`` replaces the third pair from the end."""
+    pairs = (np.random.default_rng(3000).standard_normal((3000, 2)) * 1e3).tolist()
+    if plant is not None:
+        pairs[-3] = plant
+    return pairs
+
+
 json_floats = st.floats() | st.sampled_from(
     [-0.0, 5e-324, 1e16, 1e-7, 1e22, math.nan, math.inf, -math.inf]
 ) | st.floats().map(np.float64)  # a float subclass, written by float.__repr__
@@ -836,8 +848,62 @@ json_flat_lists = (
 ))
 @example([[1.5, -math.inf], (5e-324, math.nan)])
 @example({"members": [0, 2**64, True], "A": [[np.float64(0.1), 1e16], [-0.0, 1e-7]], "b": [[1.0, 2]]})
+# scenario-sized user lists with one cell or row near the end that the pair join must leave to json's rules
+@example(long_pairs())
+@example(long_pairs([0.5, 7]))
+@example(long_pairs([True, 0.5]))
+@example(long_pairs([0.5, np.float64(0.1)]))
+@example(long_pairs([math.nan, 0.5]))
+@example(long_pairs([0.5, 1.5, 2.5]))
 def test_canonical_json_matches_json_dumps(payload):
     assert dump_canonical_json(payload) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+csv_text = st.text(st.characters(blacklist_categories=("Cs",))) | st.sampled_from(
+    ["", "a,b", 'say "hi"', "two\nlines", "cr\rlf\r\n", " padded ", "nan", "1e+16"]
+)
+csv_numbers = json_floats | st.integers(-(2**200), 2**200) | st.integers(-(2**63), 2**63 - 1).map(np.int64)
+csv_cells = csv_text | st.none() | st.booleans() | csv_numbers
+
+
+@st.composite
+def number_tables(draw):
+    """A table of plain ints and floats, 0 to 3000 rows of the header's width,
+    maybe with one row cut short or one cell swapped for another kind."""
+    width = draw(st.integers(1, 4))
+    rows = draw(st.integers(0, 3000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    floats = rng.standard_normal((rows, width)) * 10.0 ** rng.integers(-300, 300, (rows, width))
+    table = floats.tolist()
+    for row, ints in zip(table, rng.integers(-(2**62), 2**62, (rows, width)).tolist()):
+        for j in np.flatnonzero(rng.random(width) < 0.3):
+            row[j] = ints[j]
+    if rows and draw(st.booleans()):
+        row = table[draw(st.integers(0, rows - 1))]
+        if draw(st.booleans()):
+            del row[-1]
+        else:
+            row[draw(st.integers(0, len(row) - 1))] = draw(csv_cells)
+    return [f"c{j}" for j in range(width)], table
+
+
+@PROPERTY
+@given(st.one_of(
+    st.tuples(st.lists(csv_text, max_size=4), st.lists(st.lists(csv_cells, max_size=5), max_size=6)),
+    number_tables(),
+))
+@example((["throughput_bps", "cdf"], []))
+@example(([], [[], [1.5]]))
+@example((["a"], [[None], [""], [math.nan], [math.inf], [-math.inf], [2**100]]))
+@example((["x", "y"], [[math.nan, math.inf], [-math.inf, 2**100]]))
+@example((["x", "y"], [[1.5, True], [2, -0.0]]))  # numbers and a bool, which csv writes as true
+def test_write_csv_matches_csv_writer(tmp_path_factory, table):
+    header, rows = table
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows([_csv_cell(v) for v in row] for row in [header, *rows])
+    path = tmp_path_factory.mktemp("csv") / "t.csv"
+    _write_csv(path, header, rows)
+    assert path.read_bytes() == buf.getvalue().encode("utf-8")
 
 
 @st.composite
