@@ -368,21 +368,24 @@ def _run_sweep(manifest, methods, scenario_paths, overrides, h_max):
     """Run every method on every scenario; returns (rows, aggregates, exit code).
 
     A failed run becomes a row with its status and error, and the exit code
-    is the one ``main`` gives for the first failure.
+    is the one ``main`` gives for the first failure; a scenario that fails to
+    load fails each of its runs.
     """
     rows = []
     code = EXIT_OK
     for path in scenario_paths:
-        scenario = _override_scenario(load_scenario(path), overrides)
-        ellipse_m: int | None = None
+        scenario, ellipse_m = None, None
         for method in methods:
             row = dict.fromkeys(_RUN_COLUMNS, "")
-            row.update(method=method, scenario=Path(path).name, num_users=len(scenario.users), converged=True, status="ok")
+            row.update(method=method, scenario=Path(path).name, converged=True, status="ok")
             try:
+                if scenario is None:
+                    scenario = _override_scenario(load_scenario(path), overrides)
+                row["num_users"] = len(scenario.users)
                 options = _sweep_options(method, manifest.get(method, {}), ellipse_m)
                 plan, trace = plan_scenario(scenario, method, h_max=h_max, **options)
                 coverage = evaluate(plan, scenario.users).coverage_probability
-            except (ValueError, FloatingPointError, NoConvergenceError) as exc:
+            except (OSError, ValueError, FloatingPointError, NoConvergenceError) as exc:
                 failure = _exit_code(exc)
                 code = code or failure
                 row.update(status=_STATUS[failure], error=str(exc))

@@ -17,29 +17,25 @@ __all__ = ["Ellipse", "mvee", "contains", "edge_distance"]
 
 _LIFT_DIM = 3  # planar points lifted with a homogeneous coordinate
 MIN_SEMI_AXIS_M = 1.0  # floor on every fitted semi-axis
-_CERTIFIED_GAP = 1e-12  # gap Newton must certify on every point
-_KKT_TOLERANCE = 3e-13  # |w_i - 3| on the support at Newton convergence
-_NEWTON_MAX_STEPS = 100
+_CERTIFIED_GAP = 1e-12  # gap a fit must certify on every point
 _QUAD = 4
-_FIVE = 5  # five points fix a conic: the largest support built from its own points
-_MAX_SUPPORT = 6  # rank bound of K o K for planar points lifted to 3-D
-_SINGULAR = 1e12  # condition number of K o K past which rounding picks the sign of a Newton step
+_FIVE = 5  # five points fix a conic: the largest basis
+_ENDINGS = {_LIFT_DIM: "triangle", _QUAD: "quad", _FIVE: "five"}  # by support size
 _DIRECTIONS = np.array([[1.0, 0.0, 1.0, 1.0], [0.0, 1.0, 1.0, -1.0]])  # x, y, x+y, x-y
 
 
 @dataclass(frozen=True)
 class FitRecord:
-    """How the dual solve of one ``mvee`` fit ended."""
+    """How one ``mvee`` fit ended."""
 
     gap: float  # certified relative duality gap, max_i w_i / 3 - 1
-    newton_steps: int
-    ending: str  # "closed-form", "triangle", "quad", "five", "newton" or "failed-newton"
+    ending: str  # "closed-form", "triangle", "quad", "five" or "stalled"
     # input indices of a certified support of three to five points, from whose
     # own fit alone the ellipse was built; None for any other fit, or when an axis is floored
     support: tuple[int, ...] | None = None
 
 
-_EXACT = FitRecord(0.0, 0, "closed-form")  # fits of a point or a line
+_EXACT = FitRecord(0.0, "closed-form")  # fits of a point or a line
 
 
 @dataclass
@@ -107,15 +103,15 @@ def mvee(points) -> Ellipse:
     """Fit a minimum-area ellipse enclosing ``points``.
 
     Up to five points are fitted by cases (``_small_fit``), and larger sets,
-    or small ones the cases leave open, by the dual of the lifted problem on
-    the whitened points (``_dual_weights``), certified to a relative duality
-    gap of 1e-12 on every point.  Either way a fit certified on a support of
+    or small ones the cases leave open, by a walk over bases of three to five
+    of the whitened points (``_walk``), certified to a relative duality gap
+    of 1e-12 on every point.  Either way a fit certified on a support of
     three to five points is that support's own fit, its exact primitive
     (Gärtner & Schönherr, 1997): ``fit.support`` names it unless an axis is
     floored or a point off it sets an inflation step, and then the fit has
     the bytes of ``mvee(points[list(fit.support)])``, and so do its supersets
-    by points strictly inside it (Welzl, 1991).  If Newton fails, the fit is
-    the covariance ellipse and warns.  Thin inputs give their segment,
+    by points strictly inside it (Welzl, 1991).  If the walk stalls, the fit
+    is its last basis's ellipse and warns.  Thin inputs give their segment,
     semi-axes are floored at ``MIN_SEMI_AXIS_M``, and the fit is inflated by
     a relative 1e-12, and again while ``contains`` misses a point.  Sets of
     up to five points stay in Python floats from the input check to the
@@ -133,7 +129,7 @@ def mvee(points) -> Ellipse:
 
     (x, y), axes, (c, s), fit = _fit_center_form(pts)
     if fit.gap > _CERTIFIED_GAP:
-        message = f"mvee: Newton failed on {len(pts)} points after {fit.newton_steps} steps; the covariance ellipse has a gap of {fit.gap:.3g}"
+        message = f"mvee: the basis walk stalled on {len(pts)} points with its last ellipse at a gap of {fit.gap:.3g}"
         warnings.warn(message, RuntimeWarning, stacklevel=2)
     if fit.support is not None and min(axes) < MIN_SEMI_AXIS_M:
         fit = replace(fit, support=None)  # the floor, not the support, sets this ellipse
@@ -219,35 +215,18 @@ def _fit_center_form(pts: np.ndarray):
         center = mean + (shift + vt[0] * (0.5 * (lo + hi)))
         return tuple(center.tolist()), (0.5 * (hi - lo), 0.0), tuple(vt[0].tolist()), _EXACT
 
-    # the weights do not change under affine maps, so solve on the whitened
-    # points (zero mean, unit covariance); in raw metres Newton's KKT residual
-    # stalls above its tolerance
+    # the minimum ellipse commutes with affine maps, so walk on the whitened
+    # points (zero mean, unit covariance), where every conic is of order one
     frame = (mean + shift).tolist(), (svals / math.sqrt(n)).tolist(), vt.tolist()
-    z = left * math.sqrt(n)
-    u, fit = _dual_weights(z)
-    if fit.ending == "failed-newton":
-        u = np.full(n, 1.0 / n)  # the covariance ellipse
-        fit = replace(fit, gap=_gap(_leverages(np.column_stack([z, np.ones(n)]), u)))
-    else:
-        support = np.flatnonzero(u)
-        if len(support) > min(n - 1, _FIVE):  # copies of a point share its weight: keep the first of each
-            support = support[np.sort(np.unique(pts[support], axis=0, return_index=True)[1])]
-        if len(support) < n and len(support) <= _FIVE:
-            # the ellipse depends only on its support: fit those points alone,
-            # in input order, so every superset certified on them gets these bytes
-            center, axes, direction, _ = _fit_center_form(pts[support])
-            return center, axes, direction, replace(fit, support=tuple(support.tolist()))
-        if n <= _FIVE:
-            fit = replace(fit, support=tuple(range(n)))
-        # all of four or five points, or six on one conic (cocircular ones): the conic through five of them
-        five = support if len(support) <= _FIVE else np.delete(support, np.argmin(u[support]))
-        conic = _quad_conic(z.tolist()) if len(five) == _QUAD else _five_conic(z[five])
-        if conic is not None:
-            return (*_center_form(frame, *conic), fit)
-    # Newton failed, or rounding leaves no ellipse through its support: the moments of the weights
-    zc = u @ z
-    (sxx, sxy), (_, syy) = ((z * u[:, None]).T @ z - np.outer(zc, zc)).tolist()
-    return (*_center_form(frame, zc.tolist(), (sxx, sxy, syy), sxx * syy - sxy * sxy), fit)
+    basis, conic, gap = _walk(left * math.sqrt(n))
+    if gap > _CERTIFIED_GAP:
+        return (*_center_form(frame, *conic), FitRecord(gap, "stalled"))
+    fit = FitRecord(gap, _ENDINGS[len(basis)], tuple(basis))
+    if len(basis) < n:
+        # the ellipse depends only on its support: fit those points alone,
+        # in input order, so every superset certified on them gets these bytes
+        return (*_fit_center_form(pts[basis])[:3], fit)
+    return (*_center_form(frame, *conic), fit)
 
 
 def _small_fit(p: list):
@@ -282,7 +261,7 @@ def _small_fit(p: list):
         return (origin[0] + c * mid, origin[1] + s * mid), (0.5 * (max(proj) - min(proj)), 0.0), (c, s), _EXACT
     if n == _LIFT_DIM:  # the centroid, and sqrt(2) times the covariance ellipse
         form = _center_form((origin, (1.0, 1.0), ((1.0, 0.0), (0.0, 1.0))), (0.0, 0.0), (sxx / 3, sxy / 3, syy / 3), det / 9)
-        return (*form, FitRecord(0.0, 0, "closed-form", (0, 1, 2)))
+        return (*form, FitRecord(0.0, "closed-form", (0, 1, 2)))
     # under weights 1/3 on the largest triangle a point of barycentric
     # coordinates l in it has leverage 3 |l|^2, so a gap of |l|^2 - 1
     best = max(range(len(triples)), key=lambda t: abs(areas[t]))
@@ -290,20 +269,20 @@ def _small_fit(p: list):
     gaps = {m: (_cross(p[m], p[j], p[k]) ** 2 + _cross(p[i], p[m], p[k]) ** 2 + _cross(p[i], p[j], p[m]) ** 2)
             / (areas[best] * areas[best]) - 1.0 for m in range(n) if m not in triple}
     if (gap := max(max(gaps.values()), 0.0)) <= _CERTIFIED_GAP:
-        return (*_small_fit([p[m] for m in triple])[:3], FitRecord(gap, 0, "triangle", triple))
+        return (*_small_fit([p[m] for m in triple])[:3], FitRecord(gap, "triangle", triple))
     k0, k1 = math.sqrt(high / n), math.sqrt(det / high / n)
     frame = origin, (k0, k1), ((c, s), (-s, c))
     z = [((c * x + s * y) / k0, (c * y - s * x) / k1) for x, y in d]
     quad = sorted((*triple, max(gaps, key=gaps.get)))
     if (conic := _quad_conic([z[m] for m in quad])) is not None and (gap := _gap_on(z, *conic)) <= _CERTIFIED_GAP:
         if n == _QUAD:
-            return (*_center_form(frame, *conic), FitRecord(gap, 0, "quad", (0, 1, 2, 3)))
+            return (*_center_form(frame, *conic), FitRecord(gap, "quad", (0, 1, 2, 3)))
         fit = _small_fit([p[m] for m in quad])
-        return None if fit is None else (*fit[:3], FitRecord(gap, 0, "quad", tuple(quad)))
+        return None if fit is None else (*fit[:3], FitRecord(gap, "quad", tuple(quad)))
     if n == _QUAD or (conic := _five_conic(za := np.array(z))) is None or _moment_weights(za, *conic[:2]) is None:
         return None
     gap = _gap_on(z, *conic)
-    return None if gap > _CERTIFIED_GAP else (*_center_form(frame, *conic), FitRecord(gap, 0, "five", (0, 1, 2, 3, 4)))
+    return None if gap > _CERTIFIED_GAP else (*_center_form(frame, *conic), FitRecord(gap, "five", (0, 1, 2, 3, 4)))
 
 
 def _gap_on(z: list, center, cov, det) -> float:
@@ -329,46 +308,93 @@ def _center_form(frame, center, cov, det):
     return (mx + a * x + c * y, my + b * x + d * y), axes, (a * cos + c * sin, b * cos + d * sin)
 
 
-def _dual_weights(z: np.ndarray):
-    """(weights, fit record) of the dual MVEE solve on the points ``z``;
-    the weights are None if Newton fails.
-
-    The core is every point of a set of up to ``_MAX_SUPPORT``, else the
-    points extreme along x, y and the diagonals (the initial core set of
-    Kumar & Yildirim, 2005).  Its largest triangle, the quad (that triangle
-    and the point of largest leverage) and the five (the quad and the point
-    of largest leverage under its weights) are screened in turn, each with
-    the weights of the minimum ellipse through all of its points
-    (``_support_weights``); Newton starts from the last of these.
+def _walk(z: np.ndarray):
+    """(basis, conic, gap) of the minimum ellipse of the points ``z``, by a
+    walk over bases of three to five points (the problem is LP-type: Welzl,
+    1991; Matoušek, Sharir & Welzl, 1996).  It starts from the largest
+    triangle of the points extreme along x, y and the diagonals (the initial
+    core set of Kumar & Yildirim, 2005), and while a point lies out of the
+    basis's conic by a gap above 1e-12 it moves to ``_next_basis``.  No basis
+    is visited twice, so it ends: certified, or stalled with none left.
     """
-    n = len(z)
-    q = np.column_stack([z, np.ones(n)])
-    core = np.arange(n) if n <= _MAX_SUPPORT else _extreme_points(z)
-    u = np.zeros(n)
-    if (triple := _steiner_triple(z, core)) is None:
-        u[core] = 1.0 / len(core)
-    else:
-        # by Welzl's argument, a support's optimum that holds every point is optimal
-        u[triple] = 1.0 / _LIFT_DIM
-        w = _leverages(q, u)
-        for ending in ("triangle", "quad", "five"):
-            if (gap := _gap(w)) <= _CERTIFIED_GAP:
-                return u, FitRecord(gap, 0, ending)
-            screened = np.append(np.flatnonzero(u), np.argmax(w))
-            if len(screened) > _FIVE or (weights := _support_weights(z[screened])) is None:
-                break
-            u = np.zeros(n)
-            u[screened] = weights
-            w = _leverages(q, u)
-    polished, steps, gap = _newton(q, u)
-    return polished, FitRecord(gap, steps, "newton" if polished is not None else "failed-newton")
+    x, y = z[:, 0], z[:, 1]
+    basis = _steiner_triple(z, _extreme_points(z))
+    conic = _steiner(*z[basis].tolist())
+    visited = {tuple(basis)}
+    while True:
+        j, gap = _farthest(x, y, conic)
+        if gap <= _CERTIFIED_GAP or (step := _next_basis(z, x, y, basis, j, visited)) is None:
+            return basis, conic, gap
+        basis, conic = step
+        visited.add(tuple(basis))
 
 
-def _support_weights(z: np.ndarray):
-    """Dual weights, in input order, of the minimum ellipse through all of
-    four or five points, or None if a weight is not positive."""
-    conic = _quad_conic(z.tolist()) if len(z) == _QUAD else _five_conic(z)
-    return None if conic is None else _moment_weights(z, *conic[:2])
+def _next_basis(z: np.ndarray, x, y, basis: list, j: int, visited: set):
+    """(basis, conic) after ``basis`` once the point ``j`` is out of its
+    conic, or None if no unvisited candidate is left.
+
+    The candidates are the subsets of three to five of the basis and j that
+    hold j, and one is feasible if its exact primitive (Gärtner & Schönherr,
+    1997) holds them all to a gap of 1e-12.  A feasible Steiner ellipse, or
+    a feasible ``_five_conic`` of positive weights, is the minimum ellipse of
+    its own points and so of them all; else the least feasible
+    ``_quad_conic`` is.  So triangles, then fives, then quads are tried, and
+    the first kind with a feasible candidate gives its least determinant.
+    Near-cocircular points round determinants into ties: those within a
+    relative 1e-12 of the least go to the least gap over every point, then
+    to the first subset.
+    """
+    pool = sorted([*basis, j])
+    p = dict(zip(pool, z[pool].tolist()))
+    held = list(p.values())
+    for size in (_LIFT_DIM, _FIVE, _QUAD):
+        feasible = []
+        for rest in combinations(basis, size - 1):
+            if (subset := tuple(sorted((*rest, j)))) in visited:
+                continue
+            q = [p[m] for m in subset]
+            if size == _LIFT_DIM:
+                conic = _steiner(*q, held)
+            elif size == _QUAD:
+                conic = _quad_conic(q)
+            else:
+                conic = _five_conic(np.array(q))
+            if conic is None or (size > _LIFT_DIM and _gap_on(held, *conic) > _CERTIFIED_GAP):
+                continue
+            if size < _FIVE or _moment_weights(np.array(q), *conic[:2]) is not None:
+                feasible.append((conic[2], subset, conic))
+        if feasible:
+            least = min(det for det, *_ in feasible)
+            ties = [tie for tie in feasible if tie[0] <= least * (1.0 + _CERTIFIED_GAP)]
+            # min keeps the first of equals
+            _, subset, conic = min(ties, key=lambda tie: _farthest(x, y, tie[2])[1]) if len(ties) > 1 else ties[0]
+            return list(subset), conic
+    return None
+
+
+def _farthest(x: np.ndarray, y: np.ndarray, conic):
+    """(index, gap) of the point farthest out of ``conic``: ``_gap_on`` on arrays."""
+    (cx, cy), (sxx, sxy, syy), det = conic
+    dx, dy = x - cx, y - cy
+    radii = dx * dx * syy - 2.0 * dx * dy * sxy + dy * dy * sxx
+    j = int(radii.argmax())
+    return j, max(float(radii[j]) / (3.0 * det) - 2.0 / 3.0, 0.0)
+
+
+def _steiner(a, b, c, held=()):
+    """(center, covariance (sxx, sxy, syy), its determinant) of three points
+    (pairs) under weights 1/3, their Steiner ellipse, or None if they are
+    collinear or it leaves a point of ``held`` out by a gap above 1e-12; the
+    determinant and the gaps from cross products, so slivers keep them.
+    """
+    area = _cross(a, b, c) ** 2
+    # under the Steiner ellipse a point of barycentric coordinates l has the gap |l|^2 - 1
+    if area == 0.0 or any((_cross(q, b, c) ** 2 + _cross(a, q, c) ** 2 + _cross(a, b, q) ** 2) / area - 1.0 > _CERTIFIED_GAP for q in held):
+        return None
+    cx, cy = (a[0] + b[0] + c[0]) / 3.0, (a[1] + b[1] + c[1]) / 3.0
+    d = [(px - cx, py - cy) for px, py in (a, b, c)]
+    cov = sum(u * u for u, _ in d) / 3.0, sum(u * v for u, v in d) / 3.0, sum(v * v for _, v in d) / 3.0
+    return (cx, cy), cov, area / 27.0
 
 
 def _five_conic(z: np.ndarray):
@@ -398,19 +424,15 @@ def _moment_weights(z: np.ndarray, center, cov):
 
 
 def _extreme_points(z: np.ndarray) -> np.ndarray:
-    """Sorted indices of the points extreme along +-x, +-y, +-(x+y) and +-(x-y),
-    and of the point farthest from their line if they are only two (a thin kite's tips)."""
+    """Sorted indices of the points extreme along +-x, +-y, +-(x+y) and +-(x-y)."""
     proj = z @ _DIRECTIONS
-    extremes = np.unique(np.concatenate([proj.argmax(axis=0), proj.argmin(axis=0)]))
-    if len(extremes) < _LIFT_DIM:
-        a, b = z[extremes]
-        cross = (z - a) @ [b[1] - a[1], a[0] - b[0]]
-        extremes = np.union1d(extremes, [np.abs(cross).argmax()])
-    return extremes
+    return np.unique(np.concatenate([proj.argmax(axis=0), proj.argmin(axis=0)]))
 
 
-def _steiner_triple(z: np.ndarray, core: np.ndarray):
-    """The core triple that spans the largest triangle, or None if there is none.
+def _steiner_triple(z: np.ndarray, core: np.ndarray) -> list:
+    """Sorted indices of the core triple that spans the largest triangle; if
+    the core spans none (a thin kite's two tips), of its first and last
+    points and the point farthest from their line.
 
     If some triple's Steiner ellipse holds every point, it is the minimum
     ellipse, so no triangle of the set is larger: only the largest is worth certifying.
@@ -418,8 +440,11 @@ def _steiner_triple(z: np.ndarray, core: np.ndarray):
     p = z[core].tolist()
     triples = list(combinations(range(len(p)), 3))
     areas = [abs(_cross(p[i], p[j], p[k])) for i, j, k in triples]
-    best = max(range(len(triples)), key=areas.__getitem__)
-    return core[list(triples[best])] if areas[best] > 0.0 else None
+    if areas and (largest := max(areas)) > 0.0:
+        return sorted(core[list(triples[areas.index(largest)])].tolist())
+    a, b = p[0], p[-1]
+    cross = (z - a) @ [b[1] - a[1], a[0] - b[0]]
+    return sorted([int(core[0]), int(core[-1]), int(np.abs(cross).argmax())])
 
 
 def _quad_conic(z):
@@ -510,90 +535,3 @@ def _adjugate(m) -> tuple[float, ...]:
 def _dot(m, n) -> float:
     """trace(M N) of two symmetric conics."""
     return m[0] * n[0] + m[2] * n[2] + m[5] * n[5] + 2.0 * (m[1] * n[1] + m[3] * n[3] + m[4] * n[4])
-
-
-def _gap(w: np.ndarray) -> float:
-    """Relative duality gap max_i w_i / 3 - 1 (never below 0)."""
-    return max(float(w.max()) / _LIFT_DIM - 1.0, 0.0)
-
-
-def _toward(w_j: float) -> float:
-    """Exact line-search step that moves weight onto a point with leverage w_j."""
-    return (w_j - _LIFT_DIM) / (_LIFT_DIM * (w_j - 1.0))
-
-
-def _leverages(q: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """w_i = q_i' V(u)^-1 q_i for every lifted point."""
-    vinv = np.linalg.inv(q.T @ (q * u[:, None]))
-    return np.einsum("ij,jk,ik->i", q, vinv, q)
-
-
-def _newton(q: np.ndarray, u: np.ndarray):
-    """Active-set Newton on the KKT equations w_S(u) = 3 over the support S.
-
-    Damped Newton on the concave log det V(u) - 3 sum(u), whose Hessian on S
-    is -(K o K) with K = Q_S V^-1 Q_S'.  A weight that reaches zero leaves S;
-    once S has converged, the most violated point joins it with a first-order
-    step (``_newton_direction`` keeps it on the next).  Returns (weights,
-    steps, gap); the weights are None if S would outgrow ``_MAX_SUPPORT``
-    (K o K has rank at most 6), a matrix is singular or the step cap is reached.
-    """
-    d = float(_LIFT_DIM)
-    support = np.flatnonzero(u)
-    us = u[support]
-    joined = None  # position in S of the point that has just joined it
-    for step in range(1, _NEWTON_MAX_STEPS + 1):
-        if len(support) < _LIFT_DIM:
-            break
-        qs = q[support]
-        try:
-            kern = qs @ np.linalg.inv(qs.T @ (qs * us[:, None])) @ qs.T
-        except np.linalg.LinAlgError:
-            break
-        r = np.diag(kern) - d
-        if np.abs(r).max() <= _KKT_TOLERANCE:
-            full = np.zeros(len(q))
-            full[support] = us / us.sum()
-            w = _leverages(q, full)
-            gap = _gap(w)
-            if gap <= _CERTIFIED_GAP:
-                return full, step, gap
-            if len(support) == _MAX_SUPPORT:
-                break
-            j = int(np.argmax(w))
-            t = _toward(w[j])
-            full *= 1.0 - t
-            full[j] += t
-            support = np.flatnonzero(full > 0.0)
-            us = full[support]
-            joined = int(np.searchsorted(support, j))
-            continue
-        delta = _newton_direction(kern * kern, r, joined)
-        joined = None
-        decrement = math.sqrt(max(float(r @ delta), 0.0))
-        t = 1.0 if decrement <= 0.25 else 1.0 / (1.0 + decrement)
-        shrinking = np.flatnonzero(delta < 0.0)
-        limits = -us[shrinking] / delta[shrinking]
-        if limits.size and limits.min() <= t:
-            blocked = shrinking[int(np.argmin(limits))]
-            us = us + limits.min() * delta
-            keep = np.arange(len(support)) != blocked
-            support, us = support[keep], us[keep]
-        else:
-            us = us + t * delta
-    return None, step, math.inf
-
-
-def _newton_direction(hessian: np.ndarray, r: np.ndarray, joined: int | None) -> np.ndarray:
-    """delta solving (K o K) delta = r, reversed if K o K is singular to rounding
-    and delta would shrink the point at position ``joined`` in S, which joined
-    it on the step before: six points near a common conic (near-cocircular
-    points) make delta run along the null space of K o K, where V(u) does not
-    change and rounding alone picks the sign."""
-    try:
-        delta = np.linalg.solve(hessian, r)
-    except np.linalg.LinAlgError:  # duplicated points make K o K singular
-        delta = np.linalg.lstsq(hessian, r, rcond=None)[0]
-    if joined is not None and delta[joined] < 0.0 and np.linalg.cond(hessian) > _SINGULAR:
-        return -delta
-    return delta

@@ -16,7 +16,9 @@ masked mean per side, and
 ``evaluate_per_user`` scores a plan one user at a time with the scalar
 ``avg_path_loss``, as ``evaluate`` did before it worked per UAV, and
 ``write_csv_per_row`` writes a CSV table one row at a time, as ``_write_csv``
-did before it formatted an all-number table in one pass.
+did before it formatted an all-number table in one pass, and
+``newton_min_ellipse_area`` solves the dual of the minimum ellipse by
+active-set Newton from equal weights, as ``mvee`` did before its basis walk.
 """
 
 from __future__ import annotations
@@ -192,6 +194,101 @@ def grid_min_ellipse_area(points, refine_starts: int = 6, passes: int = 50) -> f
     inflated = np.stack([_inflated(pts, s) for s in seeds])
     ranked = inflated[np.argsort(feasible_areas(pts, inflated))]
     return min(_refine(pts, s, r0, passes) for s in ranked[:refine_starts])
+
+
+def newton_min_ellipse_area(points) -> float | None:
+    """Area of the minimum ellipse of (n, 2) points that are not collinear,
+    from the moments of the dual weights (Khachiyan's lifted problem) that
+    active-set Newton reaches from equal weights on the whitened points; None
+    if Newton fails.  Independent of ``mvee``'s bases and primitives."""
+    pts = np.asarray(points, dtype=float)
+    n = len(pts)
+    centered = pts - pts.mean(axis=0)
+    centered -= centered.mean(axis=0)
+    left, svals, _ = np.linalg.svd(centered, full_matrices=False)
+    z = left * math.sqrt(n)
+    u = _newton(np.column_stack([z, np.ones(n)]), np.full(n, 1.0 / n))
+    if u is None:
+        return None
+    zc = u @ z
+    cov = (z * u[:, None]).T @ z - np.outer(zc, zc)
+    return 2.0 * math.pi * math.sqrt(np.linalg.det(cov)) * svals[0] * svals[1] / n
+
+
+_LIFT_DIM = 3  # planar points lifted with a homogeneous coordinate
+_KKT_TOLERANCE = 3e-13  # |w_i - 3| on the support at convergence
+_NEWTON_MAX_STEPS = 100
+_MAX_SUPPORT = 6  # rank bound of K o K for planar points lifted to 3-D
+_SINGULAR = 1e12  # condition number of K o K past which rounding picks the sign of a step
+
+
+def _leverages(q: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """w_i = q_i' V(u)^-1 q_i for every lifted point."""
+    vinv = np.linalg.inv(q.T @ (q * u[:, None]))
+    return np.einsum("ij,jk,ik->i", q, vinv, q)
+
+
+def _newton(q: np.ndarray, u: np.ndarray):
+    """Weights certified to a duality gap max_i w_i / 3 - 1 of 1e-12 by
+    active-set Newton on the KKT equations w_S(u) = 3 over the support S,
+    or None if S would outgrow ``_MAX_SUPPORT``, a matrix is singular or the
+    step cap is reached.
+
+    Damped Newton on the concave log det V(u) - 3 sum(u), whose Hessian on S
+    is -(K o K) with K = Q_S V^-1 Q_S'.  A weight that reaches zero leaves S;
+    once S has converged, the most violated point joins it with the exact
+    first-order line-search step, and a step that would shrink it again while
+    K o K is singular to rounding (near-cocircular points) is turned.
+    """
+    d = float(_LIFT_DIM)
+    support = np.flatnonzero(u)
+    us = u[support]
+    joined = None  # position in S of the point that has just joined it
+    for _ in range(_NEWTON_MAX_STEPS):
+        if len(support) < _LIFT_DIM:
+            return None
+        qs = q[support]
+        try:
+            kern = qs @ np.linalg.inv(qs.T @ (qs * us[:, None])) @ qs.T
+        except np.linalg.LinAlgError:
+            return None
+        r = np.diag(kern) - d
+        if np.abs(r).max() <= _KKT_TOLERANCE:
+            full = np.zeros(len(q))
+            full[support] = us / us.sum()
+            w = _leverages(q, full)
+            if w.max() / d - 1.0 <= 1e-12:
+                return full
+            if len(support) == _MAX_SUPPORT:
+                return None
+            j = int(np.argmax(w))
+            t = (w[j] - d) / (d * (w[j] - 1.0))
+            full *= 1.0 - t
+            full[j] += t
+            support = np.flatnonzero(full > 0.0)
+            us = full[support]
+            joined = int(np.searchsorted(support, j))
+            continue
+        hessian = kern * kern
+        try:
+            delta = np.linalg.solve(hessian, r)
+        except np.linalg.LinAlgError:  # duplicated points make K o K singular
+            delta = np.linalg.lstsq(hessian, r, rcond=None)[0]
+        if joined is not None and delta[joined] < 0.0 and np.linalg.cond(hessian) > _SINGULAR:
+            delta = -delta
+        joined = None
+        decrement = math.sqrt(max(float(r @ delta), 0.0))
+        t = 1.0 if decrement <= 0.25 else 1.0 / (1.0 + decrement)
+        shrinking = np.flatnonzero(delta < 0.0)
+        limits = -us[shrinking] / delta[shrinking]
+        if limits.size and limits.min() <= t:
+            blocked = shrinking[int(np.argmin(limits))]
+            us = us + limits.min() * delta
+            keep = np.arange(len(support)) != blocked
+            support, us = support[keep], us[keep]
+        else:
+            us = us + t * delta
+    return None
 
 
 def grid_best_altitude(edge_distance_m, env, radio, h_min, h_max, step=0.5) -> float:

@@ -1,4 +1,4 @@
-"""Print the plans of the acceptance campaign and of its brute-force instances.
+"""Digest lines of the plans of the acceptance campaign and of its brute-force instances.
 
 One line per acceptance seed 0-99 (``ellipse_clustering`` then ``deploy``,
 as in ``test_acceptance.py``) and one per brute-force instance (the first
@@ -12,12 +12,9 @@ with ``cut -d' ' -f1,2,4``.  After the plans come the lines
     fits <ellipse|brute> <kind> <count>
 
 that count the fits of the campaign and of the brute-force instances by how
-they ended: ``closed-form``, ``triangle``, ``quad``, ``five``, ``newton``
-and ``failed-newton``.  They are counted by wrapping ``mvee`` where
-``clustering`` and ``baseline`` call it, so they can be rerun on a checkout
-whose ``FitRecord`` has no ``ending`` (before the quad screen), where the
-kind is read from the Newton step count and the point count.  The last
-three lines
+they ended: ``closed-form``, ``triangle``, ``quad``, ``five`` and
+``stalled``.  They are counted by wrapping ``mvee`` where ``clustering`` and
+``baseline`` call it.  The last three lines
 
     calls select_k <count>
     calls split_cluster <count>
@@ -32,10 +29,11 @@ the same way.  Last come the lines
 with the digests of the four files of a ``generate --mean-daughters 360``,
 ``deploy --method circle --num-uavs 9``, ``evaluate`` round trip through the
 command line, for master seeds 0-19.
-pytest does not collect this file.  Run it from the repository root against
-the checkout on ``PYTHONPATH``:
+pytest does not collect this file: ``test_digests.py`` compares the lines of
+``digest_lines`` with the committed ``digests.txt``.  A change that moves a
+line regenerates that file from the repository root:
 
-    PYTHONPATH=src python tests/plan_digests.py > digests.txt
+    PYTHONPATH=src python tests/plan_digests.py > tests/digests.txt
 """
 
 import hashlib
@@ -60,7 +58,7 @@ SEEDS = range(100)
 BRUTE_USERS = 7
 BRUTE_UAVS = 3
 CLI_SEEDS = range(20)
-KINDS = ("closed-form", "triangle", "quad", "five", "newton", "failed-newton")
+KINDS = ("closed-form", "triangle", "quad", "five", "stalled")
 
 
 def _line(kind: str, seed: int, plan) -> str:
@@ -68,22 +66,15 @@ def _line(kind: str, seed: int, plan) -> str:
     return f"{kind} seed={seed} power_mw={plan.total_power_mw!r} cells={cells}".replace(", ", ",")
 
 
-def _ending(fit, n: int) -> str:
-    if hasattr(fit, "ending"):
-        return fit.ending
-    if fit.newton_steps:
-        return "newton" if fit.gap <= 1e-12 else "failed-newton"
-    return "closed-form" if n <= 3 or fit is geometry._EXACT else "triangle"
-
-
-def main() -> None:
+def digest_lines() -> list[str]:
+    lines = []
     fits = {"ellipse": Counter(), "brute": Counter()}
     mvee = geometry.mvee
 
     def counted(tally):
         def fit(points):
             e = mvee(points)
-            tally[_ending(e.fit, len(points))] += 1
+            tally[e.fit.ending] += 1
             return e
         return fit
 
@@ -117,19 +108,19 @@ def main() -> None:
         for seed in SEEDS:
             users = generate_pcp(Region(), PcpConfig(seed=seed))
             _, cells, _ = ellipse_clustering(users)
-            print(_line("ellipse", seed, deploy(cells, URBAN, RADIO)))
+            lines.append(_line("ellipse", seed, deploy(cells, URBAN, RADIO)))
         for seed in SEEDS:
             users = generate_pcp(Region(), PcpConfig(seed=seed))[:BRUTE_USERS]
-            print(_line("brute", seed, brute_force_plan(users, BRUTE_UAVS, URBAN, RADIO)))
+            lines.append(_line("brute", seed, brute_force_plan(users, BRUTE_UAVS, URBAN, RADIO)))
     finally:
         clustering.mvee, baseline.mvee = mvee, mvee
         clustering.select_k, clustering.split_cluster = select_k, split_cluster
         clustering._farthest_pair = farthest_pair
     for method, tally in fits.items():
         for kind in KINDS:
-            print(f"fits {method} {kind} {tally[kind]}")
+            lines.append(f"fits {method} {kind} {tally[kind]}")
     for name in ("calls select_k", "calls split_cluster", "pairs farthest"):
-        print(f"{name} {work[name]}")
+        lines.append(f"{name} {work[name]}")
     for seed in CLI_SEEDS:
         with tempfile.TemporaryDirectory() as tmp:
             scen, plan, ev = Path(tmp) / "scenarios", Path(tmp) / "plan", Path(tmp) / "eval"
@@ -142,8 +133,9 @@ def main() -> None:
                 if cli_main(argv) != 0:
                     raise SystemExit(f"uavcell {argv[0]} failed for master seed {seed}")
             for path in (scen_file, plan / "plan.json", ev / "metrics.csv", ev / "throughput_cdf.csv"):
-                print(f"files cli seed={seed} {path.name} {hashlib.sha256(path.read_bytes()).hexdigest()}")
+                lines.append(f"files cli seed={seed} {path.name} {hashlib.sha256(path.read_bytes()).hexdigest()}")
+    return lines
 
 
 if __name__ == "__main__":
-    main()
+    print(*digest_lines(), sep="\n")

@@ -491,6 +491,28 @@ def test_sweep_records_a_numpy_overflow_as_bad_input(tmp_path):
     assert [(r[0], r[8], r[9]) for r in rows] == [("ellipse", "ok", ""), ("circle", "bad_input", "overflow encountered in power")]
 
 
+def test_sweep_records_a_scenario_that_fails_to_load_and_keeps_going(tmp_path):
+    write_scenario(tmp_path / "one.json", two_blob_users(seed=1))
+    two = write_scenario(tmp_path / "two.json", two_blob_users(seed=2))
+    payload = json.loads(two.read_text())
+    del payload["radio"]["bandwidth_hz"]
+    two.write_text(json.dumps(payload))
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({
+        "out_dir": "res", "scenarios": ["two.json", "one.json"], "methods": ["ellipse", "circle"], "circle": {"num_uavs": 2},
+    }))
+    assert main(["sweep", str(manifest)]) == 2
+    rows = [line.split(",", 9) for line in (tmp_path / "res" / "runs.csv").read_text().splitlines()[1:]]
+    assert [(r[0], r[1], r[8]) for r in rows] == [
+        ("ellipse", "two.json", "bad_input"), ("circle", "two.json", "bad_input"),
+        ("ellipse", "one.json", "ok"), ("circle", "one.json", "ok"),
+    ]
+    assert all(r[2] == "" and "bandwidth_hz" in r[9] for r in rows[:2])
+    assert all(r[2] == "24" and r[9] == "" for r in rows[2:])
+    agg = {line.split(",")[0]: line.split(",") for line in (tmp_path / "res" / "aggregate.csv").read_text().splitlines()[1:]}
+    assert agg["ellipse"][1] == "2" and agg["ellipse"][8] == "1"
+
+
 # --- generated file fuzzer --------------------------------------------------
 
 FUZZ_VALUES = ["NaN", "Infinity", "-Infinity", str(10**400), str(2**70), "1e308", "-1e308",
