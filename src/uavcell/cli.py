@@ -54,6 +54,15 @@ _OVERRIDES = ("env",) + _RADIO_OVERRIDES + _CLUSTERING_OVERRIDES
 # sweep row status per exit code of a failed run
 _STATUS = {EXIT_PARSE_ERROR: "bad_input", EXIT_NO_CONVERGENCE: "no_convergence", EXIT_INFEASIBLE: "infeasible"}
 _MAX_EXPECTED_USERS = 1e8  # generate draws no scenario expected to hold more parents or users
+_MAX_COUNT = 10**6  # generate writes at most this many scenarios in one run
+# the keys each block of a sweep manifest may hold; "" is the manifest itself
+_MANIFEST_KEYS = {
+    "": ("out_dir", "scenarios", "generate", "methods", "overrides", "circle", "brute"),
+    "generate": ("count", "master_seed", "width", "height", "parent_intensity_per_km2", "cluster_radius", "mean_daughters", "env"),
+    "overrides": ("h_max",) + _OVERRIDES,
+    "circle": ("num_uavs", "beam_deg", "fixed_altitude_m", "fixed_power_dbm"),
+    "brute": ("num_uavs",),
+}
 _RUN_COLUMNS = [
     "method", "scenario", "num_users", "num_uavs", "total_power_mw",
     "coverage_probability", "iterations", "converged", "status", "error",
@@ -146,11 +155,12 @@ def cmd_generate(args) -> int:
     if not parents * max(base.mean_daughters, 1.0) <= _MAX_EXPECTED_USERS:  # also catches an infinite area
         raise ValueError(f"--width x --height x --parent-intensity-per-km2 x --mean-daughters expect {parents:.3g} parents "
                          f"and {parents * base.mean_daughters:.3g} users; generate draws at most {_MAX_EXPECTED_USERS:.0e} of each")
+    _check_draw(args.count, args.master_seed, "--count", "--master-seed")
     template = _override_scenario(_default_scenario(region), _flag_overrides(args))
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(args.master_seed)
-    seeds = rng.integers(0, 2**62, size=max(args.count, 0))
+    seeds = rng.integers(0, 2**62, size=args.count)
     for i in range(args.count):
         pcp, users = _nonempty_realization(region, replace(base, seed=int(seeds[i])))
         scenario = replace(template, users=users, pcp=pcp)
@@ -158,6 +168,13 @@ def cmd_generate(args) -> int:
         save_scenario(scenario, path)
         log.info("wrote %s (%d users)", path, len(users))
     return EXIT_OK
+
+
+def _check_draw(count, seed, count_name: str, seed_name: str) -> None:
+    """Raise ValueError naming the setting unless generate can write ``count`` scenarios from master ``seed``."""
+    for value, name, high in ((count, count_name, _MAX_COUNT), (seed, seed_name, math.inf)):
+        if type(value) is not int or not 0 <= value <= high:
+            raise ValueError(f"{name} must be an integer in [0, {high}], got {value!r}")
 
 
 def _scenario_path(out_dir: Path, i: int) -> Path:
@@ -218,13 +235,8 @@ def plan_scenario(
 
 
 def _override_scenario(scenario: Scenario, overrides: dict) -> Scenario:
-    """``scenario`` with an environment name and radio/clustering fields replaced."""
-    unknown = set(overrides) - set(_OVERRIDES)
-    if unknown:
-        raise ValueError(f"unknown override keys {sorted(unknown)}")
+    """``scenario`` with radio/clustering fields and the environment replaced; the caller checks the names."""
     env = overrides.get("env")
-    if env is not None and env not in ENVIRONMENTS:
-        raise ValueError(f"unknown environment {env!r}, expected one of {sorted(ENVIRONMENTS)}")
     radio = {k: overrides[k] for k in _RADIO_OVERRIDES if k in overrides}
     clustering = {k: overrides[k] for k in _CLUSTERING_OVERRIDES if k in overrides}
     return replace(
@@ -291,54 +303,14 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    manifest_path = Path(args.manifest)
-    manifest = read_json(manifest_path)
-    if not isinstance(manifest, dict):
-        raise ValueError(f"{manifest_path}: manifest must be a JSON object")
-    known = {"scenarios", "generate", "methods", "out_dir", "overrides", "circle", "brute"}
-    unknown = set(manifest) - known
-    if unknown:
-        raise ValueError(f"{manifest_path}: unknown manifest keys {sorted(unknown)}")
-    for key in ("generate", "overrides", "circle", "brute"):
-        if not isinstance(manifest.get(key, {}), dict):
-            raise ValueError(f"{manifest_path}: '{key}' must be a JSON object")
-    if not isinstance(manifest.get("out_dir"), str):
-        raise ValueError(f"{manifest_path}: manifest needs 'out_dir', a path")
-    scenarios = manifest.get("scenarios", [])
-    if not isinstance(scenarios, list) or not all(isinstance(p, str) for p in scenarios):
-        raise ValueError(f"{manifest_path}: 'scenarios' must be a list of paths")
-    methods = manifest.get("methods", ["ellipse"])
-    if not isinstance(methods, list) or not methods or not all(isinstance(m, str) for m in methods):
-        raise ValueError(f"{manifest_path}: 'methods' must be a non-empty list of method names")
-    bad = [m for m in methods if m not in _METHODS]
-    if bad:
-        raise ValueError(f"{manifest_path}: unknown methods {bad}")
-    overrides = dict(manifest.get("overrides", {}))
-    try:
-        h_max = float(overrides.pop("h_max", 1000.0))
-    except (TypeError, OverflowError) as exc:
-        raise ValueError(f"'h_max' override must be a number: {exc}") from exc
-    _override_scenario(_default_scenario(Region()), overrides)  # every override is checked before any file is written
-    for method in ("circle", "brute"):
-        _check_method_block(manifest.get(method, {}), f"{manifest_path}: '{method}'")
-    out_dir = Path(manifest["out_dir"])
-    if not out_dir.is_absolute():
-        out_dir = manifest_path.parent / out_dir
-    generate = _sweep_generate_args(manifest["generate"], out_dir) if "generate" in manifest else None
-    if not scenarios and (generate is None or generate.count < 1):
-        raise ValueError(f"{manifest_path}: no scenarios given or generated")
-
-    scenario_paths = [
-        p if Path(p).is_absolute() else manifest_path.parent / p
-        for p in scenarios
-    ]
+    out_dir, scenario_paths, generate, overrides, plans = _read_manifest(Path(args.manifest))
     if generate is not None:
-        cmd_generate(generate)  # checks its own flags before it writes
+        cmd_generate(generate)  # checks its own settings again before it writes
         # exactly the files this generate wrote, not those of an earlier, larger run
         scenario_paths += [_scenario_path(Path(generate.out_dir), i) for i in range(generate.count)]
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    rows, aggregates, code = _run_sweep(manifest, methods, scenario_paths, overrides, h_max)
+    rows, aggregates, code = _run_sweep(scenario_paths, overrides, plans)
     _write_csv(out_dir / "runs.csv", _RUN_COLUMNS, [[row[c] for c in _RUN_COLUMNS] for row in rows])
     _write_csv(
         out_dir / "aggregate.csv",
@@ -350,40 +322,93 @@ def cmd_sweep(args) -> int:
     return code
 
 
-def _sweep_generate_args(spec: dict, out_dir: Path) -> argparse.Namespace:
-    """The parsed ``generate`` command of a manifest's ``generate`` block."""
-    argv = [
-        "generate",
-        "--out-dir", str(out_dir / "scenarios"),
-        "--count", str(spec.get("count", 1)),
-        "--master-seed", str(spec.get("master_seed", 0)),
-    ]
-    for key in ("width", "height", "parent_intensity_per_km2", "cluster_radius", "mean_daughters", "env"):
-        if key in spec:
-            argv += [f"--{key.replace('_', '-')}", str(spec[key])]
-    return _build_parser().parse_args(argv)
+def _read_manifest(path: Path):
+    """Every setting of the sweep manifest at ``path``, checked before anything is written.
+
+    Returns (out_dir, scenario paths, the ``generate`` arguments or None,
+    scenario overrides, [(method, ``plan_scenario`` keywords)]); a
+    ``num_uavs`` of "match" is resolved by the run loop.  A bad value raises
+    ValueError naming its block and key.
+    """
+    manifest = read_json(path)
+    blocks = {}
+    for block, keys in _MANIFEST_KEYS.items():
+        spec = blocks[block] = manifest.get(block, {}) if block else manifest
+        name = f"'{block}'" if block else "manifest"
+        if not isinstance(spec, dict):
+            raise ValueError(f"{path}: {name} must be a JSON object")
+        if unknown := sorted(set(spec) - set(keys)):
+            raise ValueError(f"{path}: unknown {name} keys {unknown}")
+        if "env" in spec and spec["env"] not in sorted(ENVIRONMENTS):  # a list, so an unhashable name is just unknown
+            raise ValueError(f"{path}: {name}: 'env' must be one of {sorted(ENVIRONMENTS)}, got {spec['env']!r}")
+    if not isinstance(manifest.get("out_dir"), str):
+        raise ValueError(f"{path}: manifest needs 'out_dir', a path")
+    scenarios = manifest.get("scenarios", [])
+    if not isinstance(scenarios, list) or not all(isinstance(p, str) for p in scenarios):
+        raise ValueError(f"{path}: 'scenarios' must be a list of paths")
+    methods = manifest.get("methods", ["ellipse"])
+    if not isinstance(methods, list) or not methods or not all(m in _METHODS for m in methods):
+        raise ValueError(f"{path}: 'methods' must be a non-empty list of names from {list(_METHODS)}, got {methods!r}")
+    overrides = dict(blocks["overrides"])
+    h_max = _number(overrides.pop("h_max", 1000.0), f"{path}: 'overrides': 'h_max'")
+    if not h_max > 0:
+        raise ValueError(f"{path}: 'overrides': 'h_max' must be above 0, got {h_max!r}")
+    _override_scenario(_default_scenario(Region()), overrides)  # the radio and clustering fields
+    keywords = {"ellipse": {"h_max": h_max}}
+    for method in ("circle", "brute"):
+        spec = dict(blocks[method])
+        num = spec.pop("num_uavs", "match" if method == "circle" else None)
+        if num is not None and num != "match" and not (type(num) is int and num >= 1):
+            raise ValueError(f"{path}: '{method}': 'num_uavs' must be an integer of at least 1 or \"match\", got {num!r}")
+        numbers = {key: _number(value, f"{path}: '{method}': '{key}'", finite=True) for key, value in spec.items()}
+        keywords[method] = {"h_max": h_max, "num_uavs": num, **numbers}
+    out_dir = path.parent / manifest["out_dir"]
+    generate = None
+    if "generate" in manifest:  # the parser's defaults, then the block's values
+        generate = _build_parser().parse_args(["generate", "--out-dir", str(out_dir / "scenarios")])
+        where = f"{path}: 'generate'"
+        for key, value in blocks["generate"].items():
+            setattr(generate, key, value if key in ("count", "master_seed", "env") else _number(value, f"{where}: '{key}'"))
+        _check_draw(generate.count, generate.master_seed, f"{where}: 'count'", f"{where}: 'master_seed'")
+    if not scenarios and (generate is None or generate.count < 1):
+        raise ValueError(f"{path}: no scenarios given or generated")
+    return out_dir, [path.parent / p for p in scenarios], generate, overrides, [(m, keywords[m]) for m in methods]
 
 
-def _run_sweep(manifest, methods, scenario_paths, overrides, h_max):
-    """Run every method on every scenario; returns (rows, aggregates, exit code).
+def _number(value, where: str, finite: bool = False) -> float:
+    """``value``, a JSON number but not a bool (finite if ``finite``), as a float; else ValueError naming ``where``."""
+    try:
+        if type(value) in (int, float) and (not finite or math.isfinite(value)):
+            return float(value)
+    except OverflowError:  # an int beyond the float range
+        pass
+    raise ValueError(f"{where} must be a {'finite ' * finite}number, got {value!r}")
+
+
+def _run_sweep(scenario_paths, overrides, plans):
+    """Run every (method, keywords) of ``plans`` on every scenario; returns (rows, aggregates, exit code).
 
     A failed run becomes a row with its status and error, and the exit code
     is the one ``main`` gives for the first failure; a scenario that fails to
-    load fails each of its runs.
+    load fails each of its runs.  ``"num_uavs": "match"`` takes the cell count
+    of the scenario's converged ellipse run.
     """
     rows = []
     code = EXIT_OK
     for path in scenario_paths:
         scenario, ellipse_m = None, None
-        for method in methods:
+        for method, keywords in plans:
             row = dict.fromkeys(_RUN_COLUMNS, "")
             row.update(method=method, scenario=Path(path).name, converged=True, status="ok")
             try:
                 if scenario is None:
                     scenario = _override_scenario(load_scenario(path), overrides)
                 row["num_users"] = len(scenario.users)
-                options = _sweep_options(method, manifest.get(method, {}), ellipse_m)
-                plan, trace = plan_scenario(scenario, method, h_max=h_max, **options)
+                if keywords.get("num_uavs") == "match":
+                    if ellipse_m is None:
+                        raise ValueError("num_uavs 'match' needs a converged ellipse run first")
+                    keywords = {**keywords, "num_uavs": ellipse_m}
+                plan, trace = plan_scenario(scenario, method, **keywords)
                 coverage = evaluate(plan, scenario.users).coverage_probability
             except (OSError, ValueError, FloatingPointError, NoConvergenceError) as exc:
                 failure = _exit_code(exc)
@@ -399,7 +424,7 @@ def _run_sweep(manifest, methods, scenario_paths, overrides, h_max):
                     ellipse_m = len(plan.uavs)
             rows.append(row)
     aggregates = []
-    for method in methods:
+    for method, _ in plans:
         runs = [r for r in rows if r["method"] == method]
         done = [r for r in runs if r["status"] == "ok"]
         powers = [r["total_power_mw"] for r in done]
@@ -416,38 +441,6 @@ def _run_sweep(manifest, methods, scenario_paths, overrides, h_max):
             len(runs) - len(done),
         ])
     return rows, aggregates, code
-
-
-def _check_method_block(spec: dict, where: str) -> None:
-    """Raise ValueError naming the first bad value of a ``circle`` or ``brute`` block."""
-    for key in ("beam_deg", "fixed_altitude_m", "fixed_power_dbm"):
-        value = spec.get(key)
-        try:
-            finite = value is None or type(value) in (int, float) and math.isfinite(value)
-        except OverflowError:  # an int beyond the float range
-            finite = False
-        if not finite:
-            raise ValueError(f"{where}: '{key}' must be a finite number, got {value!r}")
-    num = spec.get("num_uavs")
-    if num is not None and num != "match" and not (type(num) is int and num >= 1):
-        raise ValueError(f"{where}: 'num_uavs' must be an integer of at least 1 or \"match\", got {num!r}")
-
-
-def _sweep_options(method: str, spec: dict, ellipse_m: int | None) -> dict:
-    """``plan_scenario`` keywords from the manifest block of ``method``.
-
-    ``"num_uavs": "match"``, the circle default, takes the cell count of the
-    scenario's converged ellipse run.
-    """
-    options = {k: float(spec[k]) for k in ("beam_deg", "fixed_altitude_m", "fixed_power_dbm") if spec.get(k) is not None}
-    num = spec.get("num_uavs", "match" if method == "circle" else None)
-    if num == "match":
-        if ellipse_m is None:
-            raise ValueError("num_uavs 'match' needs a converged ellipse run first")
-        num = ellipse_m
-    if num is not None:
-        options["num_uavs"] = num
-    return options
 
 
 def plan_to_dict(plan: DeploymentPlan, method: str) -> dict:

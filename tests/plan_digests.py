@@ -28,7 +28,14 @@ the same way.  Last come the lines
 
 with the digests of the four files of a ``generate --mean-daughters 360``,
 ``deploy --method circle --num-uavs 9``, ``evaluate`` round trip through the
-command line, for master seeds 0-19.
+command line, for master seeds 0-19, and then the lines
+
+    files sweep <file> <sha256>
+
+with the digests of the files of one ``sweep``: three scenarios generated
+from master seed 0, each run by ``ellipse``, ``circle`` with the ellipse's
+cell count, and ``brute``, which is over its user cap and fails as
+``bad_input``.
 pytest does not collect this file: ``test_digests.py`` compares the lines of
 ``digest_lines`` with the committed ``digests.txt``.  A change that moves a
 line regenerates that file from the repository root:
@@ -37,6 +44,7 @@ line regenerates that file from the repository root:
 """
 
 import hashlib
+import json
 import math
 import tempfile
 from collections import Counter
@@ -134,6 +142,17 @@ def digest_lines() -> list[str]:
                     raise SystemExit(f"uavcell {argv[0]} failed for master seed {seed}")
             for path in (scen_file, plan / "plan.json", ev / "metrics.csv", ev / "throughput_cdf.csv"):
                 lines.append(f"files cli seed={seed} {path.name} {hashlib.sha256(path.read_bytes()).hexdigest()}")
+    with tempfile.TemporaryDirectory() as tmp:
+        manifest = Path(tmp) / "manifest.json"
+        manifest.write_text(json.dumps({
+            "out_dir": "out", "generate": {"count": 3, "master_seed": 0},
+            "methods": ["ellipse", "circle", "brute"], "circle": {"num_uavs": "match"},
+        }))
+        if cli_main(["sweep", str(manifest)]) != 2:  # brute's rows are bad_input
+            raise SystemExit("uavcell sweep did not exit 2")
+        out = Path(tmp) / "out"
+        for path in (out / "runs.csv", out / "aggregate.csv", *sorted((out / "scenarios").iterdir())):
+            lines.append(f"files sweep {path.name} {hashlib.sha256(path.read_bytes()).hexdigest()}")
     return lines
 
 

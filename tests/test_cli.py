@@ -1,4 +1,5 @@
 import copy
+import csv
 import functools
 import hashlib
 import json
@@ -17,7 +18,7 @@ import uavcell
 from uavcell import baseline
 from uavcell.baseline import brute_force_optimum
 from uavcell.channel import ENVIRONMENTS, RadioConfig
-from uavcell.cli import _write_csv, main, plan_from_dict, plan_scenario, plan_to_dict
+from uavcell.cli import _read_manifest, _write_csv, main, plan_from_dict, plan_scenario, plan_to_dict
 from uavcell.clustering import ClusteringConfig
 from uavcell.deployment import evaluate
 from uavcell.scenario import (
@@ -730,6 +731,67 @@ def test_sweep_method_block_is_checked_before_writing(tmp_path, caplog, block, k
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("extra, message", [
+    # a list or object environment name once raised TypeError: unhashable type
+    ({"overrides": {"env": ["urban"]}}, "'overrides': 'env' must be one of"),
+    ({"overrides": {"env": {"a": 1}}}, "'overrides': 'env' must be one of"),
+    ({"overrides": {"env": None}}, "'overrides': 'env' must be one of"),
+    # unknown keys in these blocks were once ignored; brute reads only num_uavs
+    ({"generate": {"count": 1, "mean_daughter": 5}}, "unknown 'generate' keys ['mean_daughter']"),
+    ({"circle": {"num_uav": 2}}, "unknown 'circle' keys ['num_uav']"),
+    ({"brute": {"num_uavs": 2, "beam_deg": 60}}, "unknown 'brute' keys ['beam_deg']"),
+    # generate errors were argparse usage errors of a command never typed, which raised SystemExit
+    ({"generate": {"count": True}}, "'generate': 'count' must be an integer in [0, 1000000], got True"),
+    ({"generate": {"count": 2.0}}, "'generate': 'count' must be an integer in [0, 1000000], got 2.0"),
+    ({"generate": {"master_seed": "7"}}, "'generate': 'master_seed' must be an integer in [0, inf], got '7'"),
+    ({"generate": {"width": True}}, "'generate': 'width' must be a number, got True"),
+    ({"generate": {"mean_daughters": "36"}}, "'generate': 'mean_daughters' must be a number, got '36'"),
+    ({"generate": {"env": 3}}, "'generate': 'env' must be one of"),
+    # a bad h_max once gave a message without its name, or failed every run
+    ({"overrides": {"h_max": "abc"}}, "'overrides': 'h_max' must be a number, got 'abc'"),
+    ({"overrides": {"h_max": True}}, "'overrides': 'h_max' must be a number, got True"),
+    ({"overrides": {"h_max": "nan"}}, "'overrides': 'h_max' must be a number, got 'nan'"),
+    ({"overrides": {"h_max": float("nan")}}, "'overrides': 'h_max' must be above 0, got nan"),
+    ({"overrides": {"h_max": -5}}, "'overrides': 'h_max' must be above 0, got -5.0"),
+], ids=["env-list", "env-object", "env-null", "generate-unknown", "circle-unknown", "brute-unknown", "count-true",
+        "count-float", "seed-string", "width-true", "daughters-string", "generate-env-number", "h_max-abc", "h_max-true",
+        "h_max-nan-string", "h_max-nan", "h_max-negative"])
+def test_bad_sweep_block_value_exits_2_naming_it_before_writing(tmp_path, caplog, extra, message):
+    write_scenario(tmp_path / "one.json", two_blob_users(seed=1))
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"out_dir": "out", "scenarios": ["one.json"], **extra}))
+    assert main(["sweep", str(manifest)]) == 2
+    assert message in caplog.text
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key, value", [("master_seed", -1), ("count", 2 * 10**21)])
+@pytest.mark.parametrize("command", ["generate", "sweep"])
+def test_bad_seed_or_count_exits_2_naming_it_before_writing(tmp_path, caplog, command, key, value):
+    out = tmp_path / "out"
+    if command == "generate":
+        argv = ["generate", "--out-dir", str(out), f"--{key.replace('_', '-')}", str(value)]
+        name = f"--{key.replace('_', '-')} must be an integer in [0, "
+    else:
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"out_dir": "out", "generate": {key: value}}))
+        argv = ["sweep", str(manifest)]
+        name = f"'generate': '{key}' must be an integer in [0, "
+    assert main(argv) == 2
+    assert name in caplog.text
+    assert not out.exists()
+
+
+def test_sweep_infinite_h_max_plans_like_deploy(tmp_path):
+    scen = write_scenario(tmp_path / "one.json", two_blob_users(seed=1))
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"out_dir": "out", "scenarios": ["one.json"], "overrides": {"h_max": float("inf")}}))
+    assert main(["sweep", str(manifest)]) == 0
+    assert main(["deploy", str(scen), "--out-dir", str(tmp_path / "plan"), "--h-max", "inf"]) == 0
+    row = (tmp_path / "out" / "runs.csv").read_text().splitlines()[1].split(",")
+    assert float(row[4]) == json.loads((tmp_path / "plan" / "plan.json").read_text())["total_power_mw"]
+
+
 @pytest.mark.parametrize("command", ["generate", "sweep"])
 @pytest.mark.parametrize("key, value, name", [
     ("width", "1e400", "width_m"),
@@ -774,6 +836,94 @@ def test_huge_expected_draw_exits_2_naming_the_flags_before_writing(tmp_path, ca
     assert main(argv) == 2
     assert "--width x --height x --parent-intensity-per-km2 x --mean-daughters expect" in caplog.text
     assert not out.exists()
+
+
+# --- sweep manifest fuzzer --------------------------------------------------
+
+# scenario paths a fuzzed manifest lists: two good files, then bad ones ("dir" is a directory, "missing.json" is absent)
+SWEEP_FILES = ("good_a.json", "good_b.json", "invalid.json", "outside.json", "dir", "missing.json")
+SWEEP_USERS = {"good_a.json": 24, "good_b.json": 7}
+# deep nesting, JSON nested too deeply to parse, and strings a manifest reads; of all the values only
+# "0" and "drop" are valid generate counts, so no case writes more than two scenarios
+MANIFEST_FUZZ_VALUES = FUZZ_VALUES + [
+    "[" * 50 + "]" * 50, '{"a": ' * 50 + "1" + "}" * 50, "[" * 100_000 + "]" * 100_000, '"match"', '"dense-urban"',
+]
+
+
+def sweep_manifest(scenarios) -> dict:
+    """A manifest that sets every key of every block."""
+    return {
+        "out_dir": "out",
+        "scenarios": list(scenarios),
+        "generate": {"count": 2, "master_seed": 0, "width": 300.0, "height": 300.0, "parent_intensity_per_km2": 20.0,
+                     "cluster_radius": 40.0, "mean_daughters": 4.0, "env": "urban"},
+        "methods": ["ellipse", "circle", "brute"],
+        "overrides": {"h_max": 1000.0, "env": "suburban", "carrier_frequency_hz": 2e9, "bandwidth_hz": 2e7,
+                      "snr_threshold_db": 0.0, "noise_psd_dbm_hz": -170.0, "k_max": 6, "max_outer_iterations": 50},
+        "circle": {"num_uavs": "match", "beam_deg": 30.0, "fixed_altitude_m": 100.0, "fixed_power_dbm": 30.0},
+        "brute": {"num_uavs": 2},
+    }
+
+
+def write_sweep_files(work: Path) -> None:
+    write_scenario(work / "good_a.json", two_blob_users(seed=1), k_max=6)
+    write_scenario(work / "good_b.json", two_blob_users(seed=2)[:7], k_max=6)
+    (work / "invalid.json").write_text("{")
+    outside = json.loads((work / "good_a.json").read_text())
+    outside["users"][3] = [5000.0, 5000.0]
+    (work / "outside.json").write_text(json.dumps(outside))
+    (work / "dir").mkdir()
+
+
+sweep_cases = st.lists(st.sampled_from(SWEEP_FILES), max_size=3).flatmap(lambda names: st.tuples(
+    st.just(names),
+    st.lists(st.tuples(st.sampled_from(list(json_paths(sweep_manifest(names)))), st.sampled_from(MANIFEST_FUZZ_VALUES)),
+             max_size=3),
+))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(sweep_cases)
+@example((["good_a.json", "invalid.json", "good_b.json"], []))
+@example((["good_a.json"], [(("overrides", "env"), '["urban"]')]))
+@example((["good_a.json"], [(("generate", "mean_daughter"), "5")]))
+@example((["good_b.json"], [(("circle", "num_uav"), "2")]))
+@example((["good_a.json"], [(("generate", "count"), "true")]))
+@example((["good_a.json"], [(("generate", "master_seed"), "-1")]))
+@example((["good_a.json"], [(("overrides", "h_max"), '"nan"')]))
+@example((["good_a.json"], [(("overrides", "h_max"), "Infinity")]))
+def test_mutated_sweep_manifests_exit_with_a_cli_code(tmp_path_factory, case):
+    names, edits = case
+    work = tmp_path_factory.mktemp("sweep")
+    write_sweep_files(work)
+    manifest = work / "manifest.json"
+    text = mutated_text(sweep_manifest(names), edits)
+    manifest.write_text(text)
+    try:
+        _read_manifest(manifest)
+    except ValueError:  # rejected by the decode: nothing is written
+        before = sorted(work.rglob("*"))
+        assert main(["sweep", str(manifest)]) == 2
+        assert sorted(work.rglob("*")) == before
+        return
+    code = main(["sweep", str(manifest)])
+    assert code in (0, 2, 3, 4)
+    payload = json.loads(text)
+    runs = manifest.parent / payload["out_dir"] / "runs.csv"
+    if not runs.exists():  # generate failed, or out_dir is a file
+        assert code == 2
+        return
+    count = payload["generate"].get("count", 1) if "generate" in payload else 0
+    scenarios = [Path(p).name for p in payload.get("scenarios", [])] + [f"scenario_{i:03d}.json" for i in range(count)]
+    methods = payload.get("methods", ["ellipse"])
+    with runs.open(newline="") as f:
+        rows = list(csv.reader(f))[1:]
+    assert [(r[0], r[1]) for r in rows] == [(m, s) for s in scenarios for m in methods]
+    for method, scenario, num_users, *_, status, error in rows:
+        if scenario in SWEEP_USERS:  # a good file keeps its rows whatever the bad ones do
+            assert num_users == str(SWEEP_USERS[scenario])
+        elif scenario in SWEEP_FILES:
+            assert (num_users, status) == ("", "bad_input") and error
 
 
 def test_console_entry_point_help():
