@@ -33,6 +33,7 @@ from .scenario import (
     config_from_dict,
     dump_canonical_json,
     generate_pcp,
+    json_value,
     load_scenario,
     read_json,
     save_scenario,
@@ -158,13 +159,13 @@ def cmd_generate(args) -> int:
     _check_draw(args.count, args.master_seed, "--count", "--master-seed")
     template = _override_scenario(_default_scenario(region), _flag_overrides(args))
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(args.master_seed)
     seeds = rng.integers(0, 2**62, size=args.count)
     for i in range(args.count):
         pcp, users = _nonempty_realization(region, replace(base, seed=int(seeds[i])))
         scenario = replace(template, users=users, pcp=pcp)
         path = _scenario_path(out_dir, i)
+        out_dir.mkdir(parents=True, exist_ok=True)  # made only once there is something to write
         save_scenario(scenario, path)
         log.info("wrote %s (%d users)", path, len(users))
     return EXIT_OK
@@ -234,7 +235,7 @@ def plan_scenario(
     raise ValueError(f"unknown method {method!r}, expected one of {list(_METHODS)}")
 
 
-def _override_scenario(scenario: Scenario, overrides: dict) -> Scenario:
+def _override_scenario(scenario: Scenario, overrides: dict, where: str = "override") -> Scenario:
     """``scenario`` with radio/clustering fields and the environment replaced; the caller checks the names."""
     env = overrides.get("env")
     radio = {k: overrides[k] for k in _RADIO_OVERRIDES if k in overrides}
@@ -242,8 +243,8 @@ def _override_scenario(scenario: Scenario, overrides: dict) -> Scenario:
     return replace(
         scenario,
         environment=scenario.environment if env is None else ENVIRONMENTS[env],
-        radio=config_from_dict(RadioConfig, {**asdict(scenario.radio), **radio}, "radio override"),
-        clustering=config_from_dict(ClusteringConfig, {**asdict(scenario.clustering), **clustering}, "clustering override"),
+        radio=config_from_dict(RadioConfig, {**asdict(scenario.radio), **radio}, where),
+        clustering=config_from_dict(ClusteringConfig, {**asdict(scenario.clustering), **clustering}, where),
     )
 
 
@@ -350,17 +351,17 @@ def _read_manifest(path: Path):
     if not isinstance(methods, list) or not methods or not all(m in _METHODS for m in methods):
         raise ValueError(f"{path}: 'methods' must be a non-empty list of names from {list(_METHODS)}, got {methods!r}")
     overrides = dict(blocks["overrides"])
-    h_max = _number(overrides.pop("h_max", 1000.0), f"{path}: 'overrides': 'h_max'")
+    h_max = json_value(overrides.pop("h_max", 1000.0), float, "h_max", f"{path}: 'overrides'", finite=False)
     if not h_max > 0:
         raise ValueError(f"{path}: 'overrides': 'h_max' must be above 0, got {h_max!r}")
-    _override_scenario(_default_scenario(Region()), overrides)  # the radio and clustering fields
+    _override_scenario(_default_scenario(Region()), overrides, f"{path}: 'overrides'")  # the radio and clustering fields
     keywords = {"ellipse": {"h_max": h_max}}
     for method in ("circle", "brute"):
         spec = dict(blocks[method])
         num = spec.pop("num_uavs", "match" if method == "circle" else None)
         if num is not None and num != "match" and not (type(num) is int and num >= 1):
             raise ValueError(f"{path}: '{method}': 'num_uavs' must be an integer of at least 1 or \"match\", got {num!r}")
-        numbers = {key: _number(value, f"{path}: '{method}': '{key}'", finite=True) for key, value in spec.items()}
+        numbers = {key: json_value(value, float, key, f"{path}: '{method}'") for key, value in spec.items()}
         keywords[method] = {"h_max": h_max, "num_uavs": num, **numbers}
     out_dir = path.parent / manifest["out_dir"]
     generate = None
@@ -368,21 +369,11 @@ def _read_manifest(path: Path):
         generate = _build_parser().parse_args(["generate", "--out-dir", str(out_dir / "scenarios")])
         where = f"{path}: 'generate'"
         for key, value in blocks["generate"].items():
-            setattr(generate, key, value if key in ("count", "master_seed", "env") else _number(value, f"{where}: '{key}'"))
+            setattr(generate, key, value if key in ("count", "master_seed", "env") else json_value(value, float, key, where, finite=False))
         _check_draw(generate.count, generate.master_seed, f"{where}: 'count'", f"{where}: 'master_seed'")
     if not scenarios and (generate is None or generate.count < 1):
         raise ValueError(f"{path}: no scenarios given or generated")
     return out_dir, [path.parent / p for p in scenarios], generate, overrides, [(m, keywords[m]) for m in methods]
-
-
-def _number(value, where: str, finite: bool = False) -> float:
-    """``value``, a JSON number but not a bool (finite if ``finite``), as a float; else ValueError naming ``where``."""
-    try:
-        if type(value) in (int, float) and (not finite or math.isfinite(value)):
-            return float(value)
-    except OverflowError:  # an int beyond the float range
-        pass
-    raise ValueError(f"{where} must be a {'finite ' * finite}number, got {value!r}")
 
 
 def _run_sweep(scenario_paths, overrides, plans):
@@ -471,39 +462,33 @@ def plan_from_dict(payload: dict) -> DeploymentPlan:
     uavs = []
     for i, raw in enumerate(payload["uavs"]):
         where = f"uav {i}"
-        x, y, altitude = (_finite(v, "position", where) for v in raw["position"])
-        theta1, theta2 = (float(v) for v in raw["beam_deg"])
+        x, y, altitude = _floats(raw["position"], "position", where)
         members = raw["members"]
         if not isinstance(members, list) or not set(map(type, members)) <= {int}:
             raise ScenarioFormatError(f"{where}: 'members' must be a list of integer user indices", "members")
-        uavs.append(
-            UavDeployment(
-                x=x,
-                y=y,
-                altitude_m=altitude,
-                orientation_rad=_finite(raw["orientation_rad"], "orientation_rad", where),
-                beam=Beam(theta1_deg=theta1, theta2_deg=theta2),
-                tx_power_dbm=_finite(raw["tx_power_dbm"], "tx_power_dbm", where),
-                footprint=Ellipse(
-                    A=np.asarray(raw["footprint"]["A"], dtype=float),
-                    b=np.asarray(raw["footprint"]["b"], dtype=float),
-                ),
-                members=frozenset(members),
-            )
+        footprint = Ellipse(
+            A=[_floats(row, "A", f"{where}: footprint") for row in raw["footprint"]["A"]],
+            b=_floats(raw["footprint"]["b"], "b", f"{where}: footprint"),
         )
+        uavs.append(UavDeployment(
+            x, y, altitude,
+            orientation_rad=json_value(raw["orientation_rad"], float, "orientation_rad", where),
+            beam=Beam(*_floats(raw["beam_deg"], "beam_deg", where)),
+            tx_power_dbm=json_value(raw["tx_power_dbm"], float, "tx_power_dbm", where),
+            footprint=footprint,
+            members=frozenset(members),
+        ))
     return DeploymentPlan(
         uavs=uavs,
         environment=config_from_dict(Environment, payload["environment"], "environment"),
         radio=config_from_dict(RadioConfig, payload["radio"], "radio"),
-        total_power_mw=_finite(payload["total_power_mw"], "total_power_mw", "plan"),
+        total_power_mw=json_value(payload["total_power_mw"], float, "total_power_mw", "plan"),
     )
 
 
-def _finite(value, name: str, where: str) -> float:
-    number = float(value)
-    if not math.isfinite(number):
-        raise ScenarioFormatError(f"{where}: '{name}' must be finite, got {value!r}", name)
-    return number
+def _floats(values, name: str, where: str) -> list[float]:
+    """Each item of the JSON list ``values`` read by ``json_value`` as a finite float."""
+    return [json_value(value, float, name, where) for value in values]
 
 
 def _load_plan(path) -> DeploymentPlan:

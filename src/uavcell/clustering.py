@@ -317,16 +317,14 @@ def ellipse_clustering(
     # A contiguous patch of users may admit no disjoint-ellipse split at any
     # cluster count, in which case the only resolution is one ellipse over the
     # whole patch.  Users seen in the pool more than _MERGE_PATIENCE times mark
-    # such a patch; merged pools are remembered so that a later pool absorbing
-    # one merges again (each re-merge strictly grows the pool, so this ends).
+    # such a patch.  Visit counts never fall, so a later pool that absorbs a
+    # collapsed one holds such a user too and collapses again.
     pool_visits: Counter[int] = Counter()
-    merged: list[frozenset[int]] = []
     for _ in range(cfg.max_outer_iterations):
         pool = frozenset(int(i) for i in u_cond)
         pool_visits.update(pool)
-        if any(m <= pool for m in merged) or max(pool_visits[i] for i in pool) > _MERGE_PATIENCE:
+        if max(pool_visits[i] for i in pool) > _MERGE_PATIENCE:
             k_origin = 1
-            merged.append(pool)
         else:
             if phase == 1:
                 k_origin = select_k(pts[u_cond], k_max + cfg.silhouette_buffer)

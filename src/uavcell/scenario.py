@@ -31,6 +31,7 @@ __all__ = [
     "ScenarioFormatError",
     "config_from_dict",
     "generate_pcp",
+    "json_value",
     "load_scenario",
     "read_json",
     "save_scenario",
@@ -233,11 +234,12 @@ def scenario_from_dict(payload: dict, source: str = "scenario") -> Scenario:
         if f.name != "pcp":
             _require(payload, f.name, source)
     try:
+        kinds = set(map(type, chain.from_iterable(payload["users"])))  # one pass over every coordinate
         users = np.asarray(payload["users"], dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ScenarioFormatError(f"{source}: malformed scenario: {exc}", "users") from exc
-    if users.size == 0 or users.ndim != 2 or users.shape[1] != 2:
-        raise ScenarioFormatError(f"{source}: 'users' must be a non-empty list of [x, y] pairs", "users")
+    if not kinds <= {int, float} or users.size == 0 or users.ndim != 2 or users.shape[1] != 2:
+        raise ScenarioFormatError(f"{source}: 'users' must be a non-empty list of [x, y] pairs of numbers", "users")
     blocks = {
         name: config_from_dict(cls, payload[name], f"{source}: {name}")
         for name, cls in _BLOCKS.items()
@@ -257,27 +259,41 @@ def config_from_dict(cls, raw, where: str):
     """Build the flat config dataclass ``cls`` from a JSON object.
 
     The inverse of ``dataclasses.asdict``.  Every field is required and is
-    coerced to its annotated type; unknown keys warn.  A missing, bad or
-    non-finite value raises ScenarioFormatError prefixed with ``where``.
+    read by ``json_value`` as its annotated type, so no bool or string passes
+    as a number and no number is NaN or infinite; unknown keys warn.  A
+    missing or bad value raises ScenarioFormatError prefixed with ``where``.
     """
     if not isinstance(raw, dict):
         raise ScenarioFormatError(f"{where}: expected a JSON object, got {type(raw).__name__}", where)
-    names = [f.name for f in fields(cls)]
-    _warn_unknown(raw, names, where)
-    values = {name: _require(raw, name, where) for name in names}
-    types = _field_types(cls)
-    coerced = {}
-    for name, value in values.items():
-        try:
-            coerced[name] = types[name](value)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ScenarioFormatError(f"{where}: malformed value of '{name}': {exc}", name) from exc
-        if isinstance(coerced[name], float) and not math.isfinite(coerced[name]):
-            raise ScenarioFormatError(f"{where}: '{name}' must be finite, got {value!r}", name)
+    types = _field_types(cls)  # every field, in declaration order
+    _warn_unknown(raw, types, where)
+    values = {name: json_value(_require(raw, name, where), kind, name, where) for name, kind in types.items()}
     try:
-        return cls(**coerced)
-    except (TypeError, ValueError) as exc:
+        return cls(**values)
+    except ValueError as exc:
         raise ScenarioFormatError(f"{where}: malformed value: {exc}") from exc
+
+
+def json_value(value, kind: type, name: str, where: str, finite: bool = True):
+    """``value``, read from a file for field ``name``, as a ``kind``: a str field takes a JSON
+    string, a float field a JSON int or float, an int field a JSON int or an integral float such
+    as 6.0.  A bool or a string is never a number, and a number must be finite unless ``finite``
+    is False; anything else raises ScenarioFormatError naming ``name`` after ``where``."""
+    if type(value) is kind and kind is not float:  # a string, or an int for an int field
+        return value
+    if kind is not str and type(value) in (int, float):
+        try:
+            number = float(value)
+        except OverflowError:  # an int beyond the float range, read as json reads 1e400
+            number = math.inf if value > 0 else -math.inf
+        if finite and not math.isfinite(number):
+            raise ScenarioFormatError(f"{where}: '{name}' must be finite, got {value!r}", name)
+        if kind is float:
+            return number
+        if number.is_integer():
+            return int(number)
+    kinds = {str: "a string", float: "a number", int: "an integer"}
+    raise ScenarioFormatError(f"{where}: '{name}' must be {kinds[kind]}, got {value!r}", name)
 
 
 def _warn_unknown(raw: dict, known, where: str) -> None:

@@ -3,6 +3,7 @@ import csv
 import functools
 import hashlib
 import json
+import operator
 import os
 import statistics
 import subprocess
@@ -78,6 +79,13 @@ def test_generate_zero_count(tmp_path):
     out = tmp_path / "none"
     assert main(["generate", "--out-dir", str(out), "--count", "0"]) == 0
     assert list(out.glob("*.json")) == []
+
+
+def test_generate_that_draws_no_user_makes_no_directory(tmp_path, caplog):
+    out = tmp_path / "g"
+    assert main(["generate", "--out-dir", str(out), "--width", "0.01", "--height", "0.01"]) == 2
+    assert "could not draw a non-empty scenario" in caplog.text
+    assert not out.exists()
 
 
 # --- deploy -----------------------------------------------------------------
@@ -593,6 +601,86 @@ def test_mutated_scenario_and_plan_files_exit_0_or_2(tmp_path_factory, edits, me
     argv = ["deploy", str(files["scenario"]), "--out-dir", str(work / "out"), "--method", method, "--num-uavs", "4"]
     assert main(argv) in (0, 2)
     assert main(["evaluate", str(files["plan"]), str(files["scenario"]), "--out-dir", str(work / "ev")]) in (0, 2)
+
+
+# --- numbers read from files ------------------------------------------------
+
+# (file, path to the value, the new value or a function of the old one, what the log says)
+NUMBER_RULE_CASES = [
+    ("scenario", ("users",), lambda users: [[str(x), str(y)] for x, y in users],
+     "s.json: 'users' must be a non-empty list of [x, y] pairs of numbers"),
+    ("scenario", ("clustering", "k_max"), True, "clustering: 'k_max' must be an integer, got True"),
+    ("scenario", ("clustering", "k_max"), 2.7, "clustering: 'k_max' must be an integer, got 2.7"),
+    ("scenario", ("pcp",), {"parent_intensity_per_m2": 9e-6, "cluster_radius_m": 80.0, "mean_daughters": 36.0, "seed": "7"},
+     "pcp: 'seed' must be an integer, got '7'"),
+    ("scenario", ("environment", "name"), 5, "environment: 'name' must be a string, got 5"),
+    ("plan", ("uavs", 0, "tx_power_dbm"), str, "uav 0: 'tx_power_dbm' must be a number, got '"),
+    ("plan", ("uavs", 0, "beam_deg"), [True, True], "uav 0: 'beam_deg' must be a number, got True"),
+    ("plan", ("uavs", 0, "footprint", "b"), lambda b: [str(v) for v in b], "uav 0: footprint: 'b' must be a number, got '"),
+    ("plan", ("radio", "bandwidth_hz"), "20000000", "radio: 'bandwidth_hz' must be a number, got '20000000'"),
+    ("manifest", ("overrides", "k_max"), True, "'overrides': 'k_max' must be an integer, got True"),
+    ("manifest", ("overrides", "k_max"), "3", "'overrides': 'k_max' must be an integer, got '3'"),
+    ("manifest", ("overrides", "k_max"), 2.7, "'overrides': 'k_max' must be an integer, got 2.7"),
+    ("manifest", ("overrides", "snr_threshold_db"), "5", "'overrides': 'snr_threshold_db' must be a number, got '5'"),
+]
+
+
+@pytest.mark.parametrize("kind, path, value, message", NUMBER_RULE_CASES, ids=[
+    "users-strings", "k_max-true", "k_max-2.7", "seed-string", "env-name-number", "tx_power-string", "beam-bools",
+    "footprint-b-strings", "bandwidth-string", "override-k_max-true", "override-k_max-string", "override-k_max-2.7",
+    "override-snr-string",
+])
+def test_a_value_of_the_wrong_json_type_exits_2_naming_it_before_writing(tmp_path, caplog, kind, path, value, message):
+    # each once ran with a value the file did not hold: True as 1, 2.7 as 2, a string as its number
+    scen = write_scenario(tmp_path / "s.json", two_blob_users())
+    plan = tmp_path / "plan" / "plan.json"
+    assert main(["deploy", str(scen), "--out-dir", str(plan.parent), "--method", "circle", "--num-uavs", "4"]) == 0
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"out_dir": "out", "scenarios": ["s.json"], "overrides": {}}))
+    edited = {"scenario": scen, "plan": plan, "manifest": manifest}[kind]
+    payload = json.loads(edited.read_text())
+    *parents, key = path
+    node = functools.reduce(operator.getitem, parents, payload)
+    node[key] = value(node[key]) if callable(value) else value
+    edited.write_text(json.dumps(payload))
+    out = tmp_path / "out"
+    argv = {
+        "scenario": ["deploy", str(scen), "--out-dir", str(out), "--method", "circle", "--num-uavs", "4"],
+        "plan": ["evaluate", str(plan), str(scen), "--out-dir", str(out)],
+        "manifest": ["sweep", str(manifest)],
+    }[kind]
+    assert main(argv) == 2
+    assert message in caplog.text
+    assert not out.exists()
+
+
+def number_edits():
+    """(file, path, literal) for every number of ``fuzz_base``: a bool or a string, or 2.5 where an int stands."""
+    for name, payload in fuzz_base().items():
+        for path in json_paths(payload):
+            value = functools.reduce(operator.getitem, path, payload)
+            if type(value) in (int, float):
+                for literal in ["true", "false", '"1.5"'] + ["2.5"] * (type(value) is int):
+                    yield name, path, literal
+
+
+@settings(max_examples=250, deadline=None, derandomize=True, database=None)
+@given(st.deferred(lambda: st.sampled_from(list(number_edits()))))
+@example(("scenario", ("clustering", "k_max"), "true"))
+@example(("scenario", ("users", 0, 1), '"1.5"'))
+@example(("plan", ("uavs", 0, "beam_deg", 1), "true"))
+def test_a_bool_or_string_in_place_of_a_number_exits_2(tmp_path_factory, edit):
+    name, path, literal = edit
+    work = tmp_path_factory.mktemp("numbers")
+    files = {}
+    for target, payload in fuzz_base().items():
+        files[target] = work / f"{target}.json"
+        files[target].write_text(mutated_text(payload, [(path, literal)] if target == name else []))
+    if name == "scenario":
+        argv = ["deploy", str(files["scenario"]), "--out-dir", str(work / "out"), "--method", "circle", "--num-uavs", "4"]
+    else:
+        argv = ["evaluate", str(files["plan"]), str(files["scenario"]), "--out-dir", str(work / "out")]
+    assert main(argv) == 2
 
 
 # --- sweep ------------------------------------------------------------------
