@@ -74,10 +74,11 @@ class Ellipse:
 
     @property
     def semi_axes(self) -> tuple[float, float]:
-        """(major, minor) semi-axis lengths in meters."""
+        """(major, minor) semi-axis lengths in meters: one over A's eigenvalues, the
+        larger as mid + hypot and the smaller as det / larger, which does not cancel."""
         (a, b), (_, d) = self.A.tolist()
-        high, low = _eigenvalues(a, b, d)
-        return 1.0 / low, 1.0 / high
+        high = 0.5 * (a + d) + math.hypot(0.5 * (a - d), b)
+        return 1.0 / min((a * d - b * b) / high, high), 1.0 / high
 
     @property
     def orientation(self) -> float:
@@ -91,12 +92,6 @@ class Ellipse:
     def area(self) -> float:
         (a, b), (_, d) = self.A.tolist()
         return math.pi / (a * d - b * b)
-
-
-def _eigenvalues(a: float, b: float, d: float) -> tuple[float, float]:
-    """(larger, smaller) eigenvalue of [[a, b], [b, d]]; the smaller as det / larger, which does not cancel."""
-    high = 0.5 * (a + d) + math.hypot(0.5 * (a - d), b)
-    return high, min((a * d - b * b) / high, high)
 
 
 def mvee(points) -> Ellipse:
@@ -113,9 +108,9 @@ def mvee(points) -> Ellipse:
     by points strictly inside it (Welzl, 1991).  If the walk stalls, the fit
     is its last basis's ellipse and warns.  Thin inputs give their segment,
     semi-axes are floored at ``MIN_SEMI_AXIS_M``, and the fit is inflated by
-    a relative 1e-12, and again while ``contains`` misses a point.  Sets of
-    up to five points stay in Python floats from the input check to the
-    returned ``A`` and ``b``, and their radii have the bits of ``contains``.
+    a relative 1e-12, and again while ``contains`` misses a point.  Up to five
+    points stay in Python floats from the input check to ``A`` and ``b``, radii
+    with the bits of ``contains``; a larger set takes one SVD, to whiten.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.size == 0:
@@ -230,16 +225,16 @@ def _fit_center_form(pts: np.ndarray):
 
 
 def _small_fit(p: list):
-    """The fit of three to five points (pairs) by cases, in Python floats but
-    for the five-point conic, or None where these cases do not settle it or
-    rounding leaves them open: a segment for points on a line, the Steiner
-    ellipse of three points, and of more, the first of these that holds every
-    point to a gap of 1e-12: the largest triangle's Steiner ellipse, the
-    minimum ellipse through that triangle and the point it leaves farthest
-    out (``_quad_conic``; they are in convex position), and the conic through
-    five points (``_five_conic``) if its weights are positive.  Determinants
-    come from cross products, and conics from the points whitened here, so
-    1 m x 1e6 m slivers keep their width.
+    """The fit of three to five points (pairs) by cases, in Python floats, or
+    None where these cases do not settle it or rounding leaves them open: a
+    segment for points on a line, the Steiner ellipse of three points, and of
+    more, the first of these that holds every point to a gap of 1e-12: the
+    largest triangle's Steiner ellipse, the minimum ellipse through that
+    triangle and the point it leaves farthest out (``_quad_conic``; they are
+    in convex position), and the conic through five points (``_five_conic``)
+    if ``_moment_weights`` finds its weights positive.  Determinants come from
+    cross products, and conics from the points whitened here, so 1 m x 1e6 m
+    slivers keep their width.
     """
     n = len(p)
     mx, my = (sum(col) / n for col in zip(*p))
@@ -279,10 +274,9 @@ def _small_fit(p: list):
             return (*_center_form(frame, *conic), FitRecord(gap, "quad", (0, 1, 2, 3)))
         fit = _small_fit([p[m] for m in quad])
         return None if fit is None else (*fit[:3], FitRecord(gap, "quad", tuple(quad)))
-    if n == _QUAD or (conic := _five_conic(za := np.array(z))) is None or _moment_weights(za, *conic[:2]) is None:
+    if n == _QUAD or (conic := _five_conic(z)) is None or not _moment_weights(z, *conic) or (gap := _gap_on(z, *conic)) > _CERTIFIED_GAP:
         return None
-    gap = _gap_on(z, *conic)
-    return None if gap > _CERTIFIED_GAP else (*_center_form(frame, *conic), FitRecord(gap, "five", (0, 1, 2, 3, 4)))
+    return (*_center_form(frame, *conic), FitRecord(gap, "five", (0, 1, 2, 3, 4)))
 
 
 def _gap_on(z: list, center, cov, det) -> float:
@@ -336,13 +330,13 @@ def _next_basis(z: np.ndarray, x, y, basis: list, j: int, visited: set):
     The candidates are the subsets of three to five of the basis and j that
     hold j, and one is feasible if its exact primitive (Gärtner & Schönherr,
     1997) holds them all to a gap of 1e-12.  A feasible Steiner ellipse, or
-    a feasible ``_five_conic`` of positive weights, is the minimum ellipse of
-    its own points and so of them all; else the least feasible
-    ``_quad_conic`` is.  So triangles, then fives, then quads are tried, and
-    the first kind with a feasible candidate gives its least determinant.
-    Near-cocircular points round determinants into ties: those within a
-    relative 1e-12 of the least go to the least gap over every point, then
-    to the first subset.
+    a feasible ``_five_conic`` whose ``_moment_weights`` are positive, is the
+    minimum ellipse of its own points and so of them all; else the least
+    feasible ``_quad_conic`` is.  So triangles, then fives, then quads are
+    tried, and the first kind with a feasible candidate gives its least
+    determinant.  Near-cocircular points round determinants into ties: those
+    within a relative 1e-12 of the least go to the least gap over every
+    point, then to the first subset.
     """
     pool = sorted([*basis, j])
     p = dict(zip(pool, z[pool].tolist()))
@@ -353,15 +347,10 @@ def _next_basis(z: np.ndarray, x, y, basis: list, j: int, visited: set):
             if (subset := tuple(sorted((*rest, j)))) in visited:
                 continue
             q = [p[m] for m in subset]
-            if size == _LIFT_DIM:
-                conic = _steiner(*q, held)
-            elif size == _QUAD:
-                conic = _quad_conic(q)
-            else:
-                conic = _five_conic(np.array(q))
+            conic = _steiner(*q, held) if size == _LIFT_DIM else _quad_conic(q) if size == _QUAD else _five_conic(q)
             if conic is None or (size > _LIFT_DIM and _gap_on(held, *conic) > _CERTIFIED_GAP):
                 continue
-            if size < _FIVE or _moment_weights(np.array(q), *conic[:2]) is not None:
+            if size < _FIVE or _moment_weights(q, *conic):
                 feasible.append((conic[2], subset, conic))
         if feasible:
             least = min(det for det, *_ in feasible)
@@ -397,30 +386,32 @@ def _steiner(a, b, c, held=()):
     return (cx, cy), cov, area / 27.0
 
 
-def _five_conic(z: np.ndarray):
-    """(center, covariance (sxx, sxy, syy), its determinant) of the conic
-    through five points, the null vector of their 5 x 6 monomials, or None
-    if it is no ellipse; the covariance is half the inverse shape."""
-    x, y = z[:, 0], z[:, 1]
-    monomials = np.column_stack([x * x, 2.0 * x * y, y * y, 2.0 * x, 2.0 * y, np.ones(len(z))])
-    conic = ca, cb, cc, cd, ce, _ = np.linalg.svd(monomials)[2][-1].tolist()
-    det2 = ca * cc - cb * cb
-    half_inverse = _det(conic) / (2.0 * det2 * det2) if det2 > 0.0 else 0.0
-    if not -half_inverse * cc > 0.0:  # a hyperbola, a parabola or an empty ellipse
-        return None
-    center = ((cb * ce - cc * cd) / det2, (cb * cd - ca * ce) / det2)
-    return center, (-half_inverse * cc, half_inverse * cb, -half_inverse * ca), half_inverse * half_inverse * det2
+def _five_conic(z: list):
+    """(center, covariance (sxx, sxy, syy), its determinant) of the conic through five points
+    (pairs), or None if it is no ellipse: in the pencil of the line pairs L01 L23 and L02 L13 through
+    the first four, v2 L01 L23 - v1 L02 L13 for the pairs' values v1 and v2 at the fifth point."""
+    a, b, c, d, (x, y) = z
+    pairs = _line_pair(a, b, c, d), _line_pair(a, c, b, d)
+    v1, v2 = (pa * x * x + 2.0 * pb * x * y + pc * y * y + 2.0 * pd * x + 2.0 * pe * y + pf for pa, pb, pc, pd, pe, pf in pairs)
+    return _ellipse_of([v2 * u - v1 * v for u, v in zip(*pairs)])
 
 
-def _moment_weights(z: np.ndarray, center, cov):
-    """Weights of the points, in input order, with total 1, mean ``center``
-    and covariance ``cov``, by least squares (for points on the ellipse that
-    these moments give, one of the six equations follows from the others);
-    None unless all are positive, when that ellipse is their minimum one."""
-    dx, dy = z[:, 0] - center[0], z[:, 1] - center[1]
-    moments = np.array([np.ones(len(z)), z[:, 0], z[:, 1], dx * dx, dx * dy, dy * dy])
-    weights = np.linalg.lstsq(moments, np.array([1.0, *center, *cov]), rcond=None)[0]
-    return weights if weights.min() > 0.0 else None
+def _moment_weights(z: list, center, cov, det) -> bool:
+    """Whether the weights of five points (pairs) on the conic (``center``, ``cov`` of determinant
+    ``det``) with total 1, mean ``center`` and covariance ``cov`` are all positive, when that ellipse
+    is their minimum one.  With 2 cov = L L' (Cholesky), L^-1 (p - center) maps the points onto the
+    unit circle as complex s_k, where the moments are sum_k w_k s_k^m = [m = 0] for m = -2..2, so
+    w_k = Re(s_k^2 e2(s_l, l != k) / prod_{l != k} (s_k - s_l)) (Vandermonde); its sign is that of
+    the numerator times the conjugate denominator, which needs no division."""
+    l00 = math.sqrt(2.0 * cov[0])
+    l10, l11 = 2.0 * cov[1] / l00, 2.0 * math.sqrt(det) / l00
+    s = [complex(u := (x - center[0]) / l00, (y - center[1] - l10 * u) / l11) for x, y in z]
+    for k, sk in enumerate(s):
+        a, b, c, d = s[:k] + s[k + 1:]
+        spread = (sk - a) * (sk - b) * (sk - c) * (sk - d)
+        if not (sk * sk * ((a + b) * (c + d) + a * b + c * d) * spread.conjugate()).real > 0.0:
+            return False
+    return True
 
 
 def _extreme_points(z: np.ndarray) -> np.ndarray:
@@ -495,14 +486,18 @@ def _quad_conic(z):
             lo = t
         else:
             hi = t
-    ca, cb, cc, cd, ce, cf = conic = [v1 + t * dv for v1, dv in zip(c1, dc)]
-    # center -C[:2, :2]^-1 C[:2, 2], and (x - center)' C[:2, :2] (x - center) = -det C / det C[:2, :2]
+    return _ellipse_of([v1 + t * dv for v1, dv in zip(c1, dc)], (mx, my), size)  # None if the interval was empty to rounding
+
+
+def _ellipse_of(conic, origin=(0.0, 0.0), size=1.0):
+    """(center, covariance, its determinant) of the conic C in points scaled by ``size`` about ``origin``, or None
+    if it is no ellipse: -C[:2, :2]^-1 C[:2, 2], and half the inverse shape, det C / (2 det2^2) times -adj(C[:2, :2])."""
+    ca, cb, cc, cd, ce, _ = conic
     det2 = ca * cc - cb * cb
-    if not det2 > 0.0:  # the interval was empty to rounding
+    half_inverse = size * size * _det(conic) / (2.0 * det2 * det2) if det2 > 0.0 else 0.0
+    if not -half_inverse * cc > 0.0:  # a hyperbola, a parabola or an empty ellipse
         return None
-    center = (mx + size * (cb * ce - cc * cd) / det2, my + size * (cb * cd - ca * ce) / det2)
-    # half the inverse shape: det C / (2 det2^2) times -adj(C[:2, :2]), in the input's scale
-    half_inverse = size * size * _det(conic) / (2.0 * det2 * det2)
+    center = (origin[0] + size * (cb * ce - cc * cd) / det2, origin[1] + size * (cb * cd - ca * ce) / det2)
     return center, (-half_inverse * cc, half_inverse * cb, -half_inverse * ca), half_inverse * half_inverse * det2
 
 
@@ -518,7 +513,7 @@ def _line_pair(a, b, c, d) -> list[float]:
     l0, l1, l2 = a[1] - b[1], b[0] - a[0], a[0] * b[1] - a[1] * b[0]
     m0, m1, m2 = c[1] - d[1], d[0] - c[0], c[0] * d[1] - c[1] * d[0]
     conic = [l0 * m0, 0.5 * (l0 * m1 + l1 * m0), l1 * m1, 0.5 * (l0 * m2 + l2 * m0), 0.5 * (l1 * m2 + l2 * m1), l2 * m2]
-    norm = math.sqrt(_dot(conic, conic))
+    norm = math.sqrt(_dot(conic, conic)) or 1.0  # a line through two equal points is zero
     return [v / norm for v in conic]
 
 

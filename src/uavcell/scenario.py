@@ -121,8 +121,8 @@ def load_scenario(path) -> Scenario:
 
 
 def read_json(path):
-    """The JSON value in the file at ``path``; text that is not JSON, or that
-    nests deeper than the parser can recurse, raises ScenarioFormatError."""
+    """The JSON value in the file at ``path``; text that is not JSON, that nests deeper than the
+    parser can recurse or that holds an int too long to convert raises ScenarioFormatError."""
     text = Path(path).read_text(encoding="utf-8")
     try:
         return json.loads(text)
@@ -130,6 +130,8 @@ def read_json(path):
         raise ScenarioFormatError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
     except RecursionError as exc:
         raise ScenarioFormatError(f"{path}: JSON nested too deeply to parse") from exc
+    except ValueError as exc:  # an int literal longer than int() converts
+        raise ScenarioFormatError(f"{path}: invalid JSON: {exc}") from exc
 
 
 def dump_canonical_json(payload) -> str:

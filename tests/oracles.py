@@ -18,7 +18,11 @@ masked mean per side, and
 ``write_csv_per_row`` writes a CSV table one row at a time, as ``_write_csv``
 did before it formatted an all-number table in one pass, and
 ``newton_min_ellipse_area`` solves the dual of the minimum ellipse by
-active-set Newton from equal weights, as ``mvee`` did before its basis walk.
+active-set Newton from equal weights, as ``mvee`` did before its basis walk,
+and ``exact_five_conic``, ``exact_ellipse`` and ``exact_five_weights`` give
+the conic through five points, its ellipse and their moment weights in
+exact rational arithmetic, by row reduction of the monomials and of the
+moment equations.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ import csv
 import io
 import math
 import warnings
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -213,6 +218,74 @@ def newton_min_ellipse_area(points) -> float | None:
     zc = u @ z
     cov = (z * u[:, None]).T @ z - np.outer(zc, zc)
     return 2.0 * math.pi * math.sqrt(np.linalg.det(cov)) * svals[0] * svals[1] / n
+
+
+def _reduced(rows: list) -> tuple[list, list]:
+    """Reduced row echelon form of a matrix of Fractions, and its pivot columns."""
+    rows, pivots = [list(row) for row in rows], []
+    for col in range(len(rows[0])):
+        r = len(pivots)
+        lead = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
+        if lead is None:
+            continue
+        rows[r], rows[lead] = rows[lead], rows[r]
+        rows[r] = [v / rows[r][col] for v in rows[r]]
+        for i, row in enumerate(rows):
+            if i != r and row[col] != 0:
+                rows[i] = [v - row[col] * u for v, u in zip(row, rows[r])]
+        pivots.append(col)
+        if len(pivots) == len(rows):
+            break
+    return rows, pivots
+
+
+def exact_five_conic(points) -> list | None:
+    """The conic (a, b, c, d, e, f) through five points, for
+    a x^2 + 2b xy + c y^2 + 2d x + 2e y + f = 0, as Fractions exactly through
+    the floats they are, or None if it is not unique: the null vector of the
+    points' monomials, by row reduction."""
+    q = [(Fraction(x), Fraction(y)) for x, y in points]
+    rows, pivots = _reduced([[x * x, 2 * x * y, y * y, 2 * x, 2 * y, Fraction(1)] for x, y in q])
+    if len(pivots) != 5:
+        return None
+    free = next(col for col in range(6) if col not in pivots)
+    conic = [Fraction(0)] * 6
+    conic[free] = Fraction(1)
+    for row, col in zip(rows, pivots):
+        conic[col] = -row[free]
+    return conic
+
+
+def exact_ellipse(conic):
+    """(center, covariance (sxx, sxy, syy), its determinant) as Fractions of
+    the sqrt(2) times covariance ellipse that is the ``conic``, or None if it
+    is no ellipse.  For x'Mx + 2g'x + f = 0 with center c = -M^-1 g, the
+    conic is (x - c)'M(x - c) = k with k = -(f + g'c), so the covariance is
+    k M^-1 / 2."""
+    a, b, c, d, e, f = conic
+    det2 = a * c - b * b
+    if det2 <= 0:
+        return None
+    center = ((b * e - c * d) / det2, (b * d - a * e) / det2)
+    k = -(f + d * center[0] + e * center[1])
+    if k / a <= 0:  # an empty ellipse
+        return None
+    cov = (k * c / (2 * det2), -k * b / (2 * det2), k * a / (2 * det2))
+    return center, cov, cov[0] * cov[2] - cov[1] * cov[1]
+
+
+def exact_five_weights(points, center, cov) -> list:
+    """The weights as Fractions of five points on the ellipse of the exact
+    ``center`` and ``cov``, with total 1, mean ``center`` and covariance
+    ``cov``: the unique solution of those six moment equations, of which one
+    follows from the others."""
+    q = [(Fraction(x), Fraction(y)) for x, y in points]
+    dx, dy = [x - center[0] for x, _ in q], [y - center[1] for _, y in q]
+    moments = [[Fraction(1)] * 5, [x for x, _ in q], [y for _, y in q],
+               [u * u for u in dx], [u * v for u, v in zip(dx, dy)], [v * v for v in dy]]
+    rows, pivots = _reduced([m + [rhs] for m, rhs in zip(moments, [1, *center, *cov])])
+    assert pivots == list(range(5)), "the moment equations of five points on their ellipse have one solution"
+    return [row[5] for row in rows[:5]]
 
 
 _LIFT_DIM = 3  # planar points lifted with a homogeneous coordinate

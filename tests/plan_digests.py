@@ -37,12 +37,21 @@ from master seed 0, each run by ``ellipse``, ``circle`` with the ellipse's
 cell count, and ``brute``, which is over its user cap and fails as
 ``bad_input``.
 pytest does not collect this file: ``test_digests.py`` compares the lines of
-``digest_lines`` with the committed ``digests.txt``.  A change that moves a
-line regenerates that file from the repository root:
+``digest_lines`` with the committed ``digests.txt``.  To see what a change
+moved, run from the repository root
+
+    PYTHONPATH=src python tests/plan_digests.py --compare tests/digests.txt
+
+which prints one line per differing digest line: a plan line's kind, seed,
+whether its memberships moved and its relative power change, or a ``fits``,
+``calls``, ``pairs`` or ``files`` line by name.  It exits 1 if a membership
+or a count moved, or the number of lines did.  A change that moves a line
+regenerates the file:
 
     PYTHONPATH=src python tests/plan_digests.py > tests/digests.txt
 """
 
+import argparse
 import hashlib
 import json
 import math
@@ -156,5 +165,34 @@ def digest_lines() -> list[str]:
     return lines
 
 
+def compare(want: list[str], got: list[str]) -> bool:
+    """Print how ``got`` differs from ``want`` line by line; True unless a
+    membership, a count or the number of lines moved."""
+    same = len(want) == len(got)
+    if not same:
+        print(f"{len(got)} lines, {len(want)} committed")
+    for old, new in zip(want, got):
+        if old == new:
+            continue
+        if old.startswith(("ellipse ", "brute ")):
+            kind, seed, power, cells = old.split(" ", 3)
+            _, _, new_power, new_cells = new.split(" ", 3)
+            was, now = (float(text.partition("=")[2]) for text in (power, new_power))
+            moved = cells != new_cells or not new.startswith(f"{kind} {seed} ")
+            same = same and not moved
+            print(f"{kind} {seed} memberships={'moved' if moved else 'same'} power_rel={(now - was) / was:+.3g}")
+        else:
+            name = old.rpartition(" ")[0]
+            same = same and name.startswith("files ")
+            print(f"{name}: {old.rpartition(' ')[2]} -> {new.rpartition(' ')[2]}")
+    return same
+
+
 if __name__ == "__main__":
-    print(*digest_lines(), sep="\n")
+    parser = argparse.ArgumentParser(description="Print the digest lines, or compare them with a committed file.")
+    parser.add_argument("--compare", metavar="FILE", help="digest file to compare with, such as tests/digests.txt")
+    args = parser.parse_args()
+    if args.compare is None:
+        print(*digest_lines(), sep="\n")
+    else:
+        raise SystemExit(0 if compare(Path(args.compare).read_text().splitlines(), digest_lines()) else 1)

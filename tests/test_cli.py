@@ -233,6 +233,16 @@ def test_deploy_scenario_nested_too_deeply_exits_2(tmp_path):
     assert main(["deploy", str(deep), "--out-dir", str(tmp_path / "o")]) == 2
 
 
+def test_deploy_scenario_with_an_int_too_long_to_convert_names_the_file(tmp_path, caplog):
+    # json reads a literal of more than 4300 digits with int(), which refuses it
+    scen = write_scenario(tmp_path / "s.json", two_blob_users())
+    scen.write_text(scen.read_text().replace('"k_max": 8', '"k_max": 1' + "0" * 5000))
+    assert main(["deploy", str(scen), "--out-dir", str(tmp_path / "o")]) == 2
+    message = next(r.getMessage() for r in caplog.records if r.levelname == "ERROR")
+    assert message.startswith(f"{scen}: invalid JSON: ")
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("block, key, value", [
     ("radio", "bandwidth_hz", None),  # None: delete the key
     ("environment", "sigmoid_a", "x"),

@@ -1,5 +1,6 @@
 import copy
 import math
+from collections import Counter
 from dataclasses import fields
 from unittest.mock import patch
 
@@ -7,7 +8,8 @@ import numpy as np
 import pytest
 
 from oracles import grid_min_ellipse_area
-from uavcell import geometry
+from uavcell import clustering, geometry
+from uavcell.clustering import ellipse_clustering
 from uavcell.geometry import Ellipse, contains, edge_distance, mvee
 from uavcell.scenario import PcpConfig, Region, generate_pcp
 
@@ -252,15 +254,17 @@ class _NoLinearAlgebra:
 
 
 def test_small_fits_take_no_linear_algebra(monkeypatch):
-    # triangles, convex and non-convex quads, 1 m x 1e6 m slivers and sets
-    # 1e6 m out are fitted by cases in Python floats, without one call into
-    # numpy.linalg, so what a small fit costs is counted in float operations
+    # triangles, convex and non-convex quads, pentagons, 1 m x 1e6 m slivers
+    # and sets 1e6 m out are fitted by cases in Python floats, without one call
+    # into numpy.linalg, so what a small fit costs is counted in float operations
     rng = np.random.default_rng(16)
     sets = []
     for _ in range(200):
         corners = rng.uniform(-500.0, 500.0, (3, 2))
         inner = rng.dirichlet(np.ones(3)) @ corners  # the fourth point in the hull triangle
         sets += [corners, np.vstack([corners, inner]), rng.uniform(-500.0, 500.0, (4, 2))]
+        turn = 2.0 * math.pi * np.arange(5) / 5 + rng.uniform(-0.1, 0.1, 5)
+        sets.append(rng.uniform(10.0, 500.0) * np.column_stack([np.cos(turn), 0.5 * np.sin(turn)]))
     angle = rng.uniform(0.0, math.pi, 50)
     for a in angle:
         rot = np.array([[math.cos(a), -math.sin(a)], [math.sin(a), math.cos(a)]])
@@ -273,7 +277,35 @@ def test_small_fits_take_no_linear_algebra(monkeypatch):
         e = mvee(pts)
         assert e.fit.gap <= 1e-12 and contains(e, pts).all()
         endings.add(e.fit.ending)
-    assert endings == {"closed-form", "triangle", "quad"}
+    assert endings == {"closed-form", "triangle", "quad", "five"}
+
+
+def test_a_campaign_fit_makes_one_svd_to_whiten_and_no_least_squares(monkeypatch):
+    # the walk's primitives, five-point conics and their weights included,
+    # are Python floats: numpy.linalg serves a fit of more than five points
+    # only the SVD that whitens them, and a smaller fit nothing
+    calls, fits = Counter(), []
+
+    def counted(name, solver):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return solver(*args, **kwargs)
+        return call
+
+    def fit(points):
+        calls.clear()
+        e = mvee(points)
+        fits.append((len(points), dict(calls)))
+        return e
+
+    for name in ("svd", "lstsq"):
+        monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+    monkeypatch.setattr(clustering, "mvee", fit)
+    with patch.object(geometry, "_five_conic", wraps=geometry._five_conic) as five:
+        for seed in range(3):
+            ellipse_clustering(generate_pcp(Region(), PcpConfig(seed=seed)))
+    assert fits and five.call_count > 0
+    assert all(used == ({"svd": 1} if n > 5 else {}) for n, used in fits)
 
 
 def test_small_fits_take_no_radius_arrays(monkeypatch):
@@ -299,12 +331,15 @@ def test_small_fits_take_no_radius_arrays(monkeypatch):
 
 def test_a_quad_degenerate_to_rounding_has_no_weights():
     # the first and last corners are one ulp apart, so the affine dependence
-    # passes the sign test of convex position by rounding alone
+    # passes the sign test of convex position by rounding alone; no quad
+    # weights certify it, and the fit ends on the triangle of the last three
     z = np.array([
         [98.67877981295356, 105.96373511208479], [-173.00431592865056, -115.21746743531041],
         [95.06075228220422, -162.76314736192134], [98.67877981295356, 105.96373511208482],
     ])
-    assert geometry._moment_weights(z, *geometry._quad_conic(z.tolist())[:2]) is None
+    e = mvee(z)
+    assert (e.fit.ending, e.fit.support, e.fit.gap) == ("triangle", (1, 2, 3), 0.0)
+    assert contains(e, z).all()
 
 
 @pytest.mark.parametrize("m", [100, 200, 500])

@@ -26,6 +26,9 @@ from scipy.spatial.distance import pdist, squareform
 from oracles import (
     brute_force_per_partition,
     evaluate_per_user,
+    exact_ellipse,
+    exact_five_conic,
+    exact_five_weights,
     farthest_pair_squareform,
     grid_altitude,
     grid_min_ellipse_area,
@@ -581,6 +584,59 @@ def test_the_five_point_ellipse_has_the_newton_area(pts, offset):
     want = newton_min_ellipse_area(pts)
     assert want is not None
     assert math.isclose(math.pi * axes[0] * axes[1], want, rel_tol=1e-12)
+
+
+@st.composite
+def five_point_sets(draw):
+    """Five points in convex position, in random order: a random convex set
+    or a regular pentagon with its radii within 1e-12 of one circle, 1e-3 m
+    to 1e7 m across, or a random convex set stretched to 1 m x 1e6 m."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["convex", "near-cocircular", "sliver"]))
+    if kind == "near-cocircular":
+        t = 2.0 * math.pi * np.arange(5) / 5 + rng.uniform(0.0, 2.0 * math.pi)
+        pts = (1.0 + 1e-12 * rng.uniform(-1.0, 1.0, 5))[:, None] * np.column_stack([np.cos(t), np.sin(t)])
+    else:
+        pts = rng.uniform(-0.5, 0.5, (5, 2))
+        while len(ConvexHull(pts).vertices) < 5:
+            pts = rng.uniform(-0.5, 0.5, (5, 2))
+    if kind == "sliver":
+        angle = rng.uniform(0.0, math.pi)
+        rot = np.array([[math.cos(angle), -math.sin(angle)], [math.sin(angle), math.cos(angle)]])
+        return (pts * [1e6, 1.0]) @ rot.T
+    return 10.0 ** draw(st.integers(-3, 7)) * pts[rng.permutation(5)]
+
+
+def _whitened(pts: np.ndarray) -> list:
+    """The points in the frame of the walk: zero mean and unit covariance."""
+    centered = pts - pts.mean(axis=0)
+    centered -= centered.mean(axis=0)
+    return (np.linalg.svd(centered, full_matrices=False)[0] * math.sqrt(len(pts))).tolist()
+
+
+@settings(PROPERTY, max_examples=150)
+@given(five_point_sets(), st.sampled_from([0.0, 1e3, 1e7]).map(lambda d: np.array([d, -0.5 * d])))
+def test_the_five_point_conic_and_its_weight_signs_match_exact_arithmetic(pts, offset):
+    # the walk hands _five_conic and _moment_weights whitened points, and the
+    # oracle solves the conic through those same floats exactly
+    z = _whitened(pts + offset)
+    a, b, c, d, e, f = conic = exact_five_conic(z)
+    want, got = exact_ellipse(conic), geometry._five_conic(z)
+    norm = max(map(abs, conic))
+    # an ellipse, a hyperbola or a line pair only where rounding cannot tell them apart
+    if abs(a * c - b * b) > 1e-9 * norm**2 and abs(a * (c * f - e * e) - b * (b * f - d * e) + d * (b * e - c * d)) > 1e-9 * norm**3:
+        assert (got is None) == (want is None)
+    if got is None or want is None:
+        return
+    (center, cov, _), (exact_center, exact_cov, _) = got, want
+    trace = exact_cov[0] + exact_cov[2]
+    # within 1e-10 of the ellipse's size, about a million times the rounding
+    # of the floats the conic is built from
+    assert max(abs(Fraction(u) - v) for u, v in zip(center, exact_center)) <= 1e-10 * math.sqrt(trace)
+    assert max(abs(Fraction(u) - v) for u, v in zip(cov, exact_cov)) <= 1e-10 * trace
+    weights = exact_five_weights(z, exact_center, exact_cov)
+    if abs(min(weights)) > 1e-9 * max(map(abs, weights)):  # a sign rounding could not flip
+        assert geometry._moment_weights(z, *got) == (min(weights) > 0)
 
 
 def test_every_seven_user_brute_force_fit_is_settled_without_a_walk():
