@@ -12,7 +12,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .geometry import Ellipse, contains, mvee
+from .geometry import Ellipse, _radii, mvee
 
 __all__ = [
     "AlgorithmTrace",
@@ -144,8 +144,9 @@ def _ward_cuts(z: np.ndarray, ks: list[int]) -> np.ndarray:
 
     Merges go in ``cut_tree``'s order (by height, ties in reverse breadth-first
     order from the root, right child first); a leaf's label is the node id of
-    its highest ancestor formed by then, found for every k at once by pointer
-    doubling, so a cluster has one label in every cut that holds it.
+    its highest ancestor formed by then, so a cluster has one label in every
+    cut that holds it.  The finest cut is found by pointer doubling; each
+    coarser cut follows that cut's heads on up the parent chain.
     """
     n = len(z) + 1
     kids = z[:, :2].astype(np.intp)
@@ -158,10 +159,17 @@ def _ward_cuts(z: np.ndarray, ks: list[int]) -> np.ndarray:
     parent, step = nodes.copy(), np.zeros_like(nodes)  # step: merges done once a node exists
     parent[kids] = nodes[n:, None]
     step[n + np.lexsort((-np.argsort(np.concatenate(visit)), z[:, 2]))] = nodes[1:n]
-    up = np.where(step[parent] <= n - np.array(ks)[:, None], parent, nodes)
-    while not np.array_equal(jump := np.take_along_axis(up, up, axis=1), up):
+    up = np.where(step[parent] <= n - max(ks), parent, nodes)
+    while not np.array_equal(jump := up[up], up):
         up = jump
-    return up[:, :n]
+    heads, own = np.unique(up[:n], return_inverse=True)
+    parent, step, row, rows = parent.tolist(), step.tolist(), heads.tolist(), {}
+    for k in sorted(set(ks), reverse=True):
+        for i, h in enumerate(row):
+            while parent[h] != h and step[parent[h]] <= n - k:
+                row[i] = h = parent[h]
+        rows[k] = row.copy()
+    return np.array([rows[k] for k in ks])[:, own]
 
 
 def split_cluster(points):
@@ -176,24 +184,22 @@ def split_cluster(points):
     if n < 2:
         return None
     i, j = _farthest_pair(pts)
-    centers = pts[[i, j]]
+    x, y = pts[:, 0], pts[:, 1]
+    (x0, y0), (x1, y1) = pts[i].tolist(), pts[j].tolist()
     assign = np.zeros(n, dtype=bool)  # False -> center 0
     for _ in range(_SPLIT_MAX_ITERATIONS):
-        dx = pts[:, 0, None] - centers[:, 0]
-        dy = pts[:, 1, None] - centers[:, 1]
-        dist = np.sqrt(dx * dx + dy * dy)  # the bits of np.linalg.norm per center
-        new_assign = dist[:, 1] < dist[:, 0]
-        if new_assign.all() or not new_assign.any():
-            break
-        if (new_assign == assign).all():
+        dx0, dy0, dx1, dy1 = x - x0, y - y0, x - x1, y - y1
+        # the bits of np.linalg.norm per center
+        new_assign = np.sqrt(dx1 * dx1 + dy1 * dy1) < np.sqrt(dx0 * dx0 + dy0 * dy0)
+        ones = int(np.count_nonzero(new_assign))
+        if ones in (0, n) or np.array_equal(new_assign, assign):
             break
         assign = new_assign
         # bincount adds in index order, as a masked mean(axis=0) does
-        sums = [np.bincount(assign, weights=pts[:, d], minlength=2) for d in (0, 1)]
-        centers = np.stack(sums, axis=1) / np.bincount(assign, minlength=2)[:, None]
-    if assign.all() or not assign.any():
+        (x0, x1), (y0, y1) = (np.bincount(assign, weights=v, minlength=2).tolist() for v in (x, y))
+        x0, y0, x1, y1 = x0 / (n - ones), y0 / (n - ones), x1 / ones, y1 / ones
+    if not assign.any():
         # co-located points collapse onto one center; peel the pair point off
-        assign = np.zeros(n, dtype=bool)
         assign[j] = True
     return np.flatnonzero(~assign), np.flatnonzero(assign)
 
@@ -209,14 +215,18 @@ def _farthest_pair(pts: np.ndarray) -> tuple[int, int]:
     underflows).  When all points coincide all are on the ring and the pair
     is (0, 0).
     """
-    from scipy.spatial.distance import pdist, squareform
-
     from_center = np.hypot(*(pts - pts.mean(axis=0)).T)
     q = int(np.argmax(from_center))
     reach, far = from_center[q], np.hypot(*(pts - pts[q]).T).max()
     ring = np.flatnonzero(from_center >= far - reach - 1e-12 * (far + reach))
-    a, b = divmod(int(np.argmax(squareform(pdist(pts[ring])))), len(ring))
+    a, b = divmod(int(np.argmax(_distance_matrix(pts[ring]))), len(ring))
     return int(ring[a]), int(ring[b])
+
+
+def _distance_matrix(pts: np.ndarray) -> np.ndarray:
+    """Square distance matrix of ``pts``, with the bits of ``squareform(pdist(pts))``."""
+    dx, dy = (pts[:, d, None] - pts[:, d] for d in (0, 1))
+    return np.sqrt(dx * dx + dy * dy)
 
 
 def _split_priority(points, ellipse: Ellipse):
@@ -274,17 +284,22 @@ def find_intersections(cs: ClusterSet) -> set[int]:
     Cluster m intersects m' when some user of either lies inside both
     ellipses (boundary inclusive).
     """
-    inside = np.zeros((len(cs.clusters), len(cs.users)), dtype=bool)
+    m = len(cs.clusters)
+    if m < 2:
+        return set()
+    # every ellipse over every user at once: A is (2, 2, m, 1) and b (2, m, 1)
+    A = np.stack([c.ellipse.A for c in cs.clusters], axis=-1)[..., None]
+    b = np.stack([c.ellipse.b for c in cs.clusters], axis=-1)[..., None]
+    inside = _radii(A, b, np.asarray(cs.users, dtype=float)) <= 1.0
     owner = np.zeros_like(inside)
-    for m, c in enumerate(cs.clusters):
-        inside[m] = contains(c.ellipse, cs.users)
-        owner[m, list(c.members)] = True
+    sizes = [len(c.members) for c in cs.clusters]
+    owner[np.repeat(np.arange(m), sizes), [u for c in cs.clusters for u in c.members]] = True
     # shared[m, m'] is set when a user of m lies inside both ellipses; the
     # transpose covers the users of m'
     shared = (owner & inside) @ inside.T
     shared |= shared.T
     np.fill_diagonal(shared, False)
-    return {int(m) for m in np.flatnonzero(shared.any(axis=1))}
+    return set(np.flatnonzero(shared.any(axis=1)).tolist())
 
 
 def ellipse_clustering(
@@ -321,7 +336,7 @@ def ellipse_clustering(
     # collapsed one holds such a user too and collapses again.
     pool_visits: Counter[int] = Counter()
     for _ in range(cfg.max_outer_iterations):
-        pool = frozenset(int(i) for i in u_cond)
+        pool = frozenset(u_cond.tolist())
         pool_visits.update(pool)
         if max(pool_visits[i] for i in pool) > _MERGE_PATIENCE:
             k_origin = 1
@@ -336,10 +351,7 @@ def ellipse_clustering(
             k_origin = min(k_origin, len(u_cond))
             attempts[pool] = k_origin
         grown = grow_to_k(pts[u_cond], k_origin)
-        fresh = [
-            Cluster(frozenset(int(u_cond[i]) for i in c.members), c.ellipse)
-            for c in grown.clusters
-        ]
+        fresh = [Cluster(frozenset(u_cond[list(c.members)].tolist()), c.ellipse) for c in grown.clusters]
         combined = ClusterSet(users=pts, clusters=final + fresh)
         flagged = find_intersections(combined)
         trace.iterations.append(
@@ -354,10 +366,7 @@ def ellipse_clustering(
         if not flagged:
             trace.converged = True
             return len(final), ClusterSet(users=pts, clusters=final), trace
-        next_pool: set[int] = set()
-        for i in flagged:
-            next_pool |= combined.clusters[i].members
-        u_cond = np.array(sorted(next_pool), dtype=int)
+        u_cond = np.array(sorted(set().union(*(combined.clusters[i].members for i in flagged))), dtype=int)
         k_max = len(flagged)
         phase = 2 if len(flagged) == k_origin else 1
     raise NoConvergenceError(

@@ -7,7 +7,10 @@ point by point, and the partition oracle enumerates splits exhaustively.
 The exceptions are the loop references for vectorized or cached code:
 ``silhouette_per_point`` repeats the package's arithmetic one point at a time
 so results must match bit for bit, ``intersections_pairwise`` scans pairs
-with the package's own ``contains``, ``brute_force_per_partition`` fits,
+with the package's own ``contains``, ``intersections_per_cluster`` fills
+the inside and owner matrices of ``find_intersections`` one ``contains``
+call per cluster, ``ward_cuts_all_rows`` pointer-doubles every k row of
+``_ward_cuts`` over every node, ``brute_force_per_partition`` fits,
 checks and deploys every partition from scratch with the package's own steps,
 ``farthest_pair_squareform`` scans the full distance matrix for the pair
 the ring-filtered search in ``split_cluster`` must find,
@@ -456,6 +459,41 @@ def intersections_pairwise(cs) -> set[int]:
             if any(contains(cm.ellipse, cs.users[u]) and contains(cp.ellipse, cs.users[u]) for u in joint):
                 flagged |= {m, mp}
     return flagged
+
+
+def intersections_per_cluster(cs) -> set[int]:
+    """``find_intersections`` with the inside and owner rows filled one cluster
+    at a time, ``contains`` per ellipse."""
+    inside = np.zeros((len(cs.clusters), len(cs.users)), dtype=bool)
+    owner = np.zeros_like(inside)
+    for m, c in enumerate(cs.clusters):
+        inside[m] = contains(c.ellipse, cs.users)
+        owner[m, list(c.members)] = True
+    shared = (owner & inside) @ inside.T
+    shared |= shared.T
+    np.fill_diagonal(shared, False)
+    return {int(m) for m in np.flatnonzero(shared.any(axis=1))}
+
+
+def ward_cuts_all_rows(z: np.ndarray, ks: list[int]) -> np.ndarray:
+    """``_ward_cuts`` with every row pointer-doubled over all 2n - 1 nodes:
+    a leaf's label for k is its highest ancestor formed within the first
+    n - k merges of ``cut_tree``'s order."""
+    n = len(z) + 1
+    kids = z[:, :2].astype(np.intp)
+    visit, level = [], np.array([n - 2])
+    while level.size:
+        visit.append(level)
+        level = kids[level, ::-1].ravel()
+        level = level[level >= n] - n
+    nodes = np.arange(2 * n - 1)
+    parent, step = nodes.copy(), np.zeros_like(nodes)
+    parent[kids] = nodes[n:, None]
+    step[n + np.lexsort((-np.argsort(np.concatenate(visit)), z[:, 2]))] = nodes[1:n]
+    up = np.where(step[parent] <= n - np.array(ks)[:, None], parent, nodes)
+    while not np.array_equal(jump := np.take_along_axis(up, up, axis=1), up):
+        up = jump
+    return up[:, :n]
 
 
 def brute_force_per_partition(users, num_uavs, env, radio, h_max=1000.0):

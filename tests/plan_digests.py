@@ -21,7 +21,7 @@ they ended: ``closed-form``, ``triangle``, ``quad``, ``five`` and
     pairs farthest <count>
 
 count the campaign's calls of the two clustering steps and the point pairs
-that ``split_cluster``'s farthest-pair search hands to ``pdist``, wrapped
+whose distances ``split_cluster``'s farthest-pair search compares, wrapped
 the same way.  Last come the lines
 
     files cli seed=<master seed> <file> <sha256>
@@ -59,8 +59,6 @@ import tempfile
 from collections import Counter
 from pathlib import Path
 
-from scipy.spatial import distance
-
 from uavcell import baseline, clustering, geometry
 from uavcell.baseline import brute_force_plan
 from uavcell.channel import ENVIRONMENTS, RadioConfig
@@ -96,9 +94,7 @@ def digest_lines() -> list[str]:
         return fit
 
     work = Counter()
-    select_k, split_cluster, farthest_pair, pdist = (
-        clustering.select_k, clustering.split_cluster, clustering._farthest_pair, distance.pdist
-    )
+    select_k, split_cluster, distances = clustering.select_k, clustering.split_cluster, clustering._distance_matrix
 
     def called(name, step):
         def call(*args):
@@ -108,19 +104,12 @@ def digest_lines() -> list[str]:
 
     def paired(points):
         work["pairs farthest"] += math.comb(len(points), 2)
-        return pdist(points)
-
-    def farthest(points):  # _farthest_pair imports pdist when called
-        distance.pdist = paired
-        try:
-            return farthest_pair(points)
-        finally:
-            distance.pdist = pdist
+        return distances(points)
 
     clustering.mvee, baseline.mvee = counted(fits["ellipse"]), counted(fits["brute"])
     clustering.select_k = called("select_k", select_k)
     clustering.split_cluster = called("split_cluster", split_cluster)
-    clustering._farthest_pair = farthest
+    clustering._distance_matrix = paired
     try:
         for seed in SEEDS:
             users = generate_pcp(Region(), PcpConfig(seed=seed))
@@ -132,7 +121,7 @@ def digest_lines() -> list[str]:
     finally:
         clustering.mvee, baseline.mvee = mvee, mvee
         clustering.select_k, clustering.split_cluster = select_k, split_cluster
-        clustering._farthest_pair = farthest_pair
+        clustering._distance_matrix = distances
     for method, tally in fits.items():
         for kind in KINDS:
             lines.append(f"fits {method} {kind} {tally[kind]}")

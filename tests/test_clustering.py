@@ -1,8 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.spatial.distance import pdist, squareform
 
 from oracles import best_two_partition_wcss, intersections_pairwise, silhouette_direct
+import uavcell
 from uavcell import clustering
 from uavcell.clustering import (
     AlgorithmTrace,
@@ -298,6 +304,25 @@ def test_intersections_match_pairwise_scan():
         pts = rng.uniform(0.0, 400.0, (30, 2))
         cs = grow_to_k(pts, int(rng.integers(2, 7)))
         assert find_intersections(cs) == intersections_pairwise(cs)
+
+
+def test_splitting_and_the_overlap_test_load_no_scipy():
+    # only select_k's Ward linkage and distances need scipy
+    src = str(Path(uavcell.__file__).resolve().parents[1])
+    code = (
+        "import sys\n"
+        "from uavcell.clustering import find_intersections, grow_to_k\n"
+        "from uavcell.scenario import PcpConfig, Region, generate_pcp\n"
+        "cs = grow_to_k(generate_pcp(Region(), PcpConfig(seed=0)), 8)\n"
+        "assert len(cs.clusters) == 8\n"
+        "find_intersections(cs)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 # --- the full loop ----------------------------------------------------------

@@ -33,10 +33,12 @@ from oracles import (
     grid_altitude,
     grid_min_ellipse_area,
     intersections_pairwise,
+    intersections_per_cluster,
     newton_min_ellipse_area,
     select_k_direct,
     silhouette_per_point,
     split_cluster_masked,
+    ward_cuts_all_rows,
 )
 from uavcell import clustering, deployment, geometry
 from uavcell.baseline import brute_force_plan
@@ -135,6 +137,7 @@ def test_ward_replay_cuts_like_cut_tree_at_campaign_size():
     for k, labels in zip(ks, clustering._ward_cuts(merges, ks)):
         assert len(np.unique(labels)) == k
         assert same_partition(labels, cut_tree(merges, n_clusters=k).ravel()), k
+    assert np.array_equal(clustering._ward_cuts(merges, ks), ward_cuts_all_rows(merges, ks))
 
 
 @PROPERTY
@@ -162,6 +165,84 @@ def test_select_k_scores_every_cut_as_the_per_point_loop_bit_for_bit(pts, k_limi
     assert len(scores) == min(k_limit, len(pts)) - 1
     for labels, score in zip(cuts, scores):
         assert score == silhouette_per_point(pts, labels)
+
+
+@st.composite
+def adversarial_sets(draw, min_size=1, max_size=30):
+    """``point_sets`` spread over 1e-3 m to 1e7 m, moved up to 1e7 m off the
+    origin, and sometimes rounded to whole metres."""
+    pts = draw(point_sets(min_size, max_size))
+    span = float(np.ptp(pts)) if len(pts) else 0.0
+    pts = pts * (draw(st.sampled_from([1e-3, 1.0, 1e3, 1e7])) / max(span, 1.0))
+    pts = pts + [draw(st.sampled_from([0.0, -3e3, 1e7])), draw(st.sampled_from([0.0, 1e5, -1e7]))]
+    return np.round(pts) if draw(st.booleans()) else pts
+
+
+def _on_rim(e: Ellipse, angle: float) -> np.ndarray:
+    """The float point within four ulps per coordinate of the rim point at
+    ``angle`` whose radius ``||A p - b||`` is nearest 1, exactly 1 if any is."""
+    p = np.linalg.solve(e.A, e.b + [math.cos(angle), math.sin(angle)])
+    x, y = (v + np.arange(-4, 5) * np.spacing(v) for v in p)
+    grid = np.stack(np.meshgrid(x, y), axis=-1).reshape(-1, 2)
+    return grid[np.argmin(np.abs(geometry._radii(e.A, e.b, grid) - 1.0))]
+
+
+@st.composite
+def fitted_cluster_sets(draw):
+    """``grow_to_k``'s 0 to 6 cells over an adversarial set, and one more
+    user on each fitted boundary, owned by a random cell or by none.  The rim
+    user faces a random other cell's center, where the cells may overlap, or
+    takes a random angle."""
+    pts = draw(adversarial_sets(min_size=1, max_size=30))
+    k = draw(st.integers(0, 6))
+    clusters = grow_to_k(pts, k).clusters if k else []
+    rim = []
+    for c in clusters:
+        e, other = c.ellipse, clusters[draw(st.integers(0, len(clusters) - 1))].ellipse
+        u = e.A @ (other.center - e.center)
+        angle = math.atan2(u[1], u[0]) if other is not e else draw(st.floats(0.0, 2.0 * math.pi))
+        rim.append(_on_rim(e, angle))
+    owners = [draw(st.integers(0, len(clusters))) for _ in rim]  # len(clusters): no cell
+    clusters = [
+        Cluster(c.members | {len(pts) + u for u, o in enumerate(owners) if o == m}, c.ellipse)
+        for m, c in enumerate(clusters)
+    ]
+    return ClusterSet(users=np.vstack([pts, *rim]), clusters=clusters)
+
+
+@PROPERTY
+@given(st.one_of(fitted_cluster_sets(), hand_made_cluster_sets()))
+def test_find_intersections_matches_the_per_cluster_loop(cs):
+    assert find_intersections(cs) == intersections_per_cluster(cs)
+
+
+def test_a_user_exactly_on_a_fitted_rim_is_shared():
+    # two fitted squares whose circles overlap in a lens that holds no user
+    # but one on the second circle's rim, facing the first circle's center
+    squares = [np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0], [2.0, 2.0]]) + [dx, 0.0] for dx in (0.0, 2.4)]
+    cells = [mvee(square) for square in squares]
+    u = cells[1].A @ (cells[0].center - cells[1].center)
+    rim = _on_rim(cells[1], math.atan2(u[1], u[0]))
+    assert geometry._radii(cells[1].A, cells[1].b, rim) == 1.0
+    cs = ClusterSet(
+        users=np.vstack([*squares, rim]),
+        clusters=[Cluster(frozenset(range(4)), cells[0]), Cluster(frozenset(range(4, 9)), cells[1])],
+    )
+    assert find_intersections(cs) == intersections_per_cluster(cs) == {0, 1}
+    cs.users = cs.users[:8]  # without the rim user the cells share no user
+    cs.clusters[1].members = frozenset(range(4, 8))
+    assert find_intersections(cs) == intersections_per_cluster(cs) == set()
+
+
+@PROPERTY
+@given(adversarial_sets(min_size=2, max_size=30), st.lists(st.integers(1, 30), min_size=1, max_size=12))
+# tied heights, where the order of Z's rows and cut_tree's order differ
+@example(np.array([[0.0, 0.0], [5.0, 1.0], [0.0, 0.0], [5.0, 1.0], [5.0, 1.0]]), [5, 1, 2, 3, 4])
+@example(np.array([[1.0, -2.0], [2.0, 1.0], [0.0, 1.0], [-1.0, 1.0], [0.0, -2.0]]), [2, 3, 4, 5])
+def test_ward_cuts_match_the_all_rows_pointer_doubling(pts, ks):
+    merges = linkage(pdist(pts), method="ward")
+    ks = [min(k, len(pts)) for k in ks]  # in any order, with repeats
+    assert np.array_equal(clustering._ward_cuts(merges, ks), ward_cuts_all_rows(merges, ks))
 
 
 @PROPERTY
@@ -221,16 +302,24 @@ def test_farthest_pair_compares_only_the_rim_of_a_disk():
     rng = np.random.default_rng(0)
     r, t = 100.0 * np.sqrt(rng.uniform(0.0, 1.0, 2000)), rng.uniform(0.0, 2.0 * math.pi, 2000)
     pts = np.column_stack([r * np.cos(t), r * np.sin(t)])
-    compared = []
+    compared, distances = [], clustering._distance_matrix
 
     def counted(points):
         compared.append(len(points))
-        return pdist(points)
+        return distances(points)
 
-    with patch("scipy.spatial.distance.pdist", counted):
+    with patch.object(clustering, "_distance_matrix", counted):
         pair = _farthest_pair(pts)
     assert pair == farthest_pair_squareform(pts)
     assert len(compared) == 1 and compared[0] < len(pts) // 2
+
+
+@PROPERTY
+@given(adversarial_sets(min_size=1, max_size=60))
+@example(polygon(360, 300.0, 0.1) + 1e7)
+def test_ring_distances_have_the_bits_of_squareform_pdist(pts):
+    assert np.array_equal(clustering._distance_matrix(pts), squareform(pdist(pts)))
+    assert _farthest_pair(pts) == farthest_pair_squareform(pts)
 
 
 @PROPERTY
