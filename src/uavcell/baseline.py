@@ -12,7 +12,7 @@ import numpy as np
 from .channel import Beam, Environment, RadioConfig, dbm_to_mw
 from .clustering import Cluster
 from .deployment import DeploymentPlan, UavDeployment, _beam, deploy_cell, required_power_dbm
-from .geometry import Ellipse, _radius, contains, mvee
+from .geometry import Ellipse, _radii, contains, mvee
 from .scenario import Region, Scenario
 
 __all__ = [
@@ -120,13 +120,15 @@ def brute_force_plan(
     Scores every partition of the users into 1..num_uavs groups (restricted
     growth strings, ``_partition_table``), rejects groupings whose ellipses
     share a user, and deploys the cells of the rest exactly like the main
-    pipeline, each distinct cell once.  Cells are fitted in order of size: a
-    cell that adds a user strictly inside a sub-cell's ellipse built on a
-    support of three to five points (``fit.support``) has that ellipse
-    (Welzl, 1991), byte for byte, and reuses it without a fit.  Returns the first
-    cheapest plan; the one-cell grouping comes first and is always
-    feasible, so there is one.  Instance sizes are capped because the
-    partition count grows combinatorially.
+    pipeline, each distinct cell once.  Cells go one size at a time: a cell
+    that adds a user strictly inside a sub-cell's ellipse built on a support
+    of three to five points (``fit.support``) has that ellipse (Welzl, 1991),
+    byte for byte, and reuses it without a fit, as one array lookup decides
+    for the whole size; the rest are fitted, and one broadcast of the radii
+    of ``contains`` gives the users inside each new ellipse and those it can
+    take.  Returns the first cheapest plan; the one-cell grouping comes first
+    and is always feasible, so there is one.  Instance sizes are capped
+    because the partition count grows combinatorially.
     """
     pts = np.atleast_2d(np.asarray(users, dtype=float))
     n = len(pts)
@@ -138,25 +140,32 @@ def brute_force_plan(
         raise ValueError(f"num_uavs must be in [1, {_HARD_MAX_UAVS}]")
 
     table = _partition_table(n, num_uavs)
-    users = pts.tolist()
+    keys = np.unique(table[table > 0])
+    bits = 1 << np.arange(n)
+    held = (keys[:, None] & bits) != 0  # held[c, i]: user i is a member of cell c
+    sizes = held.sum(axis=1)
     # per distinct cell, indexed by the bitmask of its members: its ellipse,
     # the users inside it, and the users it can take without changing it (its
     # support and the users strictly inside; none unless a support built it)
-    ellipses: dict[int, Ellipse] = {}
+    ellipses = np.empty(1 << n, dtype=object)
     inside = np.zeros(1 << n, dtype=np.int64)
-    spare = [0] * (1 << n)
-    for key in sorted(np.unique(table[table > 0]).tolist(), key=int.bit_count):
-        members = [i for i in range(n) if key >> i & 1]
-        sub = next((key ^ 1 << i for i in members if key & ~spare[key ^ 1 << i] == 0), None)
-        if sub is not None:
-            ellipses[key], inside[key], spare[key] = ellipses[sub], inside[sub], spare[sub]
+    spare = np.zeros(1 << n, dtype=np.int64)
+    for size in range(1, n + 1):
+        level, mine = keys[sizes == size], held[sizes == size]
+        # a cell takes the ellipse of its first sub-cell that can take the member it lacks
+        takes = mine & (level[:, None] & ~spare[level[:, None] ^ bits] == 0)
+        reuse = takes.any(axis=1)
+        cells, subs = level[reuse], level[reuse] ^ bits[takes[reuse].argmax(axis=1)]
+        ellipses[cells], inside[cells], spare[cells] = ellipses[subs], inside[subs], spare[subs]
+        if reuse.all():
             continue
-        ellipses[key] = e = mvee(pts[members])
-        A, b = e.A.tolist(), e.b.tolist()
-        radii = [_radius(math, A, b, *user) for user in users]  # the test of ``contains``, in floats
-        inside[key] = sum(1 << i for i, r in enumerate(radii) if r <= 1.0)
-        if e.fit.support is not None:
-            spare[key] = sum(1 << i for i, r in enumerate(radii) if r < 1.0 - _ROOM) | sum(1 << members[t] for t in e.fit.support)
+        fresh, members = level[~reuse], np.nonzero(mine[~reuse])[1].reshape(-1, size)
+        ellipses[fresh] = fits = [mvee(cell) for cell in pts[members]]
+        support = np.array([sum(map(row.__getitem__, e.fit.support or ())) for e, row in zip(fits, bits[members].tolist())])
+        # every new ellipse (axis 1) over every user (axis 0) at once, with the arithmetic of ``contains``
+        radii = _radii(np.array([e.A for e in fits]).transpose(1, 2, 0), np.array([e.b for e in fits]).T, pts[:, None])
+        inside[fresh] = bits @ (radii <= 1.0)
+        spare[fresh] = np.where(support > 0, bits @ (radii < 1.0 - _ROOM) | support, 0)
 
     # the rule of find_intersections: no user of either cell lies inside both
     covers = inside[table]

@@ -100,7 +100,7 @@ def _silhouettes(dist: np.ndarray, cuts: np.ndarray) -> np.ndarray:
     points of the square distance matrix ``dist``.
 
     A label must name the same points in every cut that holds it, as
-    ``_ward_cuts``' node ids do, so each label's columns are summed once.
+    ``_ward_cuts``' node ids do, so each label's rows are summed once.
     Points in singleton clusters contribute 0, as do points whose intra and
     inter distances are both zero (co-located duplicates).
     """
@@ -109,7 +109,7 @@ def _silhouettes(dist: np.ndarray, cuts: np.ndarray) -> np.ndarray:
     points = np.arange(cuts.shape[1])
     members = np.zeros((len(nodes), len(points)), dtype=bool)
     members[own, points] = True
-    sums = np.stack([dist[:, m].sum(axis=1) for m in members])  # sums[c, i]: point i to node c
+    sums = np.stack([dist[m].sum(axis=0) for m in members])  # sums[c, i]: point i to node c (dist is symmetric)
     counts = members.sum(axis=1)
     a = sums[own, points] / np.maximum(counts[own] - 1, 1)
     held = np.zeros((len(cuts), len(nodes)), dtype=bool)

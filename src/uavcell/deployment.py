@@ -159,7 +159,7 @@ def evaluate(plan: DeploymentPlan, users) -> PlanMetrics:
     """
     pts = np.atleast_2d(np.asarray(users, dtype=float))
     n = len(pts)
-    owner = [-1] * n
+    owner = np.full(n, -1)
     env, radio = plan.environment, plan.radio
     noise_dbm = radio.noise_power_dbm()
     snr = np.full(n, -math.inf)
@@ -186,13 +186,13 @@ def evaluate(plan: DeploymentPlan, users) -> PlanMetrics:
     )
 
 
-def _claim(owner: list[int], members: frozenset[int], m: int) -> np.ndarray:
+def _claim(owner: np.ndarray, members: frozenset[int], m: int) -> np.ndarray:
     """Mark ``members`` as UAV ``m``'s users in ``owner``; returns their indices."""
     n = len(owner)
-    for u in members:
-        if not 0 <= u < n:
-            raise ValueError(f"member index {u} outside user array")
-        if owner[u] != -1:
-            raise ValueError(f"user {u} claimed by two UAVs")
-        owner[u] = m
-    return np.fromiter(members, dtype=np.intp, count=len(members))
+    idx = np.fromiter(members, dtype=np.intp, count=len(members)) if not members or 0 <= min(members) and max(members) < n else None
+    if idx is None or (owner[idx] != -1).any():
+        # the first member, in the set's order, that is out of range or already claimed
+        u = next(u for u in members if not 0 <= u < n or owner[u] != -1)
+        raise ValueError(f"user {u} claimed by two UAVs" if 0 <= u < n else f"member index {u} outside user array")
+    owner[idx] = m
+    return idx

@@ -108,9 +108,10 @@ def mvee(points) -> Ellipse:
     by points strictly inside it (Welzl, 1991).  If the walk stalls, the fit
     is its last basis's ellipse and warns.  Thin inputs give their segment,
     semi-axes are floored at ``MIN_SEMI_AXIS_M``, and the fit is inflated by
-    a relative 1e-12, and again while ``contains`` misses a point.  Up to five
-    points stay in Python floats from the input check to ``A`` and ``b``, radii
-    with the bits of ``contains``; a larger set takes one SVD, to whiten.
+    a relative 1e-12, and again by twice the last margin while ``contains``
+    misses a point.  Up to five points stay in Python floats from the input
+    check to ``A`` and ``b``, radii with the bits of ``contains``; a larger
+    set takes one SVD, to whiten.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.size == 0:
@@ -134,8 +135,9 @@ def mvee(points) -> Ellipse:
     A, b = ((a00, a01), (a01, a11)), (a00 * x + a01 * y, a01 * x + a11 * y)
 
     # far from the origin the rounding of ``contains`` can exceed the margin,
-    # so inflate again while its own arithmetic leaves a point outside
-    limit = 1.0 - 1e-12
+    # so inflate again, by twice the margin each time, while its own
+    # arithmetic leaves a point outside (a fixed margin can stall in that rounding)
+    limit, margin = 1.0 - 1e-12, 1e-12
     while True:
         if p is not None:
             residual = max(radii := [_radius(math, A, b, *point) for point in p])
@@ -145,9 +147,9 @@ def mvee(points) -> Ellipse:
             return Ellipse(A=np.array(A), b=np.array(b), fit=fit)
         if fit.support is not None and residual > max(radii[t] for t in fit.support):
             fit = replace(fit, support=None)  # a point off the support scales this step
-        scale = residual * (1.0 + 1e-12)
+        scale = residual * (1.0 + margin)
         A, b = tuple(tuple(v / scale for v in row) for row in A), tuple(v / scale for v in b)
-        limit = 1.0
+        limit, margin = 1.0, 2.0 * margin
 
 
 def contains(e: Ellipse, points):
@@ -174,12 +176,17 @@ def _radius(xp, A, b, x, y):
 
 def edge_distance(e: Ellipse, members, center=None) -> float:
     """Distance from the ellipse center to the farthest member; a caller
-    that has read ``e.center`` already passes it as ``center``."""
+    that has read ``e.center`` already passes it as ``center``.  Up to five
+    members stay in Python floats, as in ``mvee``, with the bits of the array sum."""
     pts = np.atleast_2d(np.asarray(members, dtype=float))
     if pts.size == 0:
         raise ValueError("no members")
+    center = e.center if center is None else center
     # sqrt is monotone and correctly rounded, so one sqrt of the largest square gives the same bits
-    return math.sqrt(float(np.square(pts - (e.center if center is None else center)).sum(axis=1).max()))
+    if len(pts) <= _FIVE:
+        (cx, cy), p = center.tolist(), pts.tolist()
+        return math.sqrt(max((x - cx) * (x - cx) + (y - cy) * (y - cy) for x, y in p))
+    return math.sqrt(float(np.square(pts - center).sum(axis=1).max()))
 
 
 def _fit_center_form(pts: np.ndarray):

@@ -12,6 +12,8 @@ the inside and owner matrices of ``find_intersections`` one ``contains``
 call per cluster, ``ward_cuts_all_rows`` pointer-doubles every k row of
 ``_ward_cuts`` over every node, ``brute_force_per_partition`` fits,
 checks and deploys every partition from scratch with the package's own steps,
+``brute_force_per_key`` decides each cell's reuse, fit and bitmasks one
+cell at a time, as ``brute_force_plan`` did before it worked by cell size,
 ``farthest_pair_squareform`` scans the full distance matrix for the pair
 the ring-filtered search in ``split_cluster`` must find,
 ``split_cluster_masked`` runs the 2-means split with a norm per center and a
@@ -42,11 +44,11 @@ from scipy.cluster.hierarchy import ClusterWarning, cut_tree, linkage
 from scipy.spatial import ConvexHull, QhullError
 from scipy.spatial.distance import pdist, squareform
 
-from uavcell.baseline import _partitions
-from uavcell.channel import RadioConfig, avg_path_loss
+from uavcell.baseline import _ROOM, _partition_table, _partitions
+from uavcell.channel import RadioConfig, avg_path_loss, dbm_to_mw
 from uavcell.clustering import Cluster, ClusterSet, find_intersections
-from uavcell.deployment import SNR_GRACE_DB, deploy
-from uavcell.geometry import contains, mvee
+from uavcell.deployment import SNR_GRACE_DB, DeploymentPlan, deploy, deploy_cell
+from uavcell.geometry import _radius, contains, mvee
 
 
 def feasible_areas(pts: np.ndarray, cand: np.ndarray, slack: float = 1e-9) -> np.ndarray:
@@ -516,6 +518,49 @@ def brute_force_per_partition(users, num_uavs, env, radio, h_max=1000.0):
     if best is None:
         raise ValueError("no feasible partition: every grouping shares users across ellipses")
     return best
+
+
+def brute_force_per_key(users, num_uavs, env, radio, h_max=1000.0):
+    """``brute_force_plan`` one cell at a time: each cell, in order of size,
+    takes the ellipse of the first sub-cell one member smaller that can take
+    its last member unchanged, or is fitted, and then gets its bitmasks from
+    per-user float radii; the partition scoring is the package's."""
+    pts = np.atleast_2d(np.asarray(users, dtype=float))
+    n = len(pts)
+    table = _partition_table(n, num_uavs)
+    users = pts.tolist()
+    ellipses = {}
+    inside = np.zeros(1 << n, dtype=np.int64)
+    spare = [0] * (1 << n)
+    for key in sorted(np.unique(table[table > 0]).tolist(), key=int.bit_count):
+        members = [i for i in range(n) if key >> i & 1]
+        sub = next((key ^ 1 << i for i in members if key & ~spare[key ^ 1 << i] == 0), None)
+        if sub is not None:
+            ellipses[key], inside[key], spare[key] = ellipses[sub], inside[sub], spare[sub]
+            continue
+        ellipses[key] = e = mvee(pts[members])
+        A, b = e.A.tolist(), e.b.tolist()
+        radii = [_radius(math, A, b, *user) for user in users]
+        inside[key] = sum(1 << i for i, r in enumerate(radii) if r <= 1.0)
+        if e.fit.support is not None:
+            spare[key] = sum(1 << i for i, r in enumerate(radii) if r < 1.0 - _ROOM) | sum(1 << members[t] for t in e.fit.support)
+    covers = inside[table]
+    feasible = np.ones(len(table), dtype=bool)
+    for a, b in combinations(range(num_uavs), 2):
+        feasible &= (covers[:, a] & covers[:, b] & (table[:, a] | table[:, b])) == 0
+    uavs = {}
+    power_mw = np.zeros(1 << n)
+    for key in np.unique(table[feasible]).tolist():
+        if key:
+            members = [i for i in range(n) if key >> i & 1]
+            uavs[key] = deploy_cell(Cluster(frozenset(members), ellipses[key]), pts[members], env, radio, h_max)
+            power_mw[key] = dbm_to_mw(uavs[key].tx_power_dbm)
+    total = power_mw[table[:, 0]]
+    for g in range(1, num_uavs):
+        total = total + power_mw[table[:, g]]
+    total[~feasible] = np.inf
+    best = int(np.argmin(total))
+    return DeploymentPlan([uavs[key] for key in table[best].tolist() if key], env, radio, float(total[best]))
 
 
 def farthest_pair_squareform(points) -> tuple[int, int]:

@@ -1,12 +1,13 @@
 import dataclasses
 import math
 from functools import partial
+from itertools import groupby
 
 import numpy as np
 import pytest
 
 from oracles import grid_altitude
-from uavcell import baseline, deployment
+from uavcell import baseline, deployment, geometry
 from uavcell.baseline import (
     CirclePackingConfig,
     PackingError,
@@ -232,6 +233,43 @@ def test_brute_fits_and_deploys_each_distinct_cell_once(monkeypatch):
         assert len(plan.uavs) <= len(placed) <= len(fitted)
         if num_uavs == 1:
             assert len(fitted) == len(placed) == 1
+
+
+def test_a_search_takes_one_radius_pass_per_cell_size_with_a_fit(monkeypatch):
+    # counted, never timed: the bitmasks of the cells fitted at one size come
+    # from one broadcast of the array radii, and no user's radius is taken in
+    # Python floats outside mvee
+    fitted, passes, stray, depth = [], [], [], [0]
+    fit, radii, radius = baseline.mvee, baseline._radii, geometry._radius
+
+    def counting_mvee(points):
+        fitted.append(len(points))
+        depth[0] += 1
+        try:
+            return fit(points)
+        finally:
+            depth[0] -= 1
+
+    def counting_radii(A, b, p):
+        passes.append(np.shape(A[0][0])[-1])  # ellipses in this pass
+        return radii(A, b, p)
+
+    def watched_radius(xp, *args):
+        if xp is math and not depth[0]:
+            stray.append(args)
+        return radius(xp, *args)
+
+    monkeypatch.setattr(baseline, "mvee", counting_mvee)
+    monkeypatch.setattr(baseline, "_radii", counting_radii)
+    monkeypatch.setattr(geometry, "_radius", watched_radius)
+    rng = np.random.default_rng(5)
+    for n, num_uavs in ((7, 3), (8, 2), (10, 3), (4, 1), (1, 1)):
+        fitted.clear()
+        passes.clear()
+        brute_force_plan(rng.uniform(0.0, 600.0, (n, 2)), num_uavs, URBAN, RADIO)
+        # fits come in order of size, and each size's fits share one pass
+        assert fitted == sorted(fitted) and passes == [len(list(run)) for _, run in groupby(fitted)]
+    assert not stray
 
 
 @pytest.mark.parametrize("offset", [0.0, 1e6])

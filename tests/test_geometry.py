@@ -329,6 +329,20 @@ def test_small_fits_take_no_radius_arrays(monkeypatch):
         assert max(radii) <= 1.0
 
 
+@pytest.mark.parametrize("end", [(750.0, 750.0), (250.0, 250.0)])
+def test_the_containment_inflation_ends_in_few_passes_far_out(monkeypatch, end):
+    # counted, never timed: 1e7 m out, across a segment's 1 m floor width, the
+    # rounding of A and b after a rescale by a relative 1e-12 left a point at
+    # radius 1 + 8e-12 pass after pass, over a million passes; a margin that
+    # doubles each pass ends in a few
+    pts = np.array([[1e7, -1e7], [1e7 + end[0], -1e7 + end[1]]])
+    passes = []
+    radius = geometry._radius
+    monkeypatch.setattr(geometry, "_radius", lambda xp, *args: passes.append(args) or radius(xp, *args))
+    e = mvee(pts)
+    assert contains(e, pts).all() and len(passes) <= 20 * len(pts)
+
+
 def test_a_quad_degenerate_to_rounding_has_no_weights():
     # the first and last corners are one ulp apart, so the affine dependence
     # passes the sign test of convex position by rounding alone; no quad

@@ -23,7 +23,9 @@ from scipy.cluster.hierarchy import cut_tree, linkage
 from scipy.spatial import ConvexHull, QhullError
 from scipy.spatial.distance import pdist, squareform
 
+import oracles
 from oracles import (
+    brute_force_per_key,
     brute_force_per_partition,
     evaluate_per_user,
     exact_ellipse,
@@ -40,7 +42,7 @@ from oracles import (
     split_cluster_masked,
     ward_cuts_all_rows,
 )
-from uavcell import clustering, deployment, geometry
+from uavcell import baseline, clustering, deployment, geometry
 from uavcell.baseline import brute_force_plan
 from uavcell.channel import ENVIRONMENTS, Beam, RadioConfig, avg_path_loss
 from uavcell.cli import _csv_cell, _write_csv
@@ -54,7 +56,7 @@ from uavcell.clustering import (
     split_cluster,
 )
 from uavcell.deployment import SNR_GRACE_DB, AltitudeBounds, DeploymentPlan, UavDeployment, evaluate, required_power_dbm
-from uavcell.geometry import MIN_SEMI_AXIS_M, Ellipse, contains, mvee
+from uavcell.geometry import MIN_SEMI_AXIS_M, Ellipse, contains, edge_distance, mvee
 from uavcell.scenario import PcpConfig, Region, dump_canonical_json, generate_pcp
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -938,6 +940,66 @@ def test_brute_force_matches_per_partition_reference_at_the_user_cap(n, num_uavs
     assert got == want
 
 
+@st.composite
+def brute_instances(draw):
+    """One to eight users: uniform, duplicates, collinear users and lattices
+    in a square of side 1 mm to 1e7 m, some moved 1e7 m out, so cells that
+    reuse a sub-cell's ellipse, cells on the 1 m floor and power ties occur."""
+    kind = draw(st.sampled_from(["uniform", "duplicates", "collinear", "lattice"]))
+    n = draw(st.sampled_from([8, 7, 6, 5, 4, 3, 2, 1]))  # larger first: they reuse the most
+    unit = st.floats(0.0, 1.0)
+    if kind == "uniform":
+        pts = [(draw(unit), draw(unit)) for _ in range(n)]
+    elif kind == "duplicates":
+        base = [(draw(unit), draw(unit)) for _ in range(draw(st.integers(1, 3)))]
+        pts = [base[draw(st.integers(0, len(base) - 1))] for _ in range(n)]
+    elif kind == "collinear":
+        a, b = np.array([draw(unit), draw(unit)]), np.array([draw(unit), draw(unit)])
+        pts = [a + draw(unit) * (b - a) for _ in range(n)]
+    else:
+        pts = [(draw(st.integers(0, 4)) / 4.0, draw(st.integers(0, 4)) / 4.0) for _ in range(n)]
+    side, offset = draw(st.sampled_from([1e-3, 1e3, 1e7])), draw(st.sampled_from([0.0, 1e7]))
+    return np.array(pts, dtype=float).reshape(n, 2) * side + [offset, -offset]
+
+
+def _cell(members, e):
+    return sorted(members), e.A.tobytes(), e.b.tobytes(), e.fit.support
+
+
+def _deployed(search):
+    """Every cell a brute-force search deploys, in order, then its plan's cells and the repr of its total."""
+    cells = []
+
+    def recording(cluster, *args):
+        cells.append(_cell(cluster.members, cluster.ellipse))
+        return deployment.deploy_cell(cluster, *args)
+
+    with patch.object(baseline, "deploy_cell", recording), patch.object(oracles, "deploy_cell", recording):
+        plan = search()
+    return cells, [_cell(u.members, u.footprint) for u in plan.uavs], repr(plan.total_power_mw)
+
+
+@settings(PROPERTY, max_examples=200)
+@given(brute_instances(), st.sampled_from([3, 2, 1]))
+@example(np.random.default_rng(10).uniform(0.0, 600.0, (10, 2)), 3)  # the user cap
+def test_brute_force_by_cell_size_matches_the_per_key_loop(users, num_uavs):
+    urban, radio = ENVIRONMENTS["urban"], RadioConfig()
+    # a ceiling above the 15-degree floor of a 1e7 m cell, so every search ends in a plan
+    got = _deployed(lambda: brute_force_plan(users, num_uavs, urban, radio, h_max=1e8))
+    assert got == _deployed(lambda: brute_force_per_key(users, num_uavs, urban, radio, h_max=1e8))
+
+
+@PROPERTY
+@given(ellipses(), point_sets(max_size=2 * geometry._FIVE), st.sampled_from([0.0, 1e6, 1e7]))
+@example(Ellipse(np.eye(2), [0.0, 0.0]), np.arange(2.0 * geometry._FIVE).reshape(-1, 2), 1e7)
+@example(Ellipse(np.eye(2), [0.0, 0.0]), np.arange(2.0 * geometry._FIVE + 2.0).reshape(-1, 2), 1e7)
+def test_edge_distance_has_the_bits_of_the_array_sum_either_side_of_the_float_bound(e, pts, reach):
+    shift = np.array([reach, -0.5 * reach])
+    e, pts = Ellipse(A=e.A, b=e.b + e.A @ shift), pts + shift
+    want = math.sqrt(float(np.square(pts - e.center).sum(axis=1).max()))
+    assert edge_distance(e, pts).hex() == edge_distance(e, pts, e.center).hex() == want.hex()
+
+
 @PROPERTY
 @given(
     st.floats(0.0, 3000.0),
@@ -1123,3 +1185,21 @@ def test_per_uav_evaluate_rejects_bad_members_like_the_per_user_loop(case, fault
     want = _error(evaluate_per_user, plan, users)
     assert want is not None or fault == "twice"  # an unowned user taken once is no fault
     assert _error(evaluate, plan, users) == want
+
+
+@PROPERTY
+@given(scored_plans(), st.lists(st.tuples(st.sampled_from(["past_end", "negative", "huge", "twice"]), st.integers(0, 10)), min_size=2, max_size=6))
+def test_evaluate_rejects_mixed_bad_members_like_the_per_user_loop(case, faults):
+    # several faults at once, in one UAV or spread over several: the first
+    # member in set order that fails names the fault, as in the loop
+    plan, users = case
+    if not plan.uavs:
+        return
+    for fault, k in faults:
+        uav = plan.uavs[k % len(plan.uavs)]
+        bad = {"past_end": len(users) + k, "negative": -1 - k, "huge": 10**30 + k, "twice": k % len(users)}[fault]
+        if fault == "twice" and k % 2:
+            plan.uavs.append(UavDeployment(**{**vars(uav), "members": frozenset({bad})}))
+        else:
+            uav.members = uav.members | {bad}
+    assert _error(evaluate, plan, users) == _error(evaluate_per_user, plan, users)
