@@ -5,7 +5,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -140,18 +140,14 @@ def brute_force_plan(
         raise ValueError(f"num_uavs must be in [1, {_HARD_MAX_UAVS}]")
 
     table = _partition_table(n, num_uavs)
-    keys = np.unique(table[table > 0])
     bits = 1 << np.arange(n)
-    held = (keys[:, None] & bits) != 0  # held[c, i]: user i is a member of cell c
-    sizes = held.sum(axis=1)
     # per distinct cell, indexed by the bitmask of its members: its ellipse,
     # the users inside it, and the users it can take without changing it (its
     # support and the users strictly inside; none unless a support built it)
     ellipses = np.empty(1 << n, dtype=object)
     inside = np.zeros(1 << n, dtype=np.int64)
     spare = np.zeros(1 << n, dtype=np.int64)
-    for size in range(1, n + 1):
-        level, mine = keys[sizes == size], held[sizes == size]
+    for level, mine, member_rows in _cell_levels(n, num_uavs):
         # a cell takes the ellipse of its first sub-cell that can take the member it lacks
         takes = mine & (level[:, None] & ~spare[level[:, None] ^ bits] == 0)
         reuse = takes.any(axis=1)
@@ -159,7 +155,7 @@ def brute_force_plan(
         ellipses[cells], inside[cells], spare[cells] = ellipses[subs], inside[subs], spare[subs]
         if reuse.all():
             continue
-        fresh, members = level[~reuse], np.nonzero(mine[~reuse])[1].reshape(-1, size)
+        fresh, members = level[~reuse], member_rows[~reuse]
         ellipses[fresh] = fits = [mvee(cell) for cell in pts[members]]
         support = np.array([sum(map(row.__getitem__, e.fit.support or ())) for e, row in zip(fits, bits[members].tolist())])
         # every new ellipse (axis 1) over every user (axis 0) at once, with the arithmetic of ``contains``
@@ -196,6 +192,21 @@ def _partition_table(n: int, num_uavs: int) -> np.ndarray:
     table = np.where(labels == np.arange(num_uavs)[:, None], 1 << np.arange(n), 0).sum(axis=2)
     table.flags.writeable = False  # shared by every caller through the cache
     return table
+
+
+@functools.cache
+def _cell_levels(n: int, num_uavs: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+    """The distinct cells of ``_partition_table(n, num_uavs)`` by size, smallest first: per
+    size that has any, (their bitmasks in ascending order, held[c, i] set when user i is a
+    member of cell c, the (cells, size) member indices), all read-only."""
+    table = _partition_table(n, num_uavs)
+    keys = np.unique(table[table > 0])
+    held = (keys[:, None] & (1 << np.arange(n))) != 0
+    sizes = held.sum(axis=1)
+    levels = [(keys[sizes == s], held[sizes == s], np.nonzero(held[sizes == s])[1].reshape(-1, s)) for s in np.unique(sizes)]
+    for array in chain.from_iterable(levels):
+        array.flags.writeable = False  # shared by every caller through the cache
+    return tuple(levels)
 
 
 def _partitions(n: int, max_blocks: int):

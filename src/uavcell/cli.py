@@ -32,6 +32,7 @@ from .scenario import (
     ScenarioFormatError,
     config_from_dict,
     dump_canonical_json,
+    float_texts,
     generate_pcp,
     json_value,
     load_scenario,
@@ -359,6 +360,8 @@ def _read_manifest(path: Path):
     for method in ("circle", "brute"):
         spec = dict(blocks[method])
         num = spec.pop("num_uavs", "match" if method == "circle" else None)
+        if type(num) is float:  # an integral float such as 2.0 counts as its int
+            num = json_value(num, int, "num_uavs", f"{path}: '{method}'")
         if num is not None and num != "match" and not (type(num) is int and num >= 1):
             raise ValueError(f"{path}: '{method}': 'num_uavs' must be an integer of at least 1 or \"match\", got {num!r}")
         numbers = {key: json_value(value, float, key, f"{path}: '{method}'") for key, value in spec.items()}
@@ -369,6 +372,8 @@ def _read_manifest(path: Path):
         generate = _build_parser().parse_args(["generate", "--out-dir", str(out_dir / "scenarios")])
         where = f"{path}: 'generate'"
         for key, value in blocks["generate"].items():
+            if key in ("count", "master_seed") and type(value) is float:  # 2.0 counts as 2; _check_draw judges the rest
+                value = json_value(value, int, key, where)
             setattr(generate, key, value if key in ("count", "master_seed", "env") else json_value(value, float, key, where, finite=False))
         _check_draw(generate.count, generate.master_seed, f"{where}: 'count'", f"{where}: 'master_seed'")
     if not scenarios and (generate is None or generate.count < 1):
@@ -509,16 +514,18 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
     Lines end in ``\\n``, floats (numpy's too) with ``float.__repr__`` and
     bools as true/false.  A table of plain ints and floats in rows of the
     header's width never needs quotes and is formatted in one pass over all
-    its cells; any other goes row by row through ``csv.writer``, which quotes
-    a cell holding a comma, a quote or a line break.
+    its cells, one ``float_texts`` call when all are floats; any other goes
+    row by row through ``csv.writer``, which quotes a cell holding a comma, a
+    quote or a line break.
     """
     rows = list(rows)
     text = io.StringIO()
     writer = csv.writer(text, lineterminator="\n")
     writer.writerow(map(_csv_cell, header))
     width = len(header)
-    if width and set(map(len, rows)) == {width} and set(map(type, chain.from_iterable(rows))) <= {int, float}:
-        cells = map(repr, chain.from_iterable(rows))
+    kinds = set(map(type, chain.from_iterable(rows)))
+    if width and set(map(len, rows)) == {width} and kinds <= {int, float}:
+        cells = iter(float_texts(list(chain.from_iterable(rows)))) if kinds == {float} else map(repr, chain.from_iterable(rows))
         text.write("\n".join(map(",".join, zip(*[cells] * width))) + "\n")
     else:
         writer.writerows(map(_csv_cell, row) for row in rows)

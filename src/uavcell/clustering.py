@@ -172,12 +172,13 @@ def _ward_cuts(z: np.ndarray, ks: list[int]) -> np.ndarray:
     return np.array([rows[k] for k in ks])[:, own]
 
 
-def split_cluster(points):
+def split_cluster(points, centres: bool = False):
     """2-means split of ``points``; returns (idx_a, idx_b) local index arrays.
 
     Centers start at the farthest pair of points (first such pair on ties) so
-    repeated runs agree bit for bit.  Returns None when there is nothing to
-    split.
+    repeated runs agree bit for bit.  With ``centres`` it returns (idx_a,
+    idx_b, means): the (2, 2) sub-centroids in the bits of each part's
+    ``mean(axis=0)``.  Returns None when there is nothing to split.
     """
     pts = np.asarray(points, dtype=float)
     n = len(pts)
@@ -185,6 +186,11 @@ def split_cluster(points):
         return None
     i, j = _farthest_pair(pts)
     x, y = pts[:, 0], pts[:, 1]
+
+    def means(assign, ones: int):  # bincount adds in index order, as a masked mean(axis=0) does
+        (x0, x1), (y0, y1) = (np.bincount(assign, weights=v, minlength=2).tolist() for v in (x, y))
+        return x0 / (n - ones), y0 / (n - ones), x1 / ones, y1 / ones
+
     (x0, y0), (x1, y1) = pts[i].tolist(), pts[j].tolist()
     assign = np.zeros(n, dtype=bool)  # False -> center 0
     for _ in range(_SPLIT_MAX_ITERATIONS):
@@ -195,13 +201,14 @@ def split_cluster(points):
         if ones in (0, n) or np.array_equal(new_assign, assign):
             break
         assign = new_assign
-        # bincount adds in index order, as a masked mean(axis=0) does
-        (x0, x1), (y0, y1) = (np.bincount(assign, weights=v, minlength=2).tolist() for v in (x, y))
-        x0, y0, x1, y1 = x0 / (n - ones), y0 / (n - ones), x1 / ones, y1 / ones
+        x0, y0, x1, y1 = means(assign, ones)
+    # the centers are now the means of ``assign``'s parts, unless the first step ended the loop
     if not assign.any():
         # co-located points collapse onto one center; peel the pair point off
         assign[j] = True
-    return np.flatnonzero(~assign), np.flatnonzero(assign)
+        x0, y0, x1, y1 = means(assign, 1)
+    parts = np.flatnonzero(~assign), np.flatnonzero(assign)
+    return (*parts, np.array([[x0, y0], [x1, y1]])) if centres else parts
 
 
 def _farthest_pair(pts: np.ndarray) -> tuple[int, int]:
@@ -235,11 +242,11 @@ def _split_priority(points, ellipse: Ellipse):
     The priority is the sub-centroid separation over the full major-axis
     length; -inf flags an unsplittable cluster.
     """
-    parts = split_cluster(points)
-    if parts is None:
+    split = split_cluster(points, centres=True)
+    if split is None:
         return _UNSPLITTABLE, None
-    pts = np.asarray(points, dtype=float)
-    gap = float(np.linalg.norm(pts[parts[0]].mean(axis=0) - pts[parts[1]].mean(axis=0)))
+    *parts, means = split
+    gap = float(np.linalg.norm(means[0] - means[1]))
     major, _ = ellipse.semi_axes
     return gap / (2.0 * major), parts
 

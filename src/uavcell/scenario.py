@@ -20,6 +20,7 @@ from pathlib import Path
 from typing import get_type_hints
 
 import numpy as np
+import orjson
 
 from .channel import Environment, RadioConfig
 from .clustering import ClusteringConfig
@@ -139,8 +140,9 @@ def dump_canonical_json(payload) -> str:
 
     ``json`` encodes in pure Python whenever ``indent`` is set; this walks the
     payload by the same rules, and writes a list of ints (cell members) or
-    of [float, float] pairs (users, ellipse matrices) with one join.  Unlike
-    ``json`` it does not look for containers that hold themselves.
+    of [float, float] pairs (users, ellipse matrices) with one join, taking
+    the texts of plain floats from one ``float_texts`` call.  Unlike ``json``
+    it does not look for containers that hold themselves.
     """
     out = []
     _encode(payload, "\n", out)
@@ -198,13 +200,26 @@ def _flat_rows(items, newline: str, inner: str) -> str | None:
     if not kinds <= {list, tuple} or set(map(len, items)) != {2}:
         return None
     deeper = inner + "  "
-    numbers = map(float.__repr__, chain.from_iterable(items))
+    flat = list(chain.from_iterable(items))
+    numbers = iter(float_texts(flat)) if set(map(type, flat)) == {float} else map(float.__repr__, flat)
     try:  # float.__repr__ takes nothing but floats
         text = (inner + "]," + inner + "[" + deeper).join(map(("," + deeper).join, zip(numbers, numbers)))
     except TypeError:
         return None
     # finite reprs hold no "n"; nan and inf are spelled NaN and Infinity in JSON
     return None if "n" in text else "[" + inner + "[" + deeper + text + inner + "]" + newline + "]"
+
+
+def float_texts(values: list[float]) -> list[str]:
+    """``list(map(float.__repr__, values))`` for a list of plain floats, from one ``orjson.dumps``
+    call.  orjson writes ``repr``'s digits for finite floats that are 0 or of magnitude in
+    [1e-4, 1e16), and the rest otherwise (``1e16``, ``0.00001``, ``2.5e-7``, ``null`` for
+    ``1e+16``, ``1e-05``, ``2.5e-07``, ``nan``), so those keep ``float.__repr__``."""
+    texts = orjson.dumps(values)[1:-1].decode().split(",") if values else []
+    magnitude = np.abs(values)  # NaN fails every comparison, so it is redone too
+    for i in np.flatnonzero(~((magnitude == 0.0) | ((magnitude >= 1e-4) & (magnitude < 1e16)))).tolist():
+        texts[i] = float.__repr__(values[i])
+    return texts
 
 
 _field_types = cache(get_type_hints)  # string annotations compile again on every uncached call

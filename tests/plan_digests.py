@@ -97,9 +97,9 @@ def digest_lines() -> list[str]:
     select_k, split_cluster, distances = clustering.select_k, clustering.split_cluster, clustering._distance_matrix
 
     def called(name, step):
-        def call(*args):
+        def call(*args, **kwargs):
             work[f"calls {name}"] += 1
-            return step(*args)
+            return step(*args, **kwargs)
         return call
 
     def paired(points):

@@ -730,6 +730,25 @@ def test_sweep_runs_only_the_scenarios_its_generate_wrote(tmp_path):
     assert [row.split(",")[1] for row in rows] == ["scenario_000.json"]
 
 
+def test_sweep_reads_integral_floats_as_their_ints(tmp_path):
+    write_scenario(tmp_path / "seven.json", two_blob_users(seed=2)[:7])
+    tables = []
+    for kind in (int, float):
+        manifest = tmp_path / f"{kind.__name__}.json"
+        manifest.write_text(json.dumps({
+            "out_dir": kind.__name__,
+            "scenarios": ["seven.json"],
+            "generate": {"count": kind(1), "master_seed": kind(3), "width": 300.0, "height": 300.0, "mean_daughters": 4.0},
+            "methods": ["circle", "brute"],
+            "circle": {"num_uavs": kind(2)},
+            "brute": {"num_uavs": kind(2)},
+        }))
+        assert main(["sweep", str(manifest)]) == 0
+        tables.append([(tmp_path / kind.__name__ / name).read_bytes() for name in ("runs.csv", "aggregate.csv")])
+    assert tables[0] == tables[1]
+    assert b",bad_input," not in tables[0][0]
+
+
 def test_sweep_accepts_existing_scenarios(tmp_path):
     write_scenario(tmp_path / "one.json", two_blob_users(seed=1))
     manifest = tmp_path / "manifest.json"
@@ -840,7 +859,7 @@ def test_sweep_method_block_is_checked_before_writing(tmp_path, caplog, block, k
     ({"brute": {"num_uavs": 2, "beam_deg": 60}}, "unknown 'brute' keys ['beam_deg']"),
     # generate errors were argparse usage errors of a command never typed, which raised SystemExit
     ({"generate": {"count": True}}, "'generate': 'count' must be an integer in [0, 1000000], got True"),
-    ({"generate": {"count": 2.0}}, "'generate': 'count' must be an integer in [0, 1000000], got 2.0"),
+    ({"generate": {"count": 2.5}}, "'generate': 'count' must be an integer, got 2.5"),
     ({"generate": {"master_seed": "7"}}, "'generate': 'master_seed' must be an integer in [0, inf], got '7'"),
     ({"generate": {"width": True}}, "'generate': 'width' must be a number, got True"),
     ({"generate": {"mean_daughters": "36"}}, "'generate': 'mean_daughters' must be a number, got '36'"),

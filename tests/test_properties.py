@@ -11,11 +11,13 @@ import csv
 import io
 import json
 import math
+import struct
 from fractions import Fraction
 from functools import partial
 from unittest.mock import patch
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -49,6 +51,7 @@ from uavcell.cli import _csv_cell, _write_csv
 from uavcell.clustering import (
     Cluster,
     ClusterSet,
+    ClusteringConfig,
     _farthest_pair,
     find_intersections,
     grow_to_k,
@@ -57,7 +60,7 @@ from uavcell.clustering import (
 )
 from uavcell.deployment import SNR_GRACE_DB, AltitudeBounds, DeploymentPlan, UavDeployment, evaluate, required_power_dbm
 from uavcell.geometry import MIN_SEMI_AXIS_M, Ellipse, contains, edge_distance, mvee
-from uavcell.scenario import PcpConfig, Region, dump_canonical_json, generate_pcp
+from uavcell.scenario import PcpConfig, Region, Scenario, dump_canonical_json, float_texts, generate_pcp, save_scenario
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -330,6 +333,14 @@ def test_split_cluster_matches_the_masked_mean_loop(pts, scale, offset):
     pts = pts * scale + offset  # 1e-3 m to 1e6 m across, at 0 or 1e6 m
     got, want = split_cluster(pts), split_cluster_masked(pts)
     assert [part.tolist() for part in got] == [part.tolist() for part in want]
+
+
+@PROPERTY
+@given(point_sets(min_size=2, max_size=60), st.sampled_from([0.0, 1e-3, 1.0, 1e3]), st.sampled_from([0.0, 0.1, 1e6]))
+def test_split_cluster_centres_are_the_bits_of_each_parts_mean(pts, scale, offset):
+    pts = pts * scale + offset  # a scale of 0 puts every point on one spot, which peels one off
+    idx_a, idx_b, means = split_cluster(pts, centres=True)
+    assert np.array_equal(means, [pts[idx_a].mean(axis=0), pts[idx_b].mean(axis=0)])
 
 
 @st.composite
@@ -1028,6 +1039,46 @@ def long_pairs(plant=None):
     return pairs
 
 
+def bits_to_float(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+def ulps_from(value: float, steps: int) -> float:
+    """``value`` moved ``steps`` representable floats away from zero, or toward it for negative ``steps``."""
+    return bits_to_float(struct.unpack("<Q", struct.pack("<d", value))[0] + steps)
+
+
+# the edges of the range where orjson's float text is float.__repr__'s, and what lies beyond them
+EDGES = [1e-4, 1e16, 1e-3, 1.0, 1e15, 1e-5, 1e-7, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308]
+edge_floats = (
+    st.integers(0, 2**64 - 1).map(bits_to_float)  # every bit pattern: NaN payloads, infinities, subnormals
+    | st.integers(1, 2**52 - 1).map(bits_to_float)  # subnormals
+    | st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0])
+    | st.builds(ulps_from, st.sampled_from([1e-4, 1e16]), st.integers(1, 50) | st.integers(-50, -1))
+    | st.sampled_from(EDGES + [-edge for edge in EDGES])
+    | st.floats()
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(edge_floats, max_size=50))
+@example([])
+@example([ulps_from(1e-4, -1), 1e-4, ulps_from(1e16, -1), 1e16, -0.0, math.nan])
+def test_float_texts_are_float_repr(values):
+    assert float_texts(values) == list(map(float.__repr__, values))
+
+
+def test_scenario_and_cdf_writes_format_their_floats_in_one_orjson_call(tmp_path):
+    users = np.random.default_rng(7).uniform(0.0, 1000.0, (3000, 2))
+    scenario = Scenario(Region(), users, ENVIRONMENTS["urban"], RadioConfig(), ClusteringConfig())
+    ordered, cdf = np.sort(users[:, 0]).tolist(), (np.arange(1, 3001) / 3000).tolist()
+    with patch("orjson.dumps", wraps=orjson.dumps) as dumps:
+        save_scenario(scenario, tmp_path / "scenario.json")
+        assert dumps.call_count == 1
+        _write_csv(tmp_path / "throughput_cdf.csv", ["throughput_bps", "cdf"], zip(ordered, cdf))
+        assert dumps.call_count == 2
+
+
 json_floats = st.floats() | st.sampled_from(
     [-0.0, 5e-324, 1e16, 1e-7, 1e22, math.nan, math.inf, -math.inf]
 ) | st.floats().map(np.float64)  # a float subclass, written by float.__repr__
@@ -1060,6 +1111,10 @@ json_flat_lists = (
 @example(long_pairs([0.5, np.float64(0.1)]))
 @example(long_pairs([math.nan, 0.5]))
 @example(long_pairs([0.5, 1.5, 2.5]))
+# scenario-sized lists of floats with one that orjson writes unlike float.__repr__
+@example(long_pairs([ulps_from(1e-4, -1), 0.5]))
+@example(long_pairs([0.5, -1e16]))
+@example(long_pairs([2.5e-7, 5e-324]))
 def test_canonical_json_matches_json_dumps(payload):
     assert dump_canonical_json(payload) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
@@ -1102,6 +1157,10 @@ def number_tables(draw):
 @example((["a"], [[None], [""], [math.nan], [math.inf], [-math.inf], [2**100]]))
 @example((["x", "y"], [[math.nan, math.inf], [-math.inf, 2**100]]))
 @example((["x", "y"], [[1.5, True], [2, -0.0]]))  # numbers and a bool, which csv writes as true
+# a long float table with one value that orjson writes unlike float.__repr__
+@example((["x", "y"], long_pairs([ulps_from(1e16, 3), 0.5])))
+@example((["x", "y"], long_pairs([0.5, -ulps_from(1e-4, -50)])))
+@example((["x", "y"], long_pairs([math.inf, 0.5])))
 def test_write_csv_matches_csv_writer(tmp_path_factory, table):
     header, rows = table
     buf = io.StringIO()
