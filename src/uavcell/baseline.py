@@ -170,10 +170,11 @@ def brute_force_plan(
         feasible &= (covers[:, a] & covers[:, b] & (table[:, a] | table[:, b])) == 0
     uavs: dict[int, UavDeployment] = {}
     power_mw = np.zeros(1 << n)
+    cells = _cell_members(n, num_uavs)
     for key in np.unique(table[feasible]).tolist():
         if key:
-            members = [i for i in range(n) if key >> i & 1]
-            uavs[key] = deploy_cell(Cluster(frozenset(members), ellipses[key]), pts[members], env, radio, h_max)
+            group, members = cells[key]
+            uavs[key] = deploy_cell(Cluster(group, ellipses[key]), pts[members], env, radio, h_max)
             power_mw[key] = dbm_to_mw(uavs[key].tx_power_dbm)
     # summed in group order, as the plan's own total is
     total = power_mw[table[:, 0]]
@@ -207,6 +208,17 @@ def _cell_levels(n: int, num_uavs: int) -> tuple[tuple[np.ndarray, np.ndarray, n
     for array in chain.from_iterable(levels):
         array.flags.writeable = False  # shared by every caller through the cache
     return tuple(levels)
+
+
+@functools.cache
+def _cell_members(n: int, num_uavs: int) -> tuple[tuple[frozenset[int], np.ndarray] | None, ...]:
+    """Per bitmask below ``1 << n``, its cell's members as a frozenset and as the read-only
+    index row of ``_cell_levels(n, num_uavs)``; None where the bitmask is no cell."""
+    cells: list = [None] * (1 << n)
+    for keys, _, member_rows in _cell_levels(n, num_uavs):
+        for key, row in zip(keys.tolist(), member_rows):
+            cells[key] = frozenset(row.tolist()), row
+    return tuple(cells)
 
 
 def _partitions(n: int, max_blocks: int):

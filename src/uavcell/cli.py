@@ -15,7 +15,6 @@ import math
 import statistics
 import sys
 from dataclasses import asdict, replace
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +31,7 @@ from .scenario import (
     ScenarioFormatError,
     config_from_dict,
     dump_canonical_json,
-    float_texts,
+    float_array_json,
     generate_pcp,
     json_value,
     load_scenario,
@@ -298,8 +297,8 @@ def cmd_evaluate(args) -> int:
     )
     ordered = sorted(metrics.per_user_throughput_bps)
     n = len(ordered)
-    cdf = (np.arange(1, n + 1) / n).tolist()  # the bits of (i + 1) / n: both are correctly rounded quotients
-    _write_csv(out_dir / "throughput_cdf.csv", ["throughput_bps", "cdf"], zip(ordered, cdf))
+    cdf = np.arange(1, n + 1) / n  # the bits of (i + 1) / n: both are correctly rounded quotients
+    _write_csv(out_dir / "throughput_cdf.csv", ["throughput_bps", "cdf"], np.column_stack((ordered, cdf)))
     log.info("coverage %.4f, total power %.6g mW", metrics.coverage_probability, metrics.total_power_mw)
     return EXIT_OK
 
@@ -512,21 +511,16 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
     """Write ``header`` and ``rows`` byte for byte as ``csv.writer`` would.
 
     Lines end in ``\\n``, floats (numpy's too) with ``float.__repr__`` and
-    bools as true/false.  A table of plain ints and floats in rows of the
-    header's width never needs quotes and is formatted in one pass over all
-    its cells, one ``float_texts`` call when all are floats; any other goes
-    row by row through ``csv.writer``, which quotes a cell holding a comma, a
-    quote or a line break.
+    bools as true/false.  A non-empty float64 array (the throughput CDF) is
+    written from one ``float_array_json`` call where that applies; any other
+    table goes row by row through ``csv.writer``, which quotes a cell holding
+    a comma, a quote or a line break.
     """
-    rows = list(rows)
     text = io.StringIO()
     writer = csv.writer(text, lineterminator="\n")
     writer.writerow(map(_csv_cell, header))
-    width = len(header)
-    kinds = set(map(type, chain.from_iterable(rows)))
-    if width and set(map(len, rows)) == {width} and kinds <= {int, float}:
-        cells = iter(float_texts(list(chain.from_iterable(rows)))) if kinds == {float} else map(repr, chain.from_iterable(rows))
-        text.write("\n".join(map(",".join, zip(*[cells] * width))) + "\n")
+    if isinstance(rows, np.ndarray) and rows.size and (data := float_array_json(rows)) is not None:
+        text.write(data[2:-2].decode().replace("],[", "\n") + "\n")  # [[x,y],[x,y]] as x,y lines
     else:
         writer.writerows(map(_csv_cell, row) for row in rows)
     path.write_text(text.getvalue(), encoding="utf-8", newline="")

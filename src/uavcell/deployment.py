@@ -27,6 +27,11 @@ MIN_ELEVATION_RAD = math.pi / 12  # cell-edge elevation floor
 # edge users sit exactly at the SNR threshold, so coverage predicates give
 # that equality this much slack against rounding
 SNR_GRACE_DB = 1e-9
+# cells of at most this many members are claimed one member at a time: timed
+# per claim over 3000 users (numpy 2.4, Xeon), the loop and the array steps
+# cost 1.9 against 3.5 us at 5 members, 4.4 against 4.4 us at 20 and 6.4
+# against 4.7 us at 30
+_LOOP_CLAIM = 20
 
 
 @dataclass(frozen=True)
@@ -189,10 +194,16 @@ def evaluate(plan: DeploymentPlan, users) -> PlanMetrics:
 def _claim(owner: np.ndarray, members: frozenset[int], m: int) -> np.ndarray:
     """Mark ``members`` as UAV ``m``'s users in ``owner``; returns their indices."""
     n = len(owner)
-    idx = np.fromiter(members, dtype=np.intp, count=len(members)) if not members or 0 <= min(members) and max(members) < n else None
-    if idx is None or (owner[idx] != -1).any():
-        # the first member, in the set's order, that is out of range or already claimed
-        u = next(u for u in members if not 0 <= u < n or owner[u] != -1)
-        raise ValueError(f"user {u} claimed by two UAVs" if 0 <= u < n else f"member index {u} outside user array")
-    owner[idx] = m
-    return idx
+    if len(members) > _LOOP_CLAIM and 0 <= min(members) and max(members) < n:
+        idx = np.fromiter(members, dtype=np.intp, count=len(members))
+        if (owner[idx] == -1).all():
+            owner[idx] = m
+            return idx
+    # a few members, or a fault: the first member in the set's order that fails names it
+    for u in members:
+        if not 0 <= u < n:
+            raise ValueError(f"member index {u} outside user array")
+        if owner[u] != -1:
+            raise ValueError(f"user {u} claimed by two UAVs")
+        owner[u] = m
+    return np.fromiter(members, dtype=np.intp, count=len(members))

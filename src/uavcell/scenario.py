@@ -9,8 +9,10 @@ pure function of its config.
 
 from __future__ import annotations
 
+import io
 import json
 import math
+import re
 import warnings
 from dataclasses import asdict, dataclass, field, fields
 from functools import cache
@@ -113,8 +115,7 @@ def generate_pcp(region: Region, cfg: PcpConfig) -> np.ndarray:
 
 def save_scenario(scenario: Scenario, path) -> None:
     """Write a scenario as canonical JSON (sorted keys, fixed layout)."""
-    payload = scenario_to_dict(scenario)
-    Path(path).write_text(dump_canonical_json(payload), encoding="utf-8")
+    Path(path).write_text(dump_canonical_json(_scenario_payload(scenario)), encoding="utf-8")
 
 
 def load_scenario(path) -> Scenario:
@@ -123,8 +124,18 @@ def load_scenario(path) -> Scenario:
 
 def read_json(path):
     """The JSON value in the file at ``path``; text that is not JSON, that nests deeper than the
-    parser can recurse or that holds an int too long to convert raises ScenarioFormatError."""
-    text = Path(path).read_text(encoding="utf-8")
+    parser can recurse or that holds an int too long to convert raises ScenarioFormatError.
+
+    Text that ``_plain_json`` passes is parsed by ``orjson``, which returns ``json.loads``'s
+    value for it; any other text, and any that orjson rejects (NaN, 1e400, a syntax error), goes
+    to ``json.loads`` as ``read_text`` decodes it, so values and messages are ``json``'s."""
+    data = Path(path).read_bytes()
+    if _plain_json(data):
+        try:
+            return orjson.loads(data)
+        except orjson.JSONDecodeError:
+            pass
+    text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()  # read_text's decoding and newlines
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -135,14 +146,42 @@ def read_json(path):
         raise ScenarioFormatError(f"{path}: invalid JSON: {exc}") from exc
 
 
+# digits and "-" to 9, every other byte to a space: twenty 9s in a row are an int literal of 20
+# digits, or of "-" and 19, either of which may lie outside [-2**63, 2**64 - 1]
+_NUMBER_RUNS = bytes(57 if 48 <= b <= 57 or b == 45 else 32 for b in range(256))
+# "[" and "{" to the byte 1, "]" and "}" to 255 (-1 as an int8), the quote kept and every other byte
+# deleted: what is left between pairs of quotes is in a string, the rest sums to the depth
+_DEPTH_STEPS = bytes.maketrans(b"[{]}", b"\x01\x01\xff\xff"), bytes(sorted(set(range(256)) - set(b'[]{}"')))
+_MAX_PLAIN_DEPTH = 100  # far below the ~1000 levels at which json.loads raises RecursionError
+
+
+def _plain_json(data: bytes) -> bool:
+    """True when ``orjson.loads(data)`` gives ``json.loads``'s value or rejects the text.
+
+    The text holds no backslash, so every quote opens or closes a string and
+    no escape (such as a lone ``\\ud800``, which json reads and orjson rejects)
+    is met; no run of 20 digits and no "-" before 19, so every int literal
+    lies in [-2**63, 2**64 - 1], which orjson reads as an int, not a float;
+    and outside strings it nests at most ``_MAX_PLAIN_DEPTH`` brackets deep
+    and never closes more than it opened.  orjson 3.8 has no depth limit of
+    its own (a million levels crash the process), and json raises
+    RecursionError near a thousand.
+    """
+    if b"\\" in data or b"9" * 20 in data.translate(_NUMBER_RUNS):
+        return False
+    steps = b"".join(data.translate(*_DEPTH_STEPS).split(b'"')[::2])  # those outside strings
+    depth = np.cumsum(np.frombuffer(steps, dtype=np.int8))
+    return not depth.size or 0 <= depth.min() and depth.max() <= _MAX_PLAIN_DEPTH
+
+
 def dump_canonical_json(payload) -> str:
-    """``json.dumps(payload, indent=2, sort_keys=True) + "\\n"``, byte for byte.
+    """``json.dumps(payload, indent=2, sort_keys=True) + "\\n"``, byte for byte, with
+    every numpy array in ``payload`` read as its ``tolist()``.
 
     ``json`` encodes in pure Python whenever ``indent`` is set; this walks the
-    payload by the same rules, and writes a list of ints (cell members) or
-    of [float, float] pairs (users, ellipse matrices) with one join, taking
-    the texts of plain floats from one ``float_texts`` call.  Unlike ``json``
-    it does not look for containers that hold themselves.
+    payload by the same rules, writes a list of ints (cell members) with one
+    join and a float array (users) with one ``float_array_json`` call.  Unlike
+    ``json`` it does not look for containers that hold themselves.
     """
     out = []
     _encode(payload, "\n", out)
@@ -154,6 +193,11 @@ def _encode(value, newline: str, out: list[str]) -> None:
     if (text := _scalar(value)) is not None:
         out.append(text)
         return
+    if isinstance(value, np.ndarray):
+        if (data := float_array_json(value, orjson.OPT_INDENT_2)) is None:
+            return _encode(value.tolist(), newline, out)
+        out.append(data.decode().replace("\n", newline))
+        return
     if not isinstance(value, (list, tuple, dict)):
         raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
     is_dict = isinstance(value, dict)
@@ -161,8 +205,8 @@ def _encode(value, newline: str, out: list[str]) -> None:
         out.append("{}" if is_dict else "[]")
         return
     inner = newline + "  "
-    if not is_dict and (rows := _flat_rows(value, newline, inner)) is not None:
-        out.append(rows)
+    if not is_dict and set(map(type, value)) == {int}:
+        out.append("[" + inner + ("," + inner).join(map(int.__repr__, value)) + newline + "]")
         return
     out.append("{" if is_dict else "[")
     for i, item in enumerate(sorted(value.items()) if is_dict else value):
@@ -192,34 +236,33 @@ def _scalar(value) -> str | None:
     return None
 
 
-def _flat_rows(items, newline: str, inner: str) -> str | None:
-    """The whole list if it holds only ints or only [float, float] pairs, else None."""
-    kinds = set(map(type, items))
-    if kinds == {int}:
-        return "[" + inner + ("," + inner).join(map(int.__repr__, items)) + newline + "]"
-    if not kinds <= {list, tuple} or set(map(len, items)) != {2}:
+def float_array_json(array, option: int = 0) -> bytes | None:
+    """``orjson.dumps(array.tolist(), option=option)`` for a finite 2-D float64 array, from the
+    array itself, with ``float.__repr__``'s text for every float; None for any other value.
+
+    orjson writes ``repr``'s digits for floats that are 0 or of magnitude in [1e-4, 1e16), and
+    otherwise ``1e16``, ``0.00001`` and ``2.5e-7`` for ``1e+16``, ``1e-05`` and ``2.5e-07``, so
+    those are written again with ``repr``; json spells NaN and Infinity, orjson ``null``.
+    """
+    if not (isinstance(array, np.ndarray) and array.dtype == np.float64 and array.ndim == 2):
         return None
-    deeper = inner + "  "
-    flat = list(chain.from_iterable(items))
-    numbers = iter(float_texts(flat)) if set(map(type, flat)) == {float} else map(float.__repr__, flat)
-    try:  # float.__repr__ takes nothing but floats
-        text = (inner + "]," + inner + "[" + deeper).join(map(("," + deeper).join, zip(numbers, numbers)))
-    except TypeError:
+    array = np.ascontiguousarray(array)  # orjson takes C order only
+    if not np.isfinite(array).all():
         return None
-    # finite reprs hold no "n"; nan and inf are spelled NaN and Infinity in JSON
-    return None if "n" in text else "[" + inner + "[" + deeper + text + inner + "]" + newline + "]"
+    data = orjson.dumps(array, option=orjson.OPT_SERIALIZE_NUMPY | option)
+    magnitude = np.abs(array)
+    odd = np.flatnonzero(~((magnitude == 0.0) | ((magnitude >= 1e-4) & (magnitude < 1e16)))).tolist()
+    if odd:
+        # a comma parts two values of a row or two rows ("],["), so each piece holds one value
+        pieces = data.split(b",")
+        values = array.ravel()
+        for i in odd:
+            pieces[i] = _FLOAT_TEXT.sub(float.__repr__(values[i]).encode(), pieces[i])
+        data = b",".join(pieces)
+    return data
 
 
-def float_texts(values: list[float]) -> list[str]:
-    """``list(map(float.__repr__, values))`` for a list of plain floats, from one ``orjson.dumps``
-    call.  orjson writes ``repr``'s digits for finite floats that are 0 or of magnitude in
-    [1e-4, 1e16), and the rest otherwise (``1e16``, ``0.00001``, ``2.5e-7``, ``null`` for
-    ``1e+16``, ``1e-05``, ``2.5e-07``, ``nan``), so those keep ``float.__repr__``."""
-    texts = orjson.dumps(values)[1:-1].decode().split(",") if values else []
-    magnitude = np.abs(values)  # NaN fails every comparison, so it is redone too
-    for i in np.flatnonzero(~((magnitude == 0.0) | ((magnitude >= 1e-4) & (magnitude < 1e16)))).tolist():
-        texts[i] = float.__repr__(values[i])
-    return texts
+_FLOAT_TEXT = re.compile(rb"[-+.0-9e]+")
 
 
 _field_types = cache(get_type_hints)  # string annotations compile again on every uncached call
@@ -234,12 +277,19 @@ _BLOCKS = {
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:
+    payload = _scenario_payload(scenario)
+    payload["users"] = payload["users"].tolist()
+    return payload
+
+
+def _scenario_payload(scenario: Scenario) -> dict:
+    """``scenario_to_dict`` with the users left as their (n, 2) float array."""
     payload = {
         name: asdict(getattr(scenario, name))
         for name in _BLOCKS
         if getattr(scenario, name) is not None
     }
-    payload["users"] = np.atleast_2d(np.asarray(scenario.users, dtype=float)).tolist()
+    payload["users"] = np.atleast_2d(np.asarray(scenario.users, dtype=float))
     return payload
 
 

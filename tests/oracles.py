@@ -27,17 +27,21 @@ active-set Newton from equal weights, as ``mvee`` did before its basis walk,
 and ``exact_five_conic``, ``exact_ellipse`` and ``exact_five_weights`` give
 the conic through five points, its ellipse and their moment weights in
 exact rational arithmetic, by row reduction of the monomials and of the
-moment equations.
+moment equations, and
+``read_json_with_json`` reads a JSON file with ``json.loads`` alone, as
+``read_json`` did before it passed screened text to orjson.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import json
 import math
 import warnings
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 from scipy.cluster.hierarchy import ClusterWarning, cut_tree, linkage
@@ -49,6 +53,7 @@ from uavcell.channel import RadioConfig, avg_path_loss, dbm_to_mw
 from uavcell.clustering import Cluster, ClusterSet, find_intersections
 from uavcell.deployment import SNR_GRACE_DB, DeploymentPlan, deploy, deploy_cell
 from uavcell.geometry import _radius, contains, mvee
+from uavcell.scenario import ScenarioFormatError
 
 
 def feasible_areas(pts: np.ndarray, cand: np.ndarray, slack: float = 1e-9) -> np.ndarray:
@@ -686,3 +691,16 @@ def write_csv_per_row(path, header, rows) -> None:
             csv.writer(buf, lineterminator="\n").writerow([cell(v) for v in row])
             lines.append(buf.getvalue()[:-1])
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="")
+
+
+def read_json_with_json(path):
+    """The JSON value in the file at ``path`` from ``json.loads``, or its ScenarioFormatError."""
+    text = Path(path).read_text(encoding="utf-8")
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ScenarioFormatError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise ScenarioFormatError(f"{path}: JSON nested too deeply to parse") from exc
+    except ValueError as exc:
+        raise ScenarioFormatError(f"{path}: invalid JSON: {exc}") from exc

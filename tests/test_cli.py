@@ -233,6 +233,19 @@ def test_deploy_scenario_nested_too_deeply_exits_2(tmp_path):
     assert main(["deploy", str(deep), "--out-dir", str(tmp_path / "o")]) == 2
 
 
+def test_deploy_on_a_million_closed_levels_exits_2_not_by_a_signal(tmp_path):
+    # orjson 3.8 parses nesting without a limit and crashes its process on a million levels
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 10**6 + "]" * 10**6)
+    src = str(Path(uavcell.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "uavcell.cli", "deploy", str(deep), "--out-dir", str(tmp_path / "o")],
+        capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 2, proc.stderr[-2000:]
+    assert "nested too deeply" in proc.stderr
+
+
 def test_deploy_scenario_with_an_int_too_long_to_convert_names_the_file(tmp_path, caplog):
     # json reads a literal of more than 4300 digits with int(), which refuses it
     scen = write_scenario(tmp_path / "s.json", two_blob_users())

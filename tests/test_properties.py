@@ -12,8 +12,10 @@ import io
 import json
 import math
 import struct
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import partial
+from itertools import chain
 from unittest.mock import patch
 
 import numpy as np
@@ -60,7 +62,11 @@ from uavcell.clustering import (
 )
 from uavcell.deployment import SNR_GRACE_DB, AltitudeBounds, DeploymentPlan, UavDeployment, evaluate, required_power_dbm
 from uavcell.geometry import MIN_SEMI_AXIS_M, Ellipse, contains, edge_distance, mvee
-from uavcell.scenario import PcpConfig, Region, Scenario, dump_canonical_json, float_texts, generate_pcp, save_scenario
+from uavcell import scenario as scenario_module
+from uavcell.scenario import (
+    PcpConfig, Region, Scenario, ScenarioFormatError, dump_canonical_json, generate_pcp, load_scenario, read_json, save_scenario,
+    scenario_to_dict,
+)
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -1060,23 +1066,204 @@ edge_floats = (
 )
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(st.lists(edge_floats, max_size=50))
-@example([])
-@example([ulps_from(1e-4, -1), 1e-4, ulps_from(1e16, -1), 1e16, -0.0, math.nan])
-def test_float_texts_are_float_repr(values):
-    assert float_texts(values) == list(map(float.__repr__, values))
+@st.composite
+def float_arrays(draw):
+    """A (rows, cols) float64 array over every float of magnitude in [1e-4, 1e16), where
+    orjson's text is float.__repr__'s, with zeros of either sign and maybe one value from
+    ``edge_floats``; or such an array transposed, as float32 or int64, or of rank 1 or 3,
+    which the writers take as their lists."""
+    rows, cols = draw(st.sampled_from([(0, 2), (1, 2), (0, 0), (1, 0), (3, 0)]) | st.tuples(st.integers(1, 300), st.integers(1, 3)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    low, high = np.array([1e-4, 1e16]).view(np.int64)  # positive floats are ordered as their bits
+    array = rng.integers(low, high, (rows, cols)).view(np.float64) * rng.choice([-1.0, 1.0], (rows, cols))
+    array[rng.random((rows, cols)) < 0.05] = 0.0
+    array[rng.random((rows, cols)) < 0.05] = -0.0
+    if array.size and draw(st.booleans()):
+        array.flat[draw(st.integers(0, array.size - 1))] = draw(edge_floats)
+    form = draw(st.sampled_from(["float64"] * 4 + ["transposed", "float32", "int64", "rank 1", "rank 3"]))
+    if form == "float32":
+        with np.errstate(over="ignore"):
+            return array.astype(np.float32)
+    return {
+        "float64": array,
+        "transposed": array.T,
+        "int64": rng.integers(-(2**62), 2**62, (rows, cols)),
+        "rank 1": array.ravel(),
+        "rank 3": array[..., None],
+    }[form]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(float_arrays())
+@example(np.array([[1e16, 1e-5], [5e-324, -0.0]]))
+# one value just outside the range where orjson writes float.__repr__'s text
+@example(np.array([[0.5, 1e16]]))
+@example(np.array([[ulps_from(1e-4, -1), 0.5]]))
+@example(np.array([[math.nan, math.inf], [-math.inf, 0.5]]))
+@example(np.array([[ulps_from(1e-4, -1), 1e-4], [ulps_from(1e16, -1), -1e16]]))
+@example(np.random.default_rng(3000).standard_normal((3000, 2)) * 1e3)
+def test_canonical_json_writes_arrays_as_their_lists(array):
+    payload = {"users": array, "deeper": [{"cells": array}, 1.5]}
+    listed = {"users": array.tolist(), "deeper": [{"cells": array.tolist()}, 1.5]}
+    assert dump_canonical_json(payload) == json.dumps(listed, indent=2, sort_keys=True) + "\n"
 
 
 def test_scenario_and_cdf_writes_format_their_floats_in_one_orjson_call(tmp_path):
     users = np.random.default_rng(7).uniform(0.0, 1000.0, (3000, 2))
     scenario = Scenario(Region(), users, ENVIRONMENTS["urban"], RadioConfig(), ClusteringConfig())
-    ordered, cdf = np.sort(users[:, 0]).tolist(), (np.arange(1, 3001) / 3000).tolist()
+    ordered, cdf = np.sort(users[:, 0]).tolist(), np.arange(1, 3001) / 3000
     with patch("orjson.dumps", wraps=orjson.dumps) as dumps:
         save_scenario(scenario, tmp_path / "scenario.json")
         assert dumps.call_count == 1
-        _write_csv(tmp_path / "throughput_cdf.csv", ["throughput_bps", "cdf"], zip(ordered, cdf))
+        _write_csv(tmp_path / "throughput_cdf.csv", ["throughput_bps", "cdf"], np.column_stack((ordered, cdf)))
         assert dumps.call_count == 2
+
+
+# in order, a coordinate orjson writes unlike float.__repr__ and a view in Fortran order
+@pytest.mark.parametrize("form", ["plain", "one 5e-5", "transposed"])
+def test_save_scenario_builds_no_per_user_list(tmp_path, form):
+    users = np.random.default_rng(7).uniform(0.0, 1000.0, (3000, 2))
+    if form == "one 5e-5":
+        users[1234, 1] = 5e-5
+    elif form == "transposed":
+        users = np.ascontiguousarray(users.T).T
+    scenario = Scenario(Region(), users, ENVIRONMENTS["urban"], RadioConfig(), ClusteringConfig())
+    with patch.object(scenario_module, "_encode", wraps=scenario_module._encode) as encode, patch("orjson.dumps", wraps=orjson.dumps) as dumps:
+        save_scenario(scenario, tmp_path / "scenario.json")
+    assert dumps.call_count == 1
+    assert (tmp_path / "scenario.json").read_text() == json.dumps(scenario_to_dict(scenario), indent=2, sort_keys=True) + "\n"
+    assert [call.args[0] for call in encode.call_args_list if isinstance(call.args[0], list) and len(call.args[0]) == 3000] == []
+    assert any(isinstance(call.args[0], np.ndarray) and call.args[0].shape == (3000, 2) for call in encode.call_args_list)
+
+
+def typed(value) -> list[tuple]:
+    """``value`` as a prefix walk of (type, length or repr) tokens, without recursion, so that
+    1 != 1.0, -0.0 != 0.0, NaN == NaN and key order counts, at any depth json reads."""
+    tokens, stack = [], [value]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, (list, dict)):
+            tokens.append((type(item).__name__, len(item)))
+            stack.extend(reversed([*chain.from_iterable(item.items())] if isinstance(item, dict) else item))
+        else:
+            tokens.append((type(item).__name__, repr(item)))
+    return tokens
+
+
+def read_outcome(read, path):
+    try:
+        return typed(read(path))
+    except (ScenarioFormatError, UnicodeDecodeError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def depth_and_ints(value) -> tuple[int, list[int]]:
+    """How deeply ``value`` nests lists and dicts, and every int it holds."""
+    depth, ints, stack = 0, [], [(value, 0)]
+    while stack:
+        item, level = stack.pop()
+        if isinstance(item, (list, dict)):
+            depth = max(depth, level + 1)
+            stack.extend((kid, level + 1) for kid in (item.values() if isinstance(item, dict) else item))
+        elif type(item) is int:
+            ints.append(item)
+    return depth, ints
+
+
+BOUND_INTS = [s * (b + d) for b in (2**63, 2**64) for d in (-1, 0, 1) for s in (1, -1)]
+int_literals = st.sampled_from(BOUND_INTS).map(str) | st.integers(-(10**20) + 1, 10**20 - 1).map(str) | st.integers(-(2**70), 2**70).map(str)
+
+
+@st.composite
+def float_literals(draw):
+    """Float texts: long mantissas, the exact midpoint between two adjacent floats or its first
+    17-25 digits, repr's shortest text, and texts json reads as 0, an infinity or NaN."""
+    kind = draw(st.sampled_from(["long", "halfway", "repr", "special"]))
+    if kind == "long":  # a mantissa of 17 to 800 digits
+        digits = str(draw(st.integers(10**16, 10 ** draw(st.integers(17, 800)) - 1)))
+        point = draw(st.integers(1, len(digits)))
+        return f"{draw(st.sampled_from(['', '-']))}{digits[:point]}.{digits[point:] or '0'}e{draw(st.integers(-400, 400))}"
+    if kind == "halfway":
+        low = draw(st.floats(0.0, 1e300))
+        with localcontext() as ctx:
+            ctx.prec = 2000
+            middle = (Decimal(low) + Decimal(math.nextafter(low, math.inf))) / 2
+        text = f"{middle:e}"
+        mantissa, exponent = text.split("e")
+        cut = draw(st.sampled_from([None, 17, 18, 19, 20, 25]))
+        return text if cut is None else f"{mantissa[:cut + 1]}e{exponent}"
+    if kind == "repr":
+        return repr(draw(st.floats(allow_nan=False, allow_infinity=False)))
+    return draw(st.sampled_from(["1e400", "-1e400", "1e-400", "NaN", "Infinity", "-Infinity", "-0", "-0.0", "0e0", "1E5"]))
+
+
+string_literals = st.sampled_from([
+    '"[]{}"', '"{\\"k\\": [1]}"', '"\\ud800"', '"\\u00e9\\n"', '"é☃𝄞"', '"\\\\"', '"' + "[{" * 150 + '"', '"\t"', '"open',
+]) | st.text(st.characters(blacklist_categories=("Cs",))).map(lambda t: json.dumps(t, ensure_ascii=False))
+keys = st.sampled_from(['"a"', '"b"', '"[{"']) | string_literals  # few names: duplicate keys
+json_literal_docs = st.recursive(
+    st.sampled_from(["null", "true", "false"]) | int_literals | float_literals() | string_literals,
+    lambda kids: st.lists(kids, max_size=4).map(lambda items: "[" + ",".join(items) + "]")
+    | st.lists(st.tuples(keys, kids), max_size=4).map(lambda pairs: "{" + ", ".join(f"{k}: {v}" for k, v in pairs) + "}"),
+    max_leaves=12,
+)
+
+
+@st.composite
+def nested_docs(draw):
+    """A document nested 99 to 101, 1000 or 200 000 levels deep, closed or not, maybe one
+    level deeper in a list after a string."""
+    depth = draw(st.sampled_from([99, 100, 101, 1000, 200_000]))
+    opener, closer = draw(st.sampled_from([("[", "]"), ('{"k":', "}"), ('[{"k": ', "}]")]))
+    reps = depth // opener.count("[") if opener.startswith("[{") else depth
+    closed = draw(st.booleans())
+    doc = opener * reps + draw(json_literal_docs) + (closer * reps if closed else "")
+    lead = draw(st.sampled_from(["", '"\\"", ', '"[{", ']))  # a string ahead with an escaped quote or brackets
+    return f"[{lead}{doc}]" if lead else doc
+
+
+@st.composite
+def json_file_bytes(draw):
+    text = draw(json_literal_docs | nested_docs())
+    space = draw(st.sampled_from(["", " ", "\n", "\r\n", "\r", "\t"]))
+    data = (space + text + space).encode("utf-8")
+    return draw(st.sampled_from([b"", b"\xef\xbb\xbf"])) + data  # maybe a BOM
+
+
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(json_file_bytes())
+@example(b"[" * 100 + b"]" * 100)
+@example(b"[" * 101 + b"]" * 101)
+@example(b"[" * 1000 + b"]" * 1000)
+@example(b'["\\"", ' + b"[" * 150 + b"]" * 150 + b"]")
+@example(b'{"seed": 9223372036854775808, "low": -9223372036854775808, "top": 18446744073709551615}')
+@example(b"[18446744073709551616, -9223372036854775809, 99999999999999999999]")
+@example(b"[-9223372036854775809, 1.5]")  # 19 digits after a minus
+@example(b'{"a": 1, "a": 2.5, "b": [NaN, Infinity, -Infinity, 1e400, 1e-400, -0, -0.0]}')
+@example(b'["\\ud800", "\xc3\xa9"]')
+@example(b'["\xff"]')
+@example(b'\r\n\r[1,\r\n2,]')
+def test_read_json_gives_json_loads_value_or_message(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("read") / "doc.json"
+    path.write_bytes(data)
+    with patch("orjson.loads", wraps=orjson.loads) as fast:
+        got = read_outcome(read_json, path)
+    want = read_outcome(oracles.read_json_with_json, path)
+    assert got == want
+    if fast.called and isinstance(want, list):  # orjson read no deeper nesting nor longer int than it may
+        depth, ints = depth_and_ints(oracles.read_json_with_json(path))
+        assert depth <= 100 and all(-(2**63) <= i < 2**64 for i in ints)
+
+
+def test_canonical_scenario_is_read_by_one_orjson_call(tmp_path):
+    users = np.random.default_rng(7).uniform(0.0, 1000.0, (3000, 2))
+    pcp = PcpConfig(seed=2**62 - 1)  # 19 digits, as generate's largest seeds
+    path = tmp_path / "scenario.json"
+    save_scenario(Scenario(Region(), users, ENVIRONMENTS["urban"], RadioConfig(), ClusteringConfig(), pcp), path)
+    with patch("orjson.loads", wraps=orjson.loads) as fast, patch("json.loads", wraps=json.loads) as slow:
+        loaded = load_scenario(path)
+    assert (fast.call_count, slow.call_count) == (1, 0)
+    assert loaded.pcp == pcp and np.array_equal(loaded.users, users)
 
 
 json_floats = st.floats() | st.sampled_from(
@@ -1151,6 +1338,7 @@ def number_tables(draw):
 @given(st.one_of(
     st.tuples(st.lists(csv_text, max_size=4), st.lists(st.lists(csv_cells, max_size=5), max_size=6)),
     number_tables(),
+    float_arrays().filter(lambda array: array.ndim == 2).map(lambda array: ([f"c{j}" for j in range(array.shape[1])], array)),
 ))
 @example((["throughput_bps", "cdf"], []))
 @example(([], [[], [1.5]]))
@@ -1161,6 +1349,8 @@ def number_tables(draw):
 @example((["x", "y"], long_pairs([ulps_from(1e16, 3), 0.5])))
 @example((["x", "y"], long_pairs([0.5, -ulps_from(1e-4, -50)])))
 @example((["x", "y"], long_pairs([math.inf, 0.5])))
+@example((["x", "y"], np.column_stack((np.arange(3000.0), np.arange(1, 3001) / 3000))))
+@example((["x", "y"], np.array([[1.5, 1e-5], [2.5, 1e16]])))
 def test_write_csv_matches_csv_writer(tmp_path_factory, table):
     header, rows = table
     buf = io.StringIO()
@@ -1261,4 +1451,34 @@ def test_evaluate_rejects_mixed_bad_members_like_the_per_user_loop(case, faults)
             plan.uavs.append(UavDeployment(**{**vars(uav), "members": frozenset({bad})}))
         else:
             uav.members = uav.members | {bad}
+    assert _error(evaluate, plan, users) == _error(evaluate_per_user, plan, users)
+
+
+@PROPERTY
+@given(
+    st.integers(1, 150),
+    st.integers(1, 4),
+    st.integers(0, 2**32 - 1),
+    st.lists(st.tuples(st.sampled_from(["past_end", "negative", "huge", "twice"]), st.integers(0, 200)), max_size=3),
+)
+@example(82, 2, 0, [("twice", 0)])  # a large cell takes a user an earlier cell holds
+@example(100, 1, 0, [("huge", 0), ("past_end", 1), ("negative", 2)])
+def test_evaluate_claims_cells_of_any_size_like_the_per_user_loop(n, m, seed, faults):
+    # cells of a few members are claimed one by one, larger ones by numpy at once
+    rng = np.random.default_rng(seed)
+    users = rng.uniform(0.0, 400.0, (n, 2))
+    owner = rng.integers(-1, m, n)
+    footprint = Ellipse(A=np.eye(2) / 300.0, b=np.array([200.0, 200.0]) / 300.0)
+    uavs = [
+        UavDeployment(200.0, 200.0, 100.0, 0.0, Beam(30.0, 30.0), 10.0, footprint, frozenset(np.flatnonzero(owner == c).tolist()))
+        for c in range(m)
+    ]
+    for fault, k in faults:
+        uav = uavs[k % m]
+        bad = {"past_end": n + k, "negative": -1 - k, "huge": 10**30 + k, "twice": k % n}[fault]
+        if fault == "twice" and k % 2:
+            uavs.append(UavDeployment(**{**vars(uav), "members": frozenset({bad})}))
+        else:
+            uav.members = uav.members | {bad}
+    plan = DeploymentPlan(uavs, ENVIRONMENTS["urban"], RadioConfig(), total_power_mw=1.0)
     assert _error(evaluate, plan, users) == _error(evaluate_per_user, plan, users)
