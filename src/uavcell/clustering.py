@@ -3,11 +3,18 @@
 The driver alternates between a silhouette-guided guess for the number of
 clusters and a grow/split loop, then re-clusters any groups whose fitted
 ellipses capture each other's users until every ellipse is user-disjoint.
+The guess is scored in a helper process while the pool grows its first
+cells, which every guess needs.
 """
 
 from __future__ import annotations
 
+import os
+import signal
+import threading
+import warnings
 from collections import Counter
+from contextlib import contextmanager, nullcontext, suppress
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -30,6 +37,10 @@ __all__ = [
 
 _UNSPLITTABLE = float("-inf")
 _SPLIT_MAX_ITERATIONS = 100  # 2-means rounds in split_cluster
+# Cells a phase-1 pool is grown to while the helper scores its select_k: any
+# count of three or more needs them, and at two the third is wasted, the same
+# on every run.
+_GROW_AHEAD = 3
 
 # Pool appearances a user may accumulate before their pool is collapsed into a
 # single ellipse instead of being re-split.
@@ -125,18 +136,26 @@ def select_k(points, k_limit: int) -> int:
     """Silhouette-optimal cluster count in {2, ..., min(k_limit, n)}.
 
     Ties break toward the smaller k; fewer than two points or a k_limit below 2 give 1.
+    Inside ellipse_clustering's ``_growing_ahead`` block of ``points``, the
+    scores come from the helper process.
     """
+    pts = np.asarray(points, dtype=float)
+    if min(len(pts), k_limit) < 2:
+        return 1
+    scores = _ahead.reply(points, k_limit)
+    if scores is None:  # no job in the helper, or it died, raised or warned: raise and warn here
+        scores = _scores(pts, k_limit)
+    return 2 + int(np.argmax(scores))  # the first best: ties go to the smaller k
+
+
+def _scores(pts: np.ndarray, k_limit: int) -> np.ndarray:
+    """Mean silhouettes of the Ward cuts of ``pts`` into 2, ..., min(k_limit, n) clusters."""
     from scipy.cluster.hierarchy import linkage
     from scipy.spatial.distance import pdist, squareform
 
-    pts = np.asarray(points, dtype=float)
-    n = len(pts)
-    if n < 2 or k_limit < 2:
-        return 1
     condensed = pdist(pts)
-    ks = list(range(2, min(k_limit, n) + 1))
-    scores = _silhouettes(squareform(condensed), _ward_cuts(linkage(condensed, method="ward"), ks))
-    return ks[int(np.argmax(scores))]  # the first best: ties go to the smaller k
+    ks = list(range(2, min(k_limit, len(pts)) + 1))
+    return _silhouettes(squareform(condensed), _ward_cuts(linkage(condensed, method="ward"), ks))
 
 
 def _ward_cuts(z: np.ndarray, ks: list[int]) -> np.ndarray:
@@ -172,6 +191,138 @@ def _ward_cuts(z: np.ndarray, ks: list[int]) -> np.ndarray:
     return np.array([rows[k] for k in ks])[:, own]
 
 
+def _serve(conn, parent_end) -> None:
+    """The helper's loop: score each (errstate, points, k_limit) job from
+    ``conn`` and send back the scores, or None if scoring raised or warned,
+    until the parent's end closes."""
+    parent_end.close()  # this process's copy of the parent's end would hold off EOF
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # an interrupt is for the parent to handle
+    with suppress(EOFError, OSError):
+        while True:
+            errstate, pts, k_limit = conn.recv()
+            with warnings.catch_warnings(record=True) as caught, np.errstate(**errstate):
+                warnings.simplefilter("always")
+                try:
+                    scores = _scores(pts, k_limit)
+                except Exception:  # the parent scores the pool again and raises it there
+                    scores = None
+            conn.send(None if caught else scores)
+
+
+def _start_helper():
+    """Fork the helper; returns (its process, the parent's end of its pipe)."""
+    import multiprocessing
+
+    context = multiprocessing.get_context("fork")
+    parent_end, child_end = context.Pipe()
+    proc = context.Process(target=_serve, args=(child_end, parent_end), name="uavcell-select_k", daemon=True)
+    proc.start()
+    child_end.close()
+    return proc, parent_end
+
+
+class _Helper:
+    """The one process that scores select_k's cuts for ellipse_clustering.
+
+    It is forked on first use.  A job holds ``lock`` from ``submit`` to
+    ``reply``, so a second thread finds it busy and scores in-process.  Once
+    the helper fails to start or dies, scoring stays in-process.
+    """
+
+    def __init__(self):
+        self.lock = threading.Lock()
+        self.proc = self.conn = None
+        self.off = False
+
+    def submit(self, pts: np.ndarray, k_limit: int) -> bool:
+        """Send ``pts``' scoring job; False if the helper cannot take it."""
+        if self.off or not self.lock.acquire(blocking=False):
+            return False
+        try:
+            if self.proc is None:
+                self.proc, self.conn = _start_helper()
+            self.conn.send((np.geterr(), pts, k_limit))
+            return True
+        except (ImportError, ValueError, AssertionError, OSError):
+            # no fork start method, a daemonic caller (it may have no children), no process or a dead one
+            self.close()
+            self.lock.release()
+            return False
+
+    def reply(self):
+        """The submitted job's scores; None if scoring raised or warned, or the helper died."""
+        try:
+            return self.conn.recv()
+        except BaseException as exc:
+            self.close()  # after an interrupt the pipe may hold half a reply
+            if isinstance(exc, (EOFError, OSError)):
+                return None
+            raise
+        finally:
+            self.lock.release()
+
+    def close(self) -> None:
+        """Turn the helper off; it reads EOF and exits."""
+        self.off = True
+        if self.conn is not None:
+            self.conn.close()
+
+    def forget(self) -> None:
+        """In a forked child: leave the parent's helper to the parent."""
+        if self.proc is None:
+            return
+        from multiprocessing import process
+
+        process._children.discard(self.proc)  # or this child's exit would terminate and join it
+        self.close()
+        self.proc = None
+
+
+_HELPER = _Helper()
+if hasattr(os, "register_at_fork"):  # not on Windows, which has no fork and so no helper
+    os.register_at_fork(after_in_child=lambda: _HELPER.forget())
+
+
+class _Ahead(threading.local):
+    """This thread's phase-1 pool, its job in the helper and its growth so far."""
+
+    points = job = growth = None
+
+    def send(self, points, k_limit: int) -> None:
+        """Send ``points``' scoring to the helper, if it can take it."""
+        self.job = (points, k_limit) if _HELPER.submit(points, k_limit) else None
+
+    def reply(self, points, k_limit: int):
+        """The helper's reply for ``points`` scored up to ``k_limit``, if it holds that job."""
+        if self.job is None or self.job[0] is not points or self.job[1] != k_limit:
+            return None
+        self.job = None
+        return _HELPER.reply()
+
+
+_ahead = _Ahead()
+
+
+@contextmanager
+def _growing_ahead(points: np.ndarray, k_limit: int):
+    """Send ``points``' select_k scoring to the helper and grow them to
+    _GROW_AHEAD cells meanwhile; select_k and grow_to_k on ``points`` in the
+    block take up both.  Without the helper the growth is the same."""
+    if min(len(points), k_limit) < 2:  # select_k has nothing to score
+        yield
+        return
+    _ahead.points, _ahead.growth = points, _Growth(points)
+    _ahead.send(points, k_limit)
+    try:
+        _ahead.growth.to(_GROW_AHEAD)
+        yield
+    finally:
+        if _ahead.job is not None:  # the block raised before select_k took the reply
+            _ahead.job = None
+            _HELPER.reply()
+        _ahead.points = _ahead.growth = None
+
+
 def split_cluster(points, centres: bool = False):
     """2-means split of ``points``; returns (idx_a, idx_b) local index arrays.
 
@@ -202,6 +353,9 @@ def split_cluster(points, centres: bool = False):
             break
         assign = new_assign
         x0, y0, x1, y1 = means(assign, ones)
+    else:
+        message = f"split_cluster: 2-means stopped at its cap of {_SPLIT_MAX_ITERATIONS} rounds on {n} points"
+        warnings.warn(message, RuntimeWarning, stacklevel=2)
     # the centers are now the means of ``assign``'s parts, unless the first step ended the loop
     if not assign.any():
         # co-located points collapse onto one center; peel the pair point off
@@ -257,6 +411,8 @@ def grow_to_k(points, k_origin: int) -> ClusterSet:
     Starts from the 2-means split of all points (one all-points cluster when
     ``k_origin`` or the point count is 1) and fits each cluster once.  Stops
     early if every cluster is a singleton.  Members are indices into ``points``.
+    Inside ellipse_clustering's ``_growing_ahead`` block of ``points``, the
+    splits go on from those already made there.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.size == 0:
@@ -266,23 +422,54 @@ def grow_to_k(points, k_origin: int) -> ClusterSet:
     if not np.all(np.isfinite(pts)):
         raise ValueError("invalid point: coordinates must be finite")
 
-    parts = split_cluster(pts) if k_origin > 1 else None
-    groups: list[np.ndarray] = [np.arange(len(pts))] if parts is None else list(parts)
-    ellipses = [mvee(pts[g]) for g in groups]
-    # (priority, split) of each group, worked out once, when first needed
-    splits: list[tuple | None] = [None] * len(groups)
-    while len(groups) < k_origin:
-        splits = [known or _split_priority(pts[g], e) for known, g, e in zip(splits, groups, ellipses)]
-        t = int(np.argmax([score for score, _ in splits]))
-        if splits[t][0] == _UNSPLITTABLE:
-            break
-        part_a, part_b = (groups[t][local] for local in splits[t][1])
-        groups[t], ellipses[t], splits[t] = part_a, mvee(pts[part_a]), None
-        groups.append(part_b)
-        ellipses.append(mvee(pts[part_b]))
-        splits.append(None)
+    if k_origin == 1:
+        groups, ellipses = [np.arange(len(pts))], [mvee(pts)]
+    else:
+        growth = _ahead.growth if points is _ahead.points else _Growth(pts)
+        groups, ellipses = growth.to(k_origin)
     clusters = [Cluster(frozenset(g.tolist()), e) for g, e in zip(groups, ellipses)]
     return ClusterSet(users=pts, clusters=clusters)
+
+
+class _Growth:
+    """grow_to_k's splits of one point set, carried on as far as asked.
+
+    The groups and ellipses at every count passed on the way are kept, so a
+    count below the furthest one asked for reads its own back.
+    """
+
+    def __init__(self, pts: np.ndarray):
+        self.kept: list[tuple[list, list]] = []
+        self.steps = self._steps(pts)
+
+    def to(self, k: int) -> tuple[list, list]:
+        """(groups, ellipses) at ``k`` groups, or at the last split if no more are possible."""
+        while not self.kept or len(self.kept[-1][0]) < k:
+            step = next(self.steps, None)
+            if step is None:
+                break
+            self.kept.append(step)
+        return next((step for step in self.kept if len(step[0]) >= k), self.kept[-1])
+
+    @staticmethod
+    def _steps(pts: np.ndarray):
+        """(groups, ellipses) after the 2-means split of all points, then after each split of the worst group."""
+        parts = split_cluster(pts)
+        groups: list[np.ndarray] = [np.arange(len(pts))] if parts is None else list(parts)
+        ellipses = [mvee(pts[g]) for g in groups]
+        # (priority, split) of each group, worked out once, when first needed
+        splits: list[tuple | None] = [None] * len(groups)
+        while True:
+            yield groups.copy(), ellipses.copy()
+            splits = [known or _split_priority(pts[g], e) for known, g, e in zip(splits, groups, ellipses)]
+            t = int(np.argmax([score for score, _ in splits]))
+            if splits[t][0] == _UNSPLITTABLE:
+                return
+            part_a, part_b = (groups[t][local] for local in splits[t][1])
+            groups[t], ellipses[t], splits[t] = part_a, mvee(pts[part_a]), None
+            groups.append(part_b)
+            ellipses.append(mvee(pts[part_b]))
+            splits.append(None)
 
 
 def find_intersections(cs: ClusterSet) -> set[int]:
@@ -345,19 +532,19 @@ def ellipse_clustering(
     for _ in range(cfg.max_outer_iterations):
         pool = frozenset(u_cond.tolist())
         pool_visits.update(pool)
-        if max(pool_visits[i] for i in pool) > _MERGE_PATIENCE:
-            k_origin = 1
-        else:
-            if phase == 1:
-                k_origin = select_k(pts[u_cond], k_max + cfg.silhouette_buffer)
+        pool_pts, limit = pts[u_cond], k_max + cfg.silhouette_buffer
+        collapse = max(pool_visits[i] for i in pool) > _MERGE_PATIENCE
+        with _growing_ahead(pool_pts, limit) if phase == 1 and not collapse else nullcontext():
+            if collapse:
+                k_origin = 1
             else:
-                k_origin = k_max + 1
-            prior = attempts.get(pool)
-            if prior is not None and prior >= k_origin:
-                k_origin = prior + 1
-            k_origin = min(k_origin, len(u_cond))
-            attempts[pool] = k_origin
-        grown = grow_to_k(pts[u_cond], k_origin)
+                k_origin = select_k(pool_pts, limit) if phase == 1 else k_max + 1
+                prior = attempts.get(pool)
+                if prior is not None and prior >= k_origin:
+                    k_origin = prior + 1
+                k_origin = min(k_origin, len(u_cond))
+                attempts[pool] = k_origin
+            grown = grow_to_k(pool_pts, k_origin)
         fresh = [Cluster(frozenset(u_cond[list(c.members)].tolist()), c.ellipse) for c in grown.clusters]
         combined = ClusterSet(users=pts, clusters=final + fresh)
         flagged = find_intersections(combined)

@@ -145,6 +145,8 @@ def mvee(points) -> Ellipse:
             residual = float((radii := _radii(A, b, pts)).max())
         if residual <= limit:
             return Ellipse(A=np.array(A), b=np.array(b), fit=fit)
+        if not math.isfinite(residual):  # no scale brings a point back from an overflow
+            raise ValueError(f"mvee: the fit of {len(pts)} points overflows; coordinates too large")
         if fit.support is not None and residual > max(radii[t] for t in fit.support):
             fit = replace(fit, support=None)  # a point off the support scales this step
         scale = residual * (1.0 + margin)

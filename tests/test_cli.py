@@ -1073,12 +1073,28 @@ def test_csv_writes_numpy_scalars_as_plain_numbers(tmp_path):
     assert path.read_bytes() == b"a,b\n0.1,3\n"
 
 
-def test_importing_the_cli_loads_no_scipy():
-    # generate, evaluate and deploy --method circle call no scipy function
+@pytest.mark.parametrize("runs", [False, True])
+def test_importing_the_cli_loads_no_scipy(tmp_path, runs):
+    # generate, evaluate and deploy --method circle call no scipy function, and
+    # only ellipse clustering forks select_k's helper, so neither the import
+    # nor generate and deploy --method circle or brute load multiprocessing
     src = str(Path(uavcell.__file__).resolve().parents[1])
-    code = "import sys, uavcell.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    scen = tmp_path / "scenarios" / "scenario_000.json"
+    commands = [
+        ["generate", "--out-dir", str(scen.parent), "--mean-daughters", "3", "--width", "300", "--height", "300"],
+        ["deploy", str(scen), "--out-dir", str(tmp_path / "circle"), "--method", "circle", "--num-uavs", "2"],
+        ["deploy", str(scen), "--out-dir", str(tmp_path / "brute"), "--method", "brute"],
+    ] if runs else []
+    code = (
+        "import sys, uavcell.cli\n"
+        "from uavcell import clustering\n"
+        f"assert [uavcell.cli.main(argv) for argv in {commands!r}] == [0] * {len(commands)}\n"
+        "assert clustering._HELPER.proc is None\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'multiprocessing')))"
+    )
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": src},
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+    assert all((tmp_path / method / "plan.json").exists() for method in ("circle", "brute")) == runs

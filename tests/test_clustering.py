@@ -1,6 +1,11 @@
 import os
+import signal
 import subprocess
 import sys
+import threading
+import time
+import warnings
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -110,6 +115,17 @@ def test_split_two_points():
 
 def test_split_single_point_unsplittable():
     assert split_cluster(np.array([[1.0, 2.0]])) is None
+
+
+def test_split_warns_when_it_stops_at_the_round_cap(monkeypatch):
+    pts = two_blobs(gap=300.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        expected = split_cluster(pts)  # two rounds: the split, then its confirmation
+    monkeypatch.setattr(clustering, "_SPLIT_MAX_ITERATIONS", 1)
+    with pytest.warns(RuntimeWarning, match=r"split_cluster: .* cap of 1 rounds on 12 points"):
+        parts = split_cluster(pts)
+    assert [p.tolist() for p in parts] == [p.tolist() for p in expected]
 
 
 def test_split_duplicates_peels_one_off():
@@ -435,3 +451,248 @@ def test_config_validation():
         ClusteringConfig(silhouette_buffer=-1)
     with pytest.raises(ValueError):
         ClusteringConfig(max_outer_iterations=0)
+
+
+# --- the select_k helper ----------------------------------------------------
+
+def _plan(users) -> tuple:
+    """Everything ellipse_clustering returns, as comparable values."""
+    m, cs, trace = ellipse_clustering(users)
+    ellipses = [c.ellipse.A.tobytes() + c.ellipse.b.tobytes() for c in cs.clusters]
+    return m, [c.members for c in cs.clusters], trace.to_dict(), ellipses
+
+
+def _no_helper():
+    raise OSError("no helper in this run")
+
+
+@pytest.fixture
+def fresh_helper(monkeypatch):
+    """A helper of this test's own, forked with whatever the test patched first."""
+    helper = clustering._Helper()
+    monkeypatch.setattr(clustering, "_HELPER", helper)
+    yield helper
+    helper.close()
+    if helper.proc is not None:
+        helper.proc.join(timeout=10)
+
+
+def test_the_helper_changes_no_plan_and_no_count(monkeypatch):
+    steps = {name: getattr(clustering, name) for name in ("mvee", "split_cluster", "select_k")}
+    users = [generate_pcp(Region(), PcpConfig(seed=seed)) for seed in range(30)]
+
+    def campaign(start):
+        helper = clustering._Helper()
+        monkeypatch.setattr(clustering, "_HELPER", helper)
+        monkeypatch.setattr(clustering, "_start_helper", start)
+        calls = Counter()
+        for name, step in steps.items():
+            def counted(*args, _name=name, _step=step, **kwargs):
+                calls[_name] += 1
+                return _step(*args, **kwargs)
+            monkeypatch.setattr(clustering, name, counted)
+        try:
+            return [_plan(u) for u in users], calls, helper
+        finally:
+            helper.close()
+
+    with_helper, helper_calls, helper = campaign(clustering._start_helper)
+    in_process, own_calls, fallback = campaign(_no_helper)
+    assert helper.proc is not None and fallback.proc is None  # each run went the way it was meant to
+    assert with_helper == in_process
+    assert helper_calls == own_calls and own_calls["select_k"] > 30
+    helper.proc.join(timeout=10)
+
+
+def test_threads_clustering_at_once_plan_as_one_does():
+    # more threads than cores, switching often, share the one helper
+    users = [generate_pcp(Region(), PcpConfig(seed=seed)) for seed in (5, 6)]
+    expected = [_plan(u) for u in users]
+    results = {}
+
+    def work(i):
+        results[i] = [_plan(users[(i + rep) % 2]) for rep in range(3)]
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == {i: [expected[(i + rep) % 2] for rep in range(3)] for i in range(4)}
+
+
+def test_a_thread_finds_the_helper_busy_and_scores_in_process(fresh_helper):
+    users = generate_pcp(Region(), PcpConfig(seed=5))
+    expected = _plan(users)
+    k = select_k(users, 10)
+    clustering._ahead.send(users, 10)  # this thread holds the helper until it takes the reply
+    assert clustering._ahead.job is not None
+    done = []
+    worker = threading.Thread(target=lambda: done.append(_plan(users)))
+    worker.start()
+    worker.join(timeout=30)
+    waited = worker.is_alive()
+    assert select_k(users, 10) == k  # takes the reply, which frees the helper
+    worker.join(timeout=30)
+    assert not waited and done == [expected]
+
+
+def _plan_of_seed(seed: int) -> tuple:
+    return _plan(generate_pcp(Region(), PcpConfig(seed=seed)))
+
+
+def test_a_daemonic_worker_plans_in_process(fresh_helper):
+    # a pool's workers are daemonic, and a daemonic process may start no helper
+    import multiprocessing
+
+    with multiprocessing.get_context("fork").Pool(1) as pool:
+        planned = pool.apply_async(_plan_of_seed, (3,)).get(timeout=60)
+    assert planned == _plan_of_seed(3)
+
+
+def _fork(helper) -> None:
+    """Start ``helper`` now, under the default errstate and warning filters."""
+    helper.proc, helper.conn = clustering._start_helper()
+
+
+def _scored(pts, k_limit, helper: bool):
+    """select_k's answer, or its exception's type and message, scored in the helper or in-process."""
+    if helper:
+        clustering._ahead.send(pts, k_limit)
+    try:
+        assert (clustering._ahead.job is not None) == helper
+        return select_k(pts, k_limit)
+    except Exception as exc:
+        return type(exc), str(exc)
+    finally:
+        clustering._ahead.job = None
+
+
+@pytest.fixture
+def overflowing_scores(monkeypatch, fresh_helper):
+    """Scoring that overflows a numpy multiply first, in this test's helper and in-process alike."""
+    scores = clustering._scores
+
+    def overflowing(pts, k_limit):
+        np.array([1e308]) * 10.0
+        return scores(pts, k_limit)
+
+    monkeypatch.setattr(clustering, "_scores", overflowing)  # before the helper forks, so it has it too
+
+
+@pytest.mark.parametrize("strict", ["errstate", "warnings"])
+def test_the_helper_raises_what_scoring_in_process_raises(fresh_helper, strict):
+    pts = generate_pcp(Region(), PcpConfig(seed=0)) * 1e155  # pdist overflows, and linkage refuses it
+    _fork(fresh_helper)
+    with warnings.catch_warnings(), np.errstate(all="raise" if strict == "errstate" else "warn"):
+        if strict == "warnings":
+            warnings.simplefilter("error")
+        expected = (ValueError, "The condensed distance matrix must contain only finite values.")
+        assert _scored(pts, 10, helper=True) == _scored(pts, 10, helper=False) == expected
+    assert fresh_helper.proc is not None and not fresh_helper.off
+
+
+@pytest.mark.parametrize("strict", ["errstate", "warnings"])
+def test_the_helper_scores_under_the_callers_errstate_and_warning_filters(fresh_helper, overflowing_scores, strict):
+    users = generate_pcp(Region(), PcpConfig(seed=0))
+    _fork(fresh_helper)
+    with warnings.catch_warnings(), np.errstate(all="raise" if strict == "errstate" else "warn"):
+        if strict == "warnings":
+            warnings.simplefilter("error")
+        kind = FloatingPointError if strict == "errstate" else RuntimeWarning
+        expected = (kind, "overflow encountered in multiply")
+        assert _scored(users, 10, helper=True) == _scored(users, 10, helper=False) == expected
+    assert fresh_helper.proc is not None and not fresh_helper.off
+
+
+def test_a_warning_in_the_helper_is_issued_by_the_caller_with_the_same_answer(overflowing_scores):
+    users = generate_pcp(Region(), PcpConfig(seed=0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        expected = select_k(users, 10)
+    for helper in (True, False):
+        with pytest.warns(RuntimeWarning, match="overflow encountered in multiply"):
+            assert _scored(users, 10, helper) == expected
+
+
+_HELPER_SCRIPT = """
+import os, signal, sys, time
+from pathlib import Path
+from uavcell import clustering
+from uavcell.clustering import ellipse_clustering
+from uavcell.scenario import PcpConfig, Region, generate_pcp
+
+def cells():
+    _, cs, trace = ellipse_clustering(generate_pcp(Region(), PcpConfig(seed=3)))
+    return repr(([sorted(c.members) for c in cs.clusters], trace.to_dict()))
+
+out, mode = Path(sys.argv[1]), sys.argv[2]
+plan = cells()
+helper = clustering._HELPER.proc
+(out / "pid.tmp").write_text(str(helper.pid))
+os.replace(out / "pid.tmp", out / "helper.pid")
+if mode == "fork":
+    child = os.fork()
+    if child == 0:
+        (out / "child.txt").write_text(cells())
+        sys.exit(0)  # a normal exit, through the interpreter's exit handlers
+    assert os.waitpid(child, 0)[1] == 0
+    assert (out / "child.txt").read_text() == plan, "the forked child planned otherwise"
+    assert helper.is_alive(), "the child's exit ended the parent's helper"
+    assert cells() == plan and not clustering._HELPER.off
+elif mode == "exit":
+    os.kill(helper.pid, signal.SIGINT)  # as a terminal's Ctrl-C sends it to the whole process group
+    time.sleep(0.2)
+    assert cells() == plan and helper.is_alive() and not clustering._HELPER.off, "SIGINT ended the helper"
+elif mode == "kill":
+    time.sleep(120)
+"""
+
+
+def _gone(pid: int) -> bool:
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return True
+    return stat.rsplit(")", 1)[1].split()[0] in ("Z", "X")  # exited, whether or not reaped yet
+
+
+def _wait_for(condition, seconds: float) -> bool:
+    deadline = time.monotonic() + seconds
+    while not condition():
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.02)
+    return True
+
+
+def _helper_script(tmp_path, mode):
+    src = str(Path(uavcell.__file__).resolve().parents[1])
+    with open(tmp_path / "stderr.txt", "w") as err:  # a file, so no pipe waits on the helper
+        return subprocess.Popen(
+            [sys.executable, "-c", _HELPER_SCRIPT, str(tmp_path), mode],
+            stdout=subprocess.DEVNULL, stderr=err, env={**os.environ, "PYTHONPATH": src},
+        )
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads process states from /proc")
+@pytest.mark.parametrize("mode", ["exit", "fork", "kill"])
+def test_the_helper_ends_with_its_parent(tmp_path, mode):
+    proc = _helper_script(tmp_path, mode)
+    try:
+        if mode == "kill":
+            assert _wait_for(lambda: (tmp_path / "helper.pid").exists() or proc.poll() is not None, 120)
+            proc.send_signal(signal.SIGKILL)
+        proc.wait(timeout=120)
+    finally:
+        proc.kill()
+    if mode != "kill":
+        assert proc.returncode == 0, (tmp_path / "stderr.txt").read_text()
+    pid = int((tmp_path / "helper.pid").read_text())
+    assert _wait_for(lambda: _gone(pid), 2.0), f"helper {pid} outlived its parent"

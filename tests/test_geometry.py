@@ -1,13 +1,18 @@
 import copy
 import math
+import os
+import subprocess
+import sys
 from collections import Counter
 from dataclasses import fields
+from pathlib import Path
 from unittest.mock import patch
 
 import numpy as np
 import pytest
 
 from oracles import grid_min_ellipse_area
+import uavcell
 from uavcell import clustering, geometry
 from uavcell.clustering import ellipse_clustering
 from uavcell.geometry import Ellipse, contains, edge_distance, mvee
@@ -193,6 +198,33 @@ def test_a_stalled_walk_warns_with_size_and_gap(monkeypatch):
         e = mvee(pts)
     assert e.fit.ending == "stalled" and e.fit.gap > 1e-12 and e.fit.support is None
     assert contains(e, pts).all()
+
+
+def test_a_fit_that_overflows_raises_and_does_not_inflate_forever():
+    # in a subprocess, so that an inflation loop that never ends fails by its time limit
+    code = (
+        "import warnings\n"
+        "import numpy as np\n"
+        "from uavcell.clustering import ellipse_clustering\n"
+        "from uavcell.geometry import mvee\n"
+        "from uavcell.scenario import PcpConfig, Region, generate_pcp\n"
+        "warnings.simplefilter('ignore')\n"
+        "users = generate_pcp(Region(), PcpConfig(seed=0))\n"
+        "cases = [np.random.default_rng(n).uniform(0.0, 1e156, (n, 2)) for n in (3, 4, 5, 40)]\n"
+        "for run in [*(lambda pts=pts: mvee(pts) for pts in cases), lambda: ellipse_clustering(users * 1e155)]:\n"
+        "    try:\n"
+        "        run()\n"
+        "    except ValueError as exc:\n"
+        "        print(exc)\n"
+    )
+    src = str(Path(uavcell.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        f"mvee: the fit of {n} points overflows; coordinates too large" for n in (3, 4, 5, 40, 121)
+    ]
 
 
 def test_fit_record_stays_out_of_equality_and_repr():
