@@ -9,6 +9,7 @@ cells, which every guess needs.
 
 from __future__ import annotations
 
+import atexit
 import os
 import signal
 import threading
@@ -142,7 +143,10 @@ def select_k(points, k_limit: int) -> int:
     pts = np.asarray(points, dtype=float)
     if min(len(pts), k_limit) < 2:
         return 1
-    scores = _ahead.reply(points, k_limit)
+    scores = None
+    if _ahead.sent and points is _ahead.points and k_limit == _ahead.k_limit:
+        _ahead.sent = False
+        scores = _HELPER.reply()
     if scores is None:  # no job in the helper, or it died, raised or warned: raise and warn here
         scores = _scores(pts, k_limit)
     return 2 + int(np.argmax(scores))  # the first best: ties go to the smaller k
@@ -191,63 +195,57 @@ def _ward_cuts(z: np.ndarray, ks: list[int]) -> np.ndarray:
     return np.array([rows[k] for k in ks])[:, own]
 
 
-def _serve(conn, parent_end) -> None:
-    """The helper's loop: score each (errstate, points, k_limit) job from
-    ``conn`` and send back the scores, or None if scoring raised or warned,
-    until the parent's end closes."""
-    parent_end.close()  # this process's copy of the parent's end would hold off EOF
+def _serve(conn) -> None:
+    """The helper's loop: send back the scores of each (points, k_limit) job
+    from ``conn``, or None on any error, floating-point event or warning."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # an interrupt is for the parent to handle
-    with suppress(EOFError, OSError):
+    np.seterr(all="raise")  # the caller scores a None pool again, under its own settings
+    warnings.simplefilter("error")
+    with suppress(EOFError, OSError):  # until the parent's end closes
         while True:
-            errstate, pts, k_limit = conn.recv()
-            with warnings.catch_warnings(record=True) as caught, np.errstate(**errstate):
-                warnings.simplefilter("always")
-                try:
-                    scores = _scores(pts, k_limit)
-                except Exception:  # the parent scores the pool again and raises it there
-                    scores = None
-            conn.send(None if caught else scores)
-
-
-def _start_helper():
-    """Fork the helper; returns (its process, the parent's end of its pipe)."""
-    import multiprocessing
-
-    context = multiprocessing.get_context("fork")
-    parent_end, child_end = context.Pipe()
-    proc = context.Process(target=_serve, args=(child_end, parent_end), name="uavcell-select_k", daemon=True)
-    proc.start()
-    child_end.close()
-    return proc, parent_end
+            pts, k_limit = conn.recv()
+            try:
+                conn.send(_scores(pts, k_limit))
+            except Exception:
+                conn.send(None)
 
 
 class _Helper:
-    """The one process that scores select_k's cuts for ellipse_clustering.
-
-    It is forked on first use.  A job holds ``lock`` from ``submit`` to
-    ``reply``, so a second thread finds it busy and scores in-process.  Once
-    the helper fails to start or dies, scoring stays in-process.
-    """
+    """The one process that scores select_k's cuts for ellipse_clustering,
+    forked on first use and reaped at exit.  A job holds ``lock`` from
+    ``submit`` to ``reply``, so a second thread finds it busy and scores
+    in-process; once the helper fails to start or dies, all scoring is."""
 
     def __init__(self):
         self.lock = threading.Lock()
-        self.proc = self.conn = None
-        self.off = False
+        self.pid = self.conn = None
+        self.off = not hasattr(os, "fork")  # Windows has no fork, and so no helper
 
     def submit(self, pts: np.ndarray, k_limit: int) -> bool:
         """Send ``pts``' scoring job; False if the helper cannot take it."""
         if self.off or not self.lock.acquire(blocking=False):
             return False
         try:
-            if self.proc is None:
-                self.proc, self.conn = _start_helper()
-            self.conn.send((np.geterr(), pts, k_limit))
+            if self.pid is None:
+                self._start()
+            self.conn.send((pts, k_limit))
             return True
-        except (ImportError, ValueError, AssertionError, OSError):
-            # no fork start method, a daemonic caller (it may have no children), no process or a dead one
+        except OSError:  # no process, or a dead one
             self.close()
             self.lock.release()
             return False
+
+    def _start(self) -> None:
+        from multiprocessing.connection import Pipe
+        self.conn, child_end = Pipe()
+        self.pid = os.fork()
+        if self.pid == 0:
+            try:
+                self.conn.close()  # this process's copy of the parent's end would hold off EOF
+                _serve(child_end)
+            finally:
+                os._exit(0)
+        child_end.close()
 
     def reply(self):
         """The submitted job's scores; None if scoring raised or warned, or the helper died."""
@@ -267,37 +265,26 @@ class _Helper:
         if self.conn is not None:
             self.conn.close()
 
-    def forget(self) -> None:
-        """In a forked child: leave the parent's helper to the parent."""
-        if self.proc is None:
-            return
-        from multiprocessing import process
-
-        process._children.discard(self.proc)  # or this child's exit would terminate and join it
+    def end(self) -> None:
+        """Turn the helper off and reap it."""
         self.close()
-        self.proc = None
+        if self.pid is not None:
+            with suppress(ChildProcessError):  # not this process's child: reaped already, or its owner's
+                os.waitpid(self.pid, 0)
+            self.pid = None
 
 
 _HELPER = _Helper()
-if hasattr(os, "register_at_fork"):  # not on Windows, which has no fork and so no helper
-    os.register_at_fork(after_in_child=lambda: _HELPER.forget())
+atexit.register(lambda: _HELPER.end())
+if hasattr(os, "register_at_fork"):  # a forked child leaves its parent's helper, if any, to the parent
+    os.register_at_fork(after_in_child=lambda: _HELPER.pid is not None and _HELPER.end())
 
 
 class _Ahead(threading.local):
-    """This thread's phase-1 pool, its job in the helper and its growth so far."""
+    """This thread's phase-1 pool, its growth so far and whether the helper holds its scoring."""
 
-    points = job = growth = None
-
-    def send(self, points, k_limit: int) -> None:
-        """Send ``points``' scoring to the helper, if it can take it."""
-        self.job = (points, k_limit) if _HELPER.submit(points, k_limit) else None
-
-    def reply(self, points, k_limit: int):
-        """The helper's reply for ``points`` scored up to ``k_limit``, if it holds that job."""
-        if self.job is None or self.job[0] is not points or self.job[1] != k_limit:
-            return None
-        self.job = None
-        return _HELPER.reply()
+    points = k_limit = growth = None
+    sent = False
 
 
 _ahead = _Ahead()
@@ -311,14 +298,14 @@ def _growing_ahead(points: np.ndarray, k_limit: int):
     if min(len(points), k_limit) < 2:  # select_k has nothing to score
         yield
         return
-    _ahead.points, _ahead.growth = points, _Growth(points)
-    _ahead.send(points, k_limit)
+    _ahead.points, _ahead.k_limit, _ahead.growth = points, k_limit, _Growth(points)
+    _ahead.sent = _HELPER.submit(points, k_limit)
     try:
         _ahead.growth.to(_GROW_AHEAD)
         yield
     finally:
-        if _ahead.job is not None:  # the block raised before select_k took the reply
-            _ahead.job = None
+        if _ahead.sent:  # the block raised before select_k took the reply
+            _ahead.sent = False
             _HELPER.reply()
         _ahead.points = _ahead.growth = None
 

@@ -27,11 +27,6 @@ MIN_ELEVATION_RAD = math.pi / 12  # cell-edge elevation floor
 # edge users sit exactly at the SNR threshold, so coverage predicates give
 # that equality this much slack against rounding
 SNR_GRACE_DB = 1e-9
-# cells of at most this many members are claimed one member at a time: timed
-# per claim over 3000 users (numpy 2.4, Xeon), the loop and the array steps
-# cost 1.9 against 3.5 us at 5 members, 4.4 against 4.4 us at 20 and 6.4
-# against 4.7 us at 30
-_LOOP_CLAIM = 20
 
 
 @dataclass(frozen=True)
@@ -46,7 +41,12 @@ class AltitudeBounds:
     @classmethod
     def for_footprint(cls, semi_major_m: float, h_max: float) -> "AltitudeBounds":
         """Lower bound keeps the cell-edge elevation at or above 15 degrees."""
-        return cls(h_min=semi_major_m * math.tan(MIN_ELEVATION_RAD), h_max=h_max)
+        h_min = semi_major_m * math.tan(MIN_ELEVATION_RAD)
+        if h_min > h_max:
+            need = math.ceil(h_min)
+            raise ValueError(f"a cell of semi-major axis {semi_major_m:.1f} m needs an altitude of at least {need} m "
+                             f"for a 15 degree edge elevation; h_max must be at least {need} m, got {h_max:g} m")
+        return cls(h_min=h_min, h_max=h_max)
 
 
 @dataclass
@@ -194,12 +194,12 @@ def evaluate(plan: DeploymentPlan, users) -> PlanMetrics:
 def _claim(owner: np.ndarray, members: frozenset[int], m: int) -> np.ndarray:
     """Mark ``members`` as UAV ``m``'s users in ``owner``; returns their indices."""
     n = len(owner)
-    if len(members) > _LOOP_CLAIM and 0 <= min(members) and max(members) < n:
+    if members and 0 <= min(members) and max(members) < n:
         idx = np.fromiter(members, dtype=np.intp, count=len(members))
         if (owner[idx] == -1).all():
             owner[idx] = m
             return idx
-    # a few members, or a fault: the first member in the set's order that fails names it
+    # no members, or a fault: the first member in the set's order that fails names it
     for u in members:
         if not 0 <= u < n:
             raise ValueError(f"member index {u} outside user array")

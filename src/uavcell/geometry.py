@@ -111,7 +111,8 @@ def mvee(points) -> Ellipse:
     a relative 1e-12, and again by twice the last margin while ``contains``
     misses a point.  Up to five points stay in Python floats from the input
     check to ``A`` and ``b``, radii with the bits of ``contains``; a larger
-    set takes one SVD, to whiten.
+    set takes one SVD, to whiten.  Points too far apart for a float fit
+    raise ValueError.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.size == 0:
@@ -123,7 +124,10 @@ def mvee(points) -> Ellipse:
     if not finite:
         raise ValueError("invalid point: coordinates must be finite")
 
-    (x, y), axes, (c, s), fit = _fit_center_form(pts)
+    try:
+        (x, y), axes, (c, s), fit = _fit_center_form(pts)
+    except (OverflowError, ZeroDivisionError):  # a product of far coordinates, or the NaN of one
+        raise _too_large(len(pts)) from None
     if fit.gap > _CERTIFIED_GAP:
         message = f"mvee: the basis walk stalled on {len(pts)} points with its last ellipse at a gap of {fit.gap:.3g}"
         warnings.warn(message, RuntimeWarning, stacklevel=2)
@@ -144,14 +148,21 @@ def mvee(points) -> Ellipse:
         else:
             residual = float((radii := _radii(A, b, pts)).max())
         if residual <= limit:
-            return Ellipse(A=np.array(A), b=np.array(b), fit=fit)
+            try:
+                return Ellipse(A=np.array(A), b=np.array(b), fit=fit)
+            except ValueError:  # A rounds to singular or worse: its axes are too far apart
+                raise _too_large(len(pts)) from None
         if not math.isfinite(residual):  # no scale brings a point back from an overflow
-            raise ValueError(f"mvee: the fit of {len(pts)} points overflows; coordinates too large")
+            raise _too_large(len(pts))
         if fit.support is not None and residual > max(radii[t] for t in fit.support):
             fit = replace(fit, support=None)  # a point off the support scales this step
         scale = residual * (1.0 + margin)
         A, b = tuple(tuple(v / scale for v in row) for row in A), tuple(v / scale for v in b)
         limit, margin = 1.0, 2.0 * margin
+
+
+def _too_large(n: int) -> ValueError:
+    return ValueError(f"mvee: the fit of {n} points overflows; coordinates too large")
 
 
 def contains(e: Ellipse, points):

@@ -5,6 +5,7 @@ import hashlib
 import json
 import operator
 import os
+import re
 import statistics
 import subprocess
 import sys
@@ -163,6 +164,18 @@ def test_circle_count_above_the_cap_exits_2_before_the_lattice_search(tmp_path, 
     assert main(["sweep", str(manifest)]) == 2
     row = (tmp_path / "res" / "runs.csv").read_text().splitlines()[1].split(",", 9)
     assert row[8] == "bad_input" and "num_uavs must be in [1, 1000]" in row[9]
+
+
+def test_a_cell_too_wide_for_h_max_names_the_altitude_it_needs(tmp_path, caplog):
+    out = tmp_path / "scenarios"
+    wide = ["--width", "20000", "--height", "20000", "--parent-intensity-per-km2", "0.05", "--cluster-radius", "3000"]
+    assert main(["generate", "--out-dir", str(out), *wide]) == 0
+    scen = str(out / "scenario_000.json")
+    assert main(["deploy", scen, "--out-dir", str(tmp_path / "low")]) == 2
+    found = re.search(r"a cell of semi-major axis [\d.]+ m needs an altitude of at least (\d+) m "
+                      r"for a 15 degree edge elevation; h_max must be at least \1 m, got 1000 m", caplog.text)
+    assert found and 1000 < int(found[1]) < 20000, caplog.text
+    assert main(["deploy", scen, "--out-dir", str(tmp_path / "high"), "--h-max", "20000"]) == 0
 
 
 def test_deploy_brute_small_instance(tmp_path):
@@ -1089,7 +1102,7 @@ def test_importing_the_cli_loads_no_scipy(tmp_path, runs):
         "import sys, uavcell.cli\n"
         "from uavcell import clustering\n"
         f"assert [uavcell.cli.main(argv) for argv in {commands!r}] == [0] * {len(commands)}\n"
-        "assert clustering._HELPER.proc is None\n"
+        "assert clustering._HELPER.pid is None\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'multiprocessing')))"
     )
     proc = subprocess.run(

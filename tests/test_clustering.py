@@ -6,6 +6,7 @@ import threading
 import time
 import warnings
 from collections import Counter
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -462,7 +463,7 @@ def _plan(users) -> tuple:
     return m, [c.members for c in cs.clusters], trace.to_dict(), ellipses
 
 
-def _no_helper():
+def _no_helper(helper):
     raise OSError("no helper in this run")
 
 
@@ -472,19 +473,17 @@ def fresh_helper(monkeypatch):
     helper = clustering._Helper()
     monkeypatch.setattr(clustering, "_HELPER", helper)
     yield helper
-    helper.close()
-    if helper.proc is not None:
-        helper.proc.join(timeout=10)
+    helper.end()
 
 
 def test_the_helper_changes_no_plan_and_no_count(monkeypatch):
-    steps = {name: getattr(clustering, name) for name in ("mvee", "split_cluster", "select_k")}
+    steps = {name: getattr(clustering, name) for name in ("mvee", "split_cluster", "select_k", "_scores")}
     users = [generate_pcp(Region(), PcpConfig(seed=seed)) for seed in range(30)]
 
     def campaign(start):
         helper = clustering._Helper()
         monkeypatch.setattr(clustering, "_HELPER", helper)
-        monkeypatch.setattr(clustering, "_start_helper", start)
+        monkeypatch.setattr(clustering._Helper, "_start", start)
         calls = Counter()
         for name, step in steps.items():
             def counted(*args, _name=name, _step=step, **kwargs):
@@ -492,16 +491,17 @@ def test_the_helper_changes_no_plan_and_no_count(monkeypatch):
                 return _step(*args, **kwargs)
             monkeypatch.setattr(clustering, name, counted)
         try:
-            return [_plan(u) for u in users], calls, helper
+            return [_plan(u) for u in users], calls, helper.pid
         finally:
-            helper.close()
+            helper.end()
 
-    with_helper, helper_calls, helper = campaign(clustering._start_helper)
+    with_helper, helper_calls, helper = campaign(clustering._Helper._start)
     in_process, own_calls, fallback = campaign(_no_helper)
-    assert helper.proc is not None and fallback.proc is None  # each run went the way it was meant to
+    assert helper is not None and fallback is None  # each run went the way it was meant to
     assert with_helper == in_process
+    # the helper answered every select_k, so this process scored none itself
+    assert helper_calls.pop("_scores", 0) == 0 and own_calls.pop("_scores") == own_calls["select_k"]
     assert helper_calls == own_calls and own_calls["select_k"] > 30
-    helper.proc.join(timeout=10)
 
 
 def test_threads_clustering_at_once_plan_as_one_does():
@@ -527,18 +527,31 @@ def test_threads_clustering_at_once_plan_as_one_does():
     assert results == {i: [expected[(i + rep) % 2] for rep in range(3)] for i in range(4)}
 
 
+@contextmanager
+def _sent(pts, k_limit, helper: bool = True):
+    """``pts``' scoring handed to the helper as ``_growing_ahead`` hands it, but
+    with no growth; or, without ``helper``, held back as when the helper is busy."""
+    ahead = clustering._ahead
+    ahead.points, ahead.k_limit = pts, k_limit
+    ahead.sent = helper and clustering._HELPER.submit(pts, k_limit)
+    assert ahead.sent == helper
+    try:
+        yield
+    finally:
+        ahead.points, ahead.sent = None, False
+
+
 def test_a_thread_finds_the_helper_busy_and_scores_in_process(fresh_helper):
     users = generate_pcp(Region(), PcpConfig(seed=5))
     expected = _plan(users)
     k = select_k(users, 10)
-    clustering._ahead.send(users, 10)  # this thread holds the helper until it takes the reply
-    assert clustering._ahead.job is not None
-    done = []
-    worker = threading.Thread(target=lambda: done.append(_plan(users)))
-    worker.start()
-    worker.join(timeout=30)
-    waited = worker.is_alive()
-    assert select_k(users, 10) == k  # takes the reply, which frees the helper
+    with _sent(users, 10):  # this thread holds the helper until it takes the reply
+        done = []
+        worker = threading.Thread(target=lambda: done.append(_plan(users)))
+        worker.start()
+        worker.join(timeout=30)
+        waited = worker.is_alive()
+        assert select_k(users, 10) == k  # takes the reply, which frees the helper
     worker.join(timeout=30)
     assert not waited and done == [expected]
 
@@ -547,31 +560,31 @@ def _plan_of_seed(seed: int) -> tuple:
     return _plan(generate_pcp(Region(), PcpConfig(seed=seed)))
 
 
-def test_a_daemonic_worker_plans_in_process(fresh_helper):
-    # a pool's workers are daemonic, and a daemonic process may start no helper
+def _plan_and_helper_of_seed(seed: int) -> tuple:
+    return _plan_of_seed(seed), clustering._HELPER.pid, clustering._HELPER.off
+
+
+def test_a_daemonic_worker_forks_its_own_helper(fresh_helper):
+    # a pool's workers are daemonic; one that inherits no helper forks its
+    # own, which reads EOF and exits when the worker does
     import multiprocessing
 
     with multiprocessing.get_context("fork").Pool(1) as pool:
-        planned = pool.apply_async(_plan_of_seed, (3,)).get(timeout=60)
+        planned, pid, off = pool.apply_async(_plan_and_helper_of_seed, (3,)).get(timeout=60)
+        pool.close()
+        pool.join()
+    assert pid is not None and not off and fresh_helper.pid is None
     assert planned == _plan_of_seed(3)
-
-
-def _fork(helper) -> None:
-    """Start ``helper`` now, under the default errstate and warning filters."""
-    helper.proc, helper.conn = clustering._start_helper()
+    assert _wait_for(lambda: _gone(pid), 10.0), f"the worker's helper {pid} outlived the worker"
 
 
 def _scored(pts, k_limit, helper: bool):
     """select_k's answer, or its exception's type and message, scored in the helper or in-process."""
-    if helper:
-        clustering._ahead.send(pts, k_limit)
-    try:
-        assert (clustering._ahead.job is not None) == helper
-        return select_k(pts, k_limit)
-    except Exception as exc:
-        return type(exc), str(exc)
-    finally:
-        clustering._ahead.job = None
+    with _sent(pts, k_limit, helper):
+        try:
+            return select_k(pts, k_limit)
+        except Exception as exc:
+            return type(exc), str(exc)
 
 
 @pytest.fixture
@@ -589,26 +602,50 @@ def overflowing_scores(monkeypatch, fresh_helper):
 @pytest.mark.parametrize("strict", ["errstate", "warnings"])
 def test_the_helper_raises_what_scoring_in_process_raises(fresh_helper, strict):
     pts = generate_pcp(Region(), PcpConfig(seed=0)) * 1e155  # pdist overflows, and linkage refuses it
-    _fork(fresh_helper)
+    fresh_helper._start()  # under the default errstate and warning filters
     with warnings.catch_warnings(), np.errstate(all="raise" if strict == "errstate" else "warn"):
         if strict == "warnings":
             warnings.simplefilter("error")
         expected = (ValueError, "The condensed distance matrix must contain only finite values.")
         assert _scored(pts, 10, helper=True) == _scored(pts, 10, helper=False) == expected
-    assert fresh_helper.proc is not None and not fresh_helper.off
+    assert fresh_helper.pid is not None and not fresh_helper.off
 
 
 @pytest.mark.parametrize("strict", ["errstate", "warnings"])
 def test_the_helper_scores_under_the_callers_errstate_and_warning_filters(fresh_helper, overflowing_scores, strict):
     users = generate_pcp(Region(), PcpConfig(seed=0))
-    _fork(fresh_helper)
+    fresh_helper._start()  # under the default errstate and warning filters
     with warnings.catch_warnings(), np.errstate(all="raise" if strict == "errstate" else "warn"):
         if strict == "warnings":
             warnings.simplefilter("error")
         kind = FloatingPointError if strict == "errstate" else RuntimeWarning
         expected = (kind, "overflow encountered in multiply")
         assert _scored(users, 10, helper=True) == _scored(users, 10, helper=False) == expected
-    assert fresh_helper.proc is not None and not fresh_helper.off
+    assert fresh_helper.pid is not None and not fresh_helper.off
+
+
+@pytest.mark.parametrize("event", ["underflow", "warning"])
+def test_what_numpy_and_warnings_let_pass_by_default_still_reaches_the_caller(monkeypatch, fresh_helper, event):
+    # numpy ignores an underflow by default, and a UserWarning is only printed:
+    # the helper must not score through either where the caller would raise
+    scores = clustering._scores
+
+    def eventful(pts, k_limit):
+        if event == "underflow":
+            np.array([1e-308]) * 1e-100
+        else:
+            warnings.warn("scoring warned", UserWarning)
+        return scores(pts, k_limit)
+
+    monkeypatch.setattr(clustering, "_scores", eventful)
+    users = generate_pcp(Region(), PcpConfig(seed=0))
+    fresh_helper._start()  # under the default errstate and warning filters
+    with warnings.catch_warnings(), np.errstate(under="raise"):
+        warnings.simplefilter("error")
+        expected = {"underflow": (FloatingPointError, "underflow encountered in multiply"),
+                    "warning": (UserWarning, "scoring warned")}[event]
+        assert _scored(users, 10, helper=True) == _scored(users, 10, helper=False) == expected
+    assert fresh_helper.pid is not None and not fresh_helper.off
 
 
 def test_a_warning_in_the_helper_is_issued_by_the_caller_with_the_same_answer(overflowing_scores):
@@ -632,24 +669,28 @@ def cells():
     _, cs, trace = ellipse_clustering(generate_pcp(Region(), PcpConfig(seed=3)))
     return repr(([sorted(c.members) for c in cs.clusters], trace.to_dict()))
 
+def alive():  # this process's child, still running
+    return os.waitpid(helper, os.WNOHANG) == (0, 0)
+
 out, mode = Path(sys.argv[1]), sys.argv[2]
 plan = cells()
-helper = clustering._HELPER.proc
-(out / "pid.tmp").write_text(str(helper.pid))
+helper = clustering._HELPER.pid
+(out / "pid.tmp").write_text(str(helper))
 os.replace(out / "pid.tmp", out / "helper.pid")
 if mode == "fork":
     child = os.fork()
     if child == 0:
+        assert clustering._HELPER.off and clustering._HELPER.pid is None, "the child kept its parent's helper"
         (out / "child.txt").write_text(cells())
         sys.exit(0)  # a normal exit, through the interpreter's exit handlers
     assert os.waitpid(child, 0)[1] == 0
     assert (out / "child.txt").read_text() == plan, "the forked child planned otherwise"
-    assert helper.is_alive(), "the child's exit ended the parent's helper"
+    assert alive(), "the child's exit ended the parent's helper"
     assert cells() == plan and not clustering._HELPER.off
 elif mode == "exit":
-    os.kill(helper.pid, signal.SIGINT)  # as a terminal's Ctrl-C sends it to the whole process group
+    os.kill(helper, signal.SIGINT)  # as a terminal's Ctrl-C sends it to the whole process group
     time.sleep(0.2)
-    assert cells() == plan and helper.is_alive() and not clustering._HELPER.off, "SIGINT ended the helper"
+    assert cells() == plan and alive() and not clustering._HELPER.off, "SIGINT ended the helper"
 elif mode == "kill":
     time.sleep(120)
 """
@@ -695,4 +736,7 @@ def test_the_helper_ends_with_its_parent(tmp_path, mode):
     if mode != "kill":
         assert proc.returncode == 0, (tmp_path / "stderr.txt").read_text()
     pid = int((tmp_path / "helper.pid").read_text())
-    assert _wait_for(lambda: _gone(pid), 2.0), f"helper {pid} outlived its parent"
+    if mode == "kill":  # the helper reads EOF and exits after its parent has gone
+        assert _wait_for(lambda: _gone(pid), 2.0), f"helper {pid} outlived its parent"
+    else:  # a normal exit reaps the helper before it returns
+        assert not Path(f"/proc/{pid}").exists(), f"helper {pid} outlived its parent"

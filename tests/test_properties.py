@@ -405,6 +405,22 @@ def test_mvee_contains_every_point_with_a_certified_gap(pts, offset):
 
 
 @PROPERTY
+@given(st.sampled_from([2, 3, 5, 40]), st.floats(140.0, 160.0), st.integers(0, 2**32 - 1))
+@example(2, 148.0, 0)
+@example(5, 155.0, 0)
+@example(4, 155.0, 99)  # a squared cross product overflows
+@example(4, 155.0, 182)  # overflows to NaN, which the four-point fit then divides by
+def test_mvee_at_huge_scales_fits_every_point_or_says_the_coordinates_are_too_large(n, exponent, seed):
+    pts = np.random.default_rng(seed).uniform(-1.0, 1.0, (n, 2)) * 10.0**exponent
+    try:
+        e = mvee(pts)
+    except ValueError as exc:
+        assert str(exc) == f"mvee: the fit of {n} points overflows; coordinates too large"
+    else:
+        assert contains(e, pts).all()
+
+
+@PROPERTY
 @given(fit_sets(), st.integers(0, 3), st.booleans(), st.sampled_from([(1, 1), (1, 4), (2, 1)]), offsets)
 def test_mvee_is_affine_equivariant(pts, quarter_turns, mirror, stretch, offset):
     # points on a 2**-32 m grid and maps built from quarter turns, mirrors,
