@@ -10,9 +10,8 @@ from itertools import chain, combinations
 import numpy as np
 
 from .channel import Beam, Environment, RadioConfig, dbm_to_mw
-from .clustering import Cluster
-from .deployment import DeploymentPlan, UavDeployment, _beam, deploy_cell, required_power_dbm
-from .geometry import Ellipse, _radii, contains, mvee
+from .deployment import AltitudeBounds, DeploymentPlan, UavDeployment, _beam, _place, _uav, required_power_dbm
+from .geometry import Ellipse, _center, _radii, _semi_axes, contains, mvee
 from .scenario import Region, Scenario
 
 __all__ = [
@@ -119,8 +118,8 @@ def brute_force_plan(
 
     Scores every partition of the users into 1..num_uavs groups (restricted
     growth strings, ``_partition_table``), rejects groupings whose ellipses
-    share a user, and deploys the cells of the rest exactly like the main
-    pipeline, each distinct cell once.  Cells go one size at a time: a cell
+    share a user, and prices each distinct cell of the rest once (``_price``),
+    building the UAVs of the cheapest plan alone.  Cells go one size at a time: a cell
     that adds a user strictly inside a sub-cell's ellipse built on a support
     of three to five points (``fit.support``) has that ellipse (Welzl, 1991),
     byte for byte, and reuses it without a fit, as one array lookup decides
@@ -168,21 +167,33 @@ def brute_force_plan(
     feasible = np.ones(len(table), dtype=bool)
     for a, b in combinations(range(num_uavs), 2):
         feasible &= (covers[:, a] & covers[:, b] & (table[:, a] | table[:, b])) == 0
-    uavs: dict[int, UavDeployment] = {}
+    keys = np.unique(table[feasible])
+    keys = keys[keys > 0]
+    placed = dict(zip(keys.tolist(), _price(keys, ellipses[keys], pts, env, radio, h_max)))
     power_mw = np.zeros(1 << n)
-    cells = _cell_members(n, num_uavs)
-    for key in np.unique(table[feasible]).tolist():
-        if key:
-            group, members = cells[key]
-            uavs[key] = deploy_cell(Cluster(group, ellipses[key]), pts[members], env, radio, h_max)
-            power_mw[key] = dbm_to_mw(uavs[key].tx_power_dbm)
+    power_mw[keys] = [dbm_to_mw(placement[-1]) for placement in placed.values()]
     # summed in group order, as the plan's own total is
     total = power_mw[table[:, 0]]
     for g in range(1, num_uavs):
         total = total + power_mw[table[:, g]]
     total[~feasible] = np.inf
     best = int(np.argmin(total))
-    return DeploymentPlan([uavs[key] for key in table[best].tolist() if key], env, radio, float(total[best]))
+    uavs = [_uav(ellipses[key], frozenset(np.flatnonzero(bits & key).tolist()), *placed[key]) for key in table[best].tolist() if key]
+    return DeploymentPlan(uavs, env, radio, float(total[best]))
+
+
+def _price(keys: np.ndarray, footprints, pts: np.ndarray, env: Environment, radio: RadioConfig, h_max: float) -> list:
+    """``_place`` of the cells of member bitmasks ``keys`` and ellipses ``footprints``, in order; a cell
+    too wide for ``h_max`` fails before any is placed, named by the widest."""
+    A, b = np.array([e.A for e in footprints]), np.array([e.b for e in footprints])
+    # every cell's edge_distance at once, with its bits: the same steps, non-members taking 0
+    cx, cy = _center(A[:, 0, 0], A[:, 0, 1], A[:, 1, 1], b[:, 0], b[:, 1])
+    dx, dy = pts[:, 0] - cx[:, None], pts[:, 1] - cy[:, None]
+    held = (keys[:, None] >> np.arange(len(pts)) & 1).astype(bool)
+    edges = np.sqrt(np.where(held, dx * dx + dy * dy, 0.0).max(axis=1))
+    cells = list(zip(A.tolist(), b.tolist(), edges.tolist()))
+    AltitudeBounds.for_footprint(max(_semi_axes(a, c, d)[0] for ((a, c), (_, d)), _, _ in cells), h_max)
+    return [_place(*cell, env, radio, h_max) for cell in cells]
 
 
 @functools.cache
@@ -208,17 +219,6 @@ def _cell_levels(n: int, num_uavs: int) -> tuple[tuple[np.ndarray, np.ndarray, n
     for array in chain.from_iterable(levels):
         array.flags.writeable = False  # shared by every caller through the cache
     return tuple(levels)
-
-
-@functools.cache
-def _cell_members(n: int, num_uavs: int) -> tuple[tuple[frozenset[int], np.ndarray] | None, ...]:
-    """Per bitmask below ``1 << n``, its cell's members as a frozenset and as the read-only
-    index row of ``_cell_levels(n, num_uavs)``; None where the bitmask is no cell."""
-    cells: list = [None] * (1 << n)
-    for keys, _, member_rows in _cell_levels(n, num_uavs):
-        for key, row in zip(keys.tolist(), member_rows):
-            cells[key] = frozenset(row.tolist()), row
-    return tuple(cells)
 
 
 def _partitions(n: int, max_blocks: int):

@@ -9,7 +9,7 @@ import numpy as np
 
 from .channel import Beam, Environment, RadioConfig, avg_path_loss, avg_path_loss_array, dbm_to_mw, optimal_elevation_rad
 from .clustering import Cluster, ClusterSet, find_intersections
-from .geometry import Ellipse, contains, edge_distance
+from .geometry import Ellipse, _center, _semi_axes, contains, edge_distance
 
 __all__ = [
     "AltitudeBounds",
@@ -118,10 +118,13 @@ def deploy(
     """One UAV per cluster, each placed by ``deploy_cell``.
 
     Rejects cluster sets whose ellipses still share users: powering such
-    cells independently cannot meet the per-user SNR target.
+    cells independently cannot meet the per-user SNR target.  A cell too
+    wide for ``h_max`` fails before any is placed, named by the widest.
     """
     if find_intersections(cs):
         raise ValueError("interference risk: cluster ellipses share users")
+    if cs.clusters:
+        AltitudeBounds.for_footprint(max(c.ellipse.semi_axes[0] for c in cs.clusters), h_max)
     uavs = [deploy_cell(c, cs.member_points(m), env, radio, h_max) for m, c in enumerate(cs.clusters)]
     total = sum(dbm_to_mw(u.tx_power_dbm) for u in uavs)
     return DeploymentPlan(uavs=uavs, environment=env, radio=radio, total_power_mw=total)
@@ -130,28 +133,26 @@ def deploy(
 def deploy_cell(
     cluster: Cluster, points, env: Environment, radio: RadioConfig, h_max: float = 1000.0
 ) -> UavDeployment:
-    """The UAV of one cell, centered on its ellipse; ``points`` are its members.
+    """The UAV of one cell, centered on its ellipse; ``points`` are its members:
+    ``_place`` on the ellipse's floats, then ``_uav``."""
+    e = cluster.ellipse
+    return _uav(e, cluster.members, *_place(e.A.tolist(), e.b.tolist(), edge_distance(e, points), env, radio, h_max))
 
-    The altitude comes from ``optimal_altitude``, looked up in this module at
-    call time, so a replacement installed on the module is used.
-    """
-    footprint = cluster.ellipse
-    center = footprint.center
-    major, minor = footprint.semi_axes
-    cell_edge = edge_distance(footprint, points, center)
-    bounds = AltitudeBounds.for_footprint(major, h_max)
-    height = optimal_altitude(cell_edge, env, bounds)
+
+def _place(A, b, edge_m: float, env: Environment, radio: RadioConfig, h_max: float):
+    """(x, y, altitude, beam, tx power in dBm), in Python floats, of the UAV over the ellipse of ``A`` and ``b``
+    (nested floats) whose farthest member is ``edge_m`` from its center.  The altitude comes from
+    ``optimal_altitude``, looked up in this module at call time, so a replacement installed on the module is used."""
+    (a, c), (_, d) = A
+    major, minor = _semi_axes(a, c, d)
+    height = optimal_altitude(edge_m, env, AltitudeBounds.for_footprint(major, h_max))
     beam = _beam(height, major, minor)
-    return UavDeployment(
-        x=float(center[0]),
-        y=float(center[1]),
-        altitude_m=height,
-        orientation_rad=footprint.orientation,
-        beam=beam,
-        tx_power_dbm=required_power_dbm(height, cell_edge, env, beam, radio),
-        footprint=footprint,
-        members=cluster.members,
-    )
+    return (*_center(a, c, d, *b), height, beam, required_power_dbm(height, edge_m, env, beam, radio))
+
+
+def _uav(footprint: Ellipse, members: frozenset[int], x, y, height, beam, power) -> UavDeployment:
+    """The UAV of a cell from its ``_place`` result."""
+    return UavDeployment(x, y, height, footprint.orientation, beam, power, footprint, members)
 
 
 def evaluate(plan: DeploymentPlan, users) -> PlanMetrics:

@@ -67,18 +67,14 @@ class Ellipse:
 
     @property
     def center(self) -> np.ndarray:
-        (a, b), (_, d) = self.A.tolist()  # Cramer's rule
-        b0, b1 = self.b.tolist()
-        det = a * d - b * b
-        return np.array([(d * b0 - b * b1) / det, (a * b1 - b * b0) / det])
+        (a, b), (_, d) = self.A.tolist()
+        return np.array(_center(a, b, d, *self.b.tolist()))
 
     @property
     def semi_axes(self) -> tuple[float, float]:
-        """(major, minor) semi-axis lengths in meters: one over A's eigenvalues, the
-        larger as mid + hypot and the smaller as det / larger, which does not cancel."""
+        """(major, minor) semi-axis lengths in meters (``_semi_axes``)."""
         (a, b), (_, d) = self.A.tolist()
-        high = 0.5 * (a + d) + math.hypot(0.5 * (a - d), b)
-        return 1.0 / min((a * d - b * b) / high, high), 1.0 / high
+        return _semi_axes(a, b, d)
 
     @property
     def orientation(self) -> float:
@@ -92,6 +88,20 @@ class Ellipse:
     def area(self) -> float:
         (a, b), (_, d) = self.A.tolist()
         return math.pi / (a * d - b * b)
+
+
+def _center(a, b, d, b0, b1):
+    """Center of the ellipse of A = [[a, b], [b, d]] and (b0, b1) by Cramer's rule,
+    in Python floats or elementwise on arrays, which round alike."""
+    det = a * d - b * b
+    return (d * b0 - b * b1) / det, (a * b1 - b * b0) / det
+
+
+def _semi_axes(a: float, b: float, d: float) -> tuple[float, float]:
+    """(major, minor) semi-axes of A = [[a, b], [b, d]]: one over A's eigenvalues, the
+    larger as mid + hypot and the smaller as det / larger, which does not cancel."""
+    high = 0.5 * (a + d) + math.hypot(0.5 * (a - d), b)
+    return 1.0 / min((a * d - b * b) / high, high), 1.0 / high
 
 
 def mvee(points) -> Ellipse:
@@ -148,10 +158,14 @@ def mvee(points) -> Ellipse:
         else:
             residual = float((radii := _radii(A, b, pts)).max())
         if residual <= limit:
-            try:
-                return Ellipse(A=np.array(A), b=np.array(b), fit=fit)
-            except ValueError:  # A rounds to singular or worse: its axes are too far apart
-                raise _too_large(len(pts)) from None
+            # the constructor's checks on these floats: A is symmetric by construction, A and b finite, as a non-finite
+            # entry makes every radius inf or NaN, and A rounds to singular or worse when its axes are too far apart
+            (a00, a01), (_, a11) = A
+            if not (a00 > 0.0 and a00 * a11 - a01 * a01 > 0.0):
+                raise _too_large(len(pts))
+            fitted = Ellipse.__new__(Ellipse)  # not converted and checked a second time
+            fitted.A, fitted.b, fitted.fit = np.array(A), np.array(b), fit
+            return fitted
         if not math.isfinite(residual):  # no scale brings a point back from an overflow
             raise _too_large(len(pts))
         if fit.support is not None and residual > max(radii[t] for t in fit.support):
@@ -187,14 +201,13 @@ def _radius(xp, A, b, x, y):
     return xp.sqrt(r0 * r0 + r1 * r1)
 
 
-def edge_distance(e: Ellipse, members, center=None) -> float:
-    """Distance from the ellipse center to the farthest member; a caller
-    that has read ``e.center`` already passes it as ``center``.  Up to five
-    members stay in Python floats, as in ``mvee``, with the bits of the array sum."""
+def edge_distance(e: Ellipse, members) -> float:
+    """Distance from the ellipse center to the farthest member.  Up to five members
+    stay in Python floats, as in ``mvee``, with the bits of the array sum."""
     pts = np.atleast_2d(np.asarray(members, dtype=float))
     if pts.size == 0:
         raise ValueError("no members")
-    center = e.center if center is None else center
+    center = e.center
     # sqrt is monotone and correctly rounded, so one sqrt of the largest square gives the same bits
     if len(pts) <= _FIVE:
         (cx, cy), p = center.tolist(), pts.tolist()

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 from functools import partial
 from itertools import groupby
 
@@ -17,8 +18,8 @@ from uavcell.baseline import (
     circle_pack_deploy,
 )
 from uavcell.channel import ENVIRONMENTS, Beam, RadioConfig, dbm_to_mw
-from uavcell.clustering import ellipse_clustering
-from uavcell.deployment import SNR_GRACE_DB, deploy, evaluate
+from uavcell.clustering import Cluster, ellipse_clustering
+from uavcell.deployment import SNR_GRACE_DB, deploy, deploy_cell, evaluate
 from uavcell.geometry import contains, mvee
 from uavcell.scenario import PcpConfig, Region, Scenario, generate_pcp
 
@@ -276,23 +277,38 @@ def test_a_search_takes_one_radius_pass_per_cell_size_with_a_fit(monkeypatch):
 def test_every_brute_force_cell_has_the_bytes_of_a_fresh_fit(monkeypatch, offset):
     # a cell that reuses a sub-cell's ellipse, because its extra users sit
     # strictly inside it (the float radii of the reuse bitmasks), must hold
-    # the bytes that fitting its own members gives
+    # the bytes that fitting its own members gives, and be priced as
+    # deploy_cell places that fit
     cells = []
-    deploy_cell = baseline.deploy_cell
+    price = baseline._price
 
-    def recording_deploy_cell(cluster, *args):
-        cells.append((sorted(cluster.members), cluster.ellipse))
-        return deploy_cell(cluster, *args)
+    def recording_price(keys, footprints, *args):
+        placements = price(keys, footprints, *args)
+        members = ([i for i in range(key.bit_length()) if key >> i & 1] for key in keys.tolist())
+        cells.extend(zip(members, footprints, placements))
+        return placements
 
-    monkeypatch.setattr(baseline, "deploy_cell", recording_deploy_cell)
+    monkeypatch.setattr(baseline, "_price", recording_price)
     for seed in range(30):
         users = generate_pcp(Region(), PcpConfig(seed=seed))[:7] + [offset, -0.5 * offset]
         cells.clear()
         brute_force_plan(users, 3, URBAN, RADIO)
         assert cells
-        for members, e in cells:
+        for members, e, placement in cells:
             fresh = mvee(users[members])
             assert (e.A.tobytes(), e.b.tobytes()) == (fresh.A.tobytes(), fresh.b.tobytes()), (seed, members)
+            uav = deploy_cell(Cluster(frozenset(members), fresh), users[members], URBAN, RADIO)
+            assert repr(placement) == repr((uav.x, uav.y, uav.altitude_m, uav.beam, uav.tx_power_dbm)), (seed, members)
+
+
+def test_brute_force_names_the_widest_cell_it_prices_and_plans_at_that_altitude():
+    # on a 20 km spread many cells are too wide for 100 m; the message names
+    # the widest, so its altitude is enough for every cell
+    users = np.random.default_rng(6).uniform(0.0, 20000.0, (6, 2))
+    with pytest.raises(ValueError, match="h_max must be at least") as err:
+        brute_force_plan(users, 3, URBAN, RADIO, h_max=100.0)
+    need = float(re.search(r"at least (\d+) m", str(err.value))[1])
+    assert brute_force_plan(users, 3, URBAN, RADIO, h_max=need).uavs
 
 
 def test_partition_enumeration_counts():

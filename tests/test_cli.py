@@ -175,6 +175,8 @@ def test_a_cell_too_wide_for_h_max_names_the_altitude_it_needs(tmp_path, caplog)
     found = re.search(r"a cell of semi-major axis [\d.]+ m needs an altitude of at least (\d+) m "
                       r"for a 15 degree edge elevation; h_max must be at least \1 m, got 1000 m", caplog.text)
     assert found and 1000 < int(found[1]) < 20000, caplog.text
+    # the widest cell is named, so its altitude is enough for every cell
+    assert main(["deploy", scen, "--out-dir", str(tmp_path / "named"), "--h-max", found[1]]) == 0
     assert main(["deploy", scen, "--out-dir", str(tmp_path / "high"), "--h-max", "20000"]) == 0
 
 

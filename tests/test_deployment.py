@@ -204,6 +204,22 @@ def test_deploy_cell_looks_up_the_altitude_search_when_called(monkeypatch):
     assert all(u.altitude_m == 1000.0 for u in fixed.uavs)
 
 
+def test_a_cell_too_wide_for_h_max_is_named_by_the_widest_before_any_is_placed(monkeypatch):
+    # round cells of 2000 m and 5000 m radius, the narrower first: both are too
+    # wide for 100 m, and the 5000 m one needs ceil(5000 tan 15 deg) = 1340 m
+    users = np.array([[0.0, 0.0], [20000.0, 0.0]])
+    cs = ClusterSet(users=users, clusters=[
+        Cluster(frozenset({0}), Ellipse(A=np.eye(2) / 2000.0, b=[0.0, 0.0])),
+        Cluster(frozenset({1}), Ellipse(A=np.eye(2) / 5000.0, b=[4.0, 0.0])),
+    ])
+    searched = []
+    monkeypatch.setattr(deployment, "optimal_altitude", lambda *args: searched.append(args) or optimal_altitude(*args))
+    with pytest.raises(ValueError, match=r"semi-major axis 5000.0 m needs an altitude of at least 1340 m"):
+        deploy(cs, URBAN, RADIO, h_max=100.0)
+    assert not searched
+    assert len(deploy(cs, URBAN, RADIO, h_max=1340.0).uavs) == len(searched) == 2
+
+
 def test_deploy_rejects_overlapping_cells():
     users = np.array([[0.0, 0.0], [1.0, 0.0]])
     a = np.eye(2) / 2.0

@@ -200,6 +200,18 @@ def test_a_stalled_walk_warns_with_size_and_gap(monkeypatch):
     assert contains(e, pts).all()
 
 
+def test_mvee_builds_the_ellipse_the_constructor_would_and_refuses_what_it_rejects():
+    # mvee builds its Ellipse without the constructor's second conversion and
+    # check, so it must give the same ellipse, and still refuse an A that rounds
+    # to not positive definite: the 1 m floor on a segment 1.4e18 m long
+    fit = mvee(np.array([[0.0, 0.0], [3.0, 1.0], [1.0, 4.0], [2.0, 2.0]]))
+    public = Ellipse(A=fit.A, b=fit.b, fit=fit.fit)
+    assert fit == public and fit.fit is public.fit
+    assert [(v.dtype, v.shape) for v in (fit.A, fit.b)] == [(np.float64, (2, 2)), (np.float64, (2,))]
+    with pytest.raises(ValueError, match="coordinates too large"):
+        mvee([[0.0, 0.0], [1e18, 1e18]])
+
+
 def test_a_fit_that_overflows_raises_and_does_not_inflate_forever():
     # in a subprocess, so that an inflation loop that never ends fails by its time limit
     code = (

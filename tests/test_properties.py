@@ -999,15 +999,29 @@ def _cell(members, e):
     return sorted(members), e.A.tobytes(), e.b.tobytes(), e.fit.support
 
 
+def _placement(uav):
+    return repr((uav.x, uav.y, uav.altitude_m, uav.beam, uav.tx_power_dbm))
+
+
 def _deployed(search):
-    """Every cell a brute-force search deploys, in order, then its plan's cells and the repr of its total."""
+    """Every cell a brute-force search prices, in order, with its placement, then its plan's cells and the repr of
+    its total: the package's search prices cells in a batch (``baseline._price``), the per-key loop by ``deploy_cell``."""
     cells = []
+    price = baseline._price
+
+    def recording_price(keys, footprints, *args):
+        placements = price(keys, footprints, *args)
+        for key, e, placement in zip(keys.tolist(), footprints, placements):
+            members = [i for i in range(key.bit_length()) if key >> i & 1]
+            cells.append((*_cell(members, e), repr(placement)))
+        return placements
 
     def recording(cluster, *args):
-        cells.append(_cell(cluster.members, cluster.ellipse))
-        return deployment.deploy_cell(cluster, *args)
+        uav = deployment.deploy_cell(cluster, *args)
+        cells.append((*_cell(cluster.members, cluster.ellipse), _placement(uav)))
+        return uav
 
-    with patch.object(baseline, "deploy_cell", recording), patch.object(oracles, "deploy_cell", recording):
+    with patch.object(baseline, "_price", recording_price), patch.object(oracles, "deploy_cell", recording):
         plan = search()
     return cells, [_cell(u.members, u.footprint) for u in plan.uavs], repr(plan.total_power_mw)
 
@@ -1023,6 +1037,36 @@ def test_brute_force_by_cell_size_matches_the_per_key_loop(users, num_uavs):
 
 
 @PROPERTY
+@given(st.lists(st.tuples(ellipses(), point_sets(max_size=2 * geometry._FIVE)), min_size=1, max_size=3),
+       st.sampled_from([0.0, 1e6, 1e7]), st.booleans())
+@example([(Ellipse(np.eye(2), [0.0, 0.0]), np.zeros((3, 2))), (Ellipse(np.eye(2), [1.0, 0.0]), np.arange(14.0).reshape(-1, 2))], 1e7, True)
+def test_brute_force_pricing_has_the_bits_of_deploy_cell(cells, reach, patched):
+    # the cells' members side by side in one user array, so each cell's edge
+    # distance comes from the one pass over every user, non-members masked
+    urban, radio = ENVIRONMENTS["urban"], RadioConfig()
+    shift = np.array([reach, -0.5 * reach])
+    cells = [(Ellipse(A=e.A, b=e.b + e.A @ shift), pts + shift) for e, pts in cells]
+    users = np.concatenate([pts for _, pts in cells])
+    sizes = [len(pts) for _, pts in cells]
+    keys = np.array([((1 << size) - 1) << start for size, start in zip(sizes, np.cumsum([0, *sizes]).tolist())])
+    footprints = [e for e, _ in cells]
+    searched, closed_form = [], deployment.optimal_altitude
+
+    def altitude(edge, env, bounds):
+        searched.append(edge)
+        return 0.5 * (bounds.h_min + bounds.h_max) if patched else closed_form(edge, env, bounds)
+
+    with patch.object(deployment, "optimal_altitude", altitude):
+        got = baseline._price(keys, footprints, users, urban, radio, 1000.0)
+        want = [deployment.deploy_cell(Cluster(frozenset(), e), pts, urban, radio, 1000.0) for e, pts in cells]
+    assert list(map(repr, got)) == list(map(_placement, want))
+    # each cell searched once per path, pricing first, its edge distance from the
+    # one pass over every user with the bits of edge_distance
+    assert len(searched) == 2 * len(cells)
+    assert [d.hex() for d in searched[:len(cells)]] == [edge_distance(e, pts).hex() for e, pts in cells]
+
+
+@PROPERTY
 @given(ellipses(), point_sets(max_size=2 * geometry._FIVE), st.sampled_from([0.0, 1e6, 1e7]))
 @example(Ellipse(np.eye(2), [0.0, 0.0]), np.arange(2.0 * geometry._FIVE).reshape(-1, 2), 1e7)
 @example(Ellipse(np.eye(2), [0.0, 0.0]), np.arange(2.0 * geometry._FIVE + 2.0).reshape(-1, 2), 1e7)
@@ -1030,7 +1074,7 @@ def test_edge_distance_has_the_bits_of_the_array_sum_either_side_of_the_float_bo
     shift = np.array([reach, -0.5 * reach])
     e, pts = Ellipse(A=e.A, b=e.b + e.A @ shift), pts + shift
     want = math.sqrt(float(np.square(pts - e.center).sum(axis=1).max()))
-    assert edge_distance(e, pts).hex() == edge_distance(e, pts, e.center).hex() == want.hex()
+    assert edge_distance(e, pts).hex() == want.hex()
 
 
 @PROPERTY
