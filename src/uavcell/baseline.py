@@ -10,7 +10,7 @@ from itertools import chain, combinations
 import numpy as np
 
 from .channel import Beam, Environment, RadioConfig, dbm_to_mw
-from .deployment import AltitudeBounds, DeploymentPlan, UavDeployment, _beam, _place, _uav, required_power_dbm
+from .deployment import DeploymentPlan, UavDeployment, _beam, _check_widest, _place, _uav, required_power_dbm
 from .geometry import Ellipse, _center, _radii, _semi_axes, contains, mvee
 from .scenario import Region, Scenario
 
@@ -183,8 +183,7 @@ def brute_force_plan(
 
 
 def _price(keys: np.ndarray, footprints, pts: np.ndarray, env: Environment, radio: RadioConfig, h_max: float) -> list:
-    """``_place`` of the cells of member bitmasks ``keys`` and ellipses ``footprints``, in order; a cell
-    too wide for ``h_max`` fails before any is placed, named by the widest."""
+    """``_place`` of the cells of bitmasks ``keys`` and ellipses ``footprints``, in order, after ``_check_widest``."""
     A, b = np.array([e.A for e in footprints]), np.array([e.b for e in footprints])
     # every cell's edge_distance at once, with its bits: the same steps, non-members taking 0
     cx, cy = _center(A[:, 0, 0], A[:, 0, 1], A[:, 1, 1], b[:, 0], b[:, 1])
@@ -192,7 +191,7 @@ def _price(keys: np.ndarray, footprints, pts: np.ndarray, env: Environment, radi
     held = (keys[:, None] >> np.arange(len(pts)) & 1).astype(bool)
     edges = np.sqrt(np.where(held, dx * dx + dy * dy, 0.0).max(axis=1))
     cells = list(zip(A.tolist(), b.tolist(), edges.tolist()))
-    AltitudeBounds.for_footprint(max(_semi_axes(a, c, d)[0] for ((a, c), (_, d)), _, _ in cells), h_max)
+    _check_widest([_semi_axes(a, c, d)[0] for ((a, c), (_, d)), _, _ in cells], h_max)
     return [_place(*cell, env, radio, h_max) for cell in cells]
 
 

@@ -118,23 +118,26 @@ def deploy(
     """One UAV per cluster, each placed by ``deploy_cell``.
 
     Rejects cluster sets whose ellipses still share users: powering such
-    cells independently cannot meet the per-user SNR target.  A cell too
-    wide for ``h_max`` fails before any is placed, named by the widest.
+    cells independently cannot meet the per-user SNR target.
     """
     if find_intersections(cs):
         raise ValueError("interference risk: cluster ellipses share users")
-    if cs.clusters:
-        AltitudeBounds.for_footprint(max(c.ellipse.semi_axes[0] for c in cs.clusters), h_max)
+    _check_widest([c.ellipse.semi_axes[0] for c in cs.clusters], h_max)
     uavs = [deploy_cell(c, cs.member_points(m), env, radio, h_max) for m, c in enumerate(cs.clusters)]
     total = sum(dbm_to_mw(u.tx_power_dbm) for u in uavs)
     return DeploymentPlan(uavs=uavs, environment=env, radio=radio, total_power_mw=total)
 
 
+def _check_widest(majors: list[float], h_max: float) -> None:
+    """Cells of semi-major axes ``majors`` fail before any is placed if one is too wide, named by the widest."""
+    if majors:
+        AltitudeBounds.for_footprint(max(majors), h_max)
+
+
 def deploy_cell(
     cluster: Cluster, points, env: Environment, radio: RadioConfig, h_max: float = 1000.0
 ) -> UavDeployment:
-    """The UAV of one cell, centered on its ellipse; ``points`` are its members:
-    ``_place`` on the ellipse's floats, then ``_uav``."""
+    """The UAV of one cell over its ellipse; ``points`` are its members: ``_place``, then ``_uav``."""
     e = cluster.ellipse
     return _uav(e, cluster.members, *_place(e.A.tolist(), e.b.tolist(), edge_distance(e, points), env, radio, h_max))
 

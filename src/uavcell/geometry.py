@@ -91,8 +91,7 @@ class Ellipse:
 
 
 def _center(a, b, d, b0, b1):
-    """Center of the ellipse of A = [[a, b], [b, d]] and (b0, b1) by Cramer's rule,
-    in Python floats or elementwise on arrays, which round alike."""
+    """Center of A = [[a, b], [b, d]] and (b0, b1) by Cramer's rule, in floats or on arrays with the same rounding."""
     det = a * d - b * b
     return (d * b0 - b * b1) / det, (a * b1 - b * b0) / det
 

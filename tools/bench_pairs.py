@@ -40,14 +40,14 @@ def export(rev: str, into: Path) -> Path:
         subprocess.run(["git", "archive", "--format=tar", rev], stdout=out, check=True)
     tree = into / "tree"
     with tarfile.open(archive) as tar:
-        tar.extractall(tree, filter="data")
+        tar.extractall(tree)  # this repository's own export
     archive.unlink()
     return tree
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """The metrics of one untraced ``perfbench/run.py`` run in ``tree``, as {name: value}."""
-    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed), "--seconds", str(seconds)]
+def run_once(tree: Path, workload: str, seed: int) -> dict:
+    """The metrics of one untraced ``perfbench/run.py`` run in ``tree``, at its own run length, as {name: value}."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed)]
     # its own process group, so that an interrupted run stops with the harness processes it started
     proc = subprocess.Popen(cmd, cwd=tree, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, start_new_session=True)
     try:
@@ -91,7 +91,6 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seeds", type=int, nargs="+", required=True)
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=30.0)
     args = parser.parse_args(argv)
     signal.signal(signal.SIGTERM, lambda *_: sys.exit(143))  # unwind, so the runs stop and the exports go
 
@@ -107,7 +106,7 @@ def main(argv=None) -> int:
         for pair in range(args.pairs):
             seed = args.seeds[pair % len(args.seeds)]
             for side in ("base", "head") if pair % 2 == 0 else ("head", "base"):
-                runs[side].append(run_once(trees[side], args.workload, seed, args.seconds))
+                runs[side].append(run_once(trees[side], args.workload, seed))
             base, head = runs["base"][-1], runs["head"][-1]
             print(f"pair {pair} seed {seed} " + " ".join(
                 f"{name} {base[name]:.6g}->{head[name]:.6g}" for name in directions if name in base and name in head
@@ -115,7 +114,7 @@ def main(argv=None) -> int:
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
 
-    print(f"{args.workload}: {args.pairs} pairs of {args.seconds:g} s on seeds {' '.join(map(str, args.seeds))}")
+    print(f"{args.workload}: {args.pairs} pairs on seeds {' '.join(map(str, args.seeds))}")
     names = [name for name in runs["base"][0] if all(name in r for r in runs["base"] + runs["head"])]
     for name in names:
         print(summary(name, [r[name] for r in runs["base"]], [r[name] for r in runs["head"]], directions.get(name)))
